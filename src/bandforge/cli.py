@@ -22,11 +22,10 @@ from datetime import datetime, timezone
 from . import fixtures
 from .dilog import volume as shape_volume
 from .gluing import SolveError, build_equations, newton_solve, residual
-from .krawczyk import CertifyError, KrawczykError, certify_hyperbolic, \
-    krawczyk_test
-from .surgery import (LensSpace, Slope, bhw_example_report,
-                      double_branched_cover, lens_equivalent, lens_mirror,
-                      matignon_family, normalize_lens, slope_distance)
+from .krawczyk import RADIUS_LADDER, CertifyError, certify_hyperbolic
+from .surgery import (Slope, bhw_example_report, double_branched_cover,
+                      lens_equivalent, lens_mirror, matignon_family,
+                      normalize_lens, slope_distance)
 from .tangle import (check_conway, conway_expand, cosmetic_band_partner,
                      eval_conway, four_move_signature_obstruction,
                      is_unlinking_number_one, mirror_two_bridge,
@@ -115,14 +114,6 @@ def _parse_lens(text):
     return normalize_lens(p, q)
 
 
-def _fmt_tb(tb):
-    return f"S({tb.p},{tb.q})"
-
-
-def _fmt_lens(l):
-    return f"L({l.p},{l.q})"
-
-
 def _load_triangulation(args):
     if args.fixture is not None and args.path is not None:
         raise ValueError("give either a path or --fixture, not both")
@@ -135,13 +126,6 @@ def _load_triangulation(args):
 
 
 # ---------------------------------------------------------------- tri
-
-def _solve_from_hints(tri, tol, max_iter):
-    sys_ = build_equations(tri)
-    result = newton_solve(sys_, [t.shape_hint for t in tri.tets],
-                          tol=tol, max_iter=max_iter)
-    return sys_, result
-
 
 def cmd_tri(args):
     if getattr(args, "all_fixtures", False):
@@ -187,7 +171,9 @@ def cmd_tri(args):
 
     if args.subcommand == "solve":
         try:
-            sys_, result = _solve_from_hints(tri, args.tol, args.max_iter)
+            result = newton_solve(build_equations(tri),
+                                  [t.shape_hint for t in tri.tets],
+                                  tol=args.tol, max_iter=args.max_iter)
         except SolveError as exc:
             return _fail(EXIT_SOLVE, exc)
         except ValueError as exc:
@@ -208,6 +194,7 @@ def cmd_tri(args):
 
     # certify
     labels = fixtures.fixture_labels() if args.all_fixtures else [None]
+    radii = RADIUS_LADDER if args.radius is None else (args.radius,)
     results = {}
     assertions = []
     for label in labels:
@@ -218,15 +205,7 @@ def cmd_tri(args):
                 return _fail(EXIT_PARSE, exc)
         tag = tri.name if label is None else f"{label}:{tri.name}"
         try:
-            if args.radius is not None:
-                sys_, result = _solve_from_hints(tri, args.tol, args.max_iter)
-                cert = krawczyk_test(sys_, result.shapes, args.radius)
-            else:
-                cert = certify_hyperbolic(tri, tol=args.tol)
-        except SolveError as exc:
-            return _fail(EXIT_SOLVE, exc)
-        except KrawczykError as exc:
-            return _fail(EXIT_CERTIFY, exc)
+            cert = certify_hyperbolic(tri, radii=radii, tol=args.tol)
         except ValueError as exc:
             return _fail(EXIT_PARSE, exc)
         except CertifyError as exc:
@@ -258,7 +237,7 @@ def cmd_twobridge(args):
             fr = eval_conway(cf)
             results = {"fraction": f"{fr.p}/{fr.q}"}
             try:
-                results["schubert"] = _fmt_tb(normalize_two_bridge(fr.p, fr.q))
+                results["schubert"] = str(normalize_two_bridge(fr.p, fr.q))
             except ValueError:
                 results["schubert"] = None
             assertions = []
@@ -275,19 +254,19 @@ def cmd_twobridge(args):
         elif args.subcommand == "equal":
             a = _parse_two_bridge(args.left)
             b = _parse_two_bridge(args.right)
-            results = {"left": _fmt_tb(a), "right": _fmt_tb(b),
+            results = {"left": str(a), "right": str(b),
                        "equivalent": two_bridge_equivalent(a, b)}
             assertions = []
 
         elif args.subcommand == "mirror":
             tb = _parse_two_bridge(args.pair)
-            results = {"input": _fmt_tb(tb), "mirror": _fmt_tb(mirror_two_bridge(tb))}
+            results = {"input": str(tb), "mirror": str(mirror_two_bridge(tb))}
             assertions = []
 
         elif args.subcommand == "unlink1":
             tb = _parse_two_bridge(args.pair)
             witness = is_unlinking_number_one(tb)
-            results = {"input": _fmt_tb(tb),
+            results = {"input": str(tb),
                        "witness": list(witness) if witness else None,
                        "unlinking_number_one": witness is not None}
             assertions = []
@@ -303,7 +282,7 @@ def cmd_twobridge(args):
 
         elif args.subcommand == "signature":
             tb = _parse_two_bridge(args.pair)
-            results = {"input": _fmt_tb(tb),
+            results = {"input": str(tb),
                        "signature": signature_two_bridge(tb)}
             assertions = []
 
@@ -311,7 +290,7 @@ def cmd_twobridge(args):
             a = _parse_two_bridge(args.left)
             b = _parse_two_bridge(args.right)
             sa, sb = signature_two_bridge(a), signature_two_bridge(b)
-            results = {"left": _fmt_tb(a), "right": _fmt_tb(b),
+            results = {"left": str(a), "right": str(b),
                        "signature_left": sa, "signature_right": sb,
                        "signature_gap": abs(sa - sb),
                        "four_move_obstructed":
@@ -334,7 +313,7 @@ def cmd_surgery(args):
 
         elif args.subcommand == "lens-equal":
             a, b = _parse_lens(args.left), _parse_lens(args.right)
-            results = {"left": _fmt_lens(a), "right": _fmt_lens(b),
+            results = {"left": str(a), "right": str(b),
                        "oriented": not args.unoriented,
                        "equivalent": lens_equivalent(
                            a, b, oriented=not args.unoriented)}
@@ -342,25 +321,25 @@ def cmd_surgery(args):
 
         elif args.subcommand == "lens-mirror":
             a = _parse_lens(args.pair)
-            results = {"input": _fmt_lens(a),
-                       "mirror": _fmt_lens(lens_mirror(a))}
+            results = {"input": str(a),
+                       "mirror": str(lens_mirror(a))}
             assertions = []
 
         elif args.subcommand == "dbc":
             tb = _parse_two_bridge(args.pair)
-            results = {"link": _fmt_tb(tb),
+            results = {"link": str(tb),
                        "double_branched_cover":
-                           _fmt_lens(double_branched_cover(tb))}
+                           str(double_branched_cover(tb))}
             assertions = []
 
         elif args.subcommand == "matignon":
             lens, link = matignon_family(args.m, args.n)
             results = {"m": args.m, "n": args.n,
-                       "lens_space": _fmt_lens(lens), "link": _fmt_tb(link)}
+                       "lens_space": str(lens), "link": str(link)}
             assertions = [_assertion(
                 "family_consistent", True,
-                f"{_fmt_lens(lens)} is the double branched cover "
-                f"of {_fmt_tb(link)} with an unlinking witness")]
+                f"{lens} is the double branched cover "
+                f"of {link} with an unlinking witness")]
 
         else:  # bhw
             triples = bhw_example_report()
@@ -388,12 +367,13 @@ def _add_tri_flags(p, solver=False, certifier=False):
                    help="triangulation file (default: stdin)")
     p.add_argument("--fixture", choices=fixtures.fixture_labels(),
                    default=None, help="use an embedded reference fixture")
-    if solver:
+    if solver or certifier:
         p.add_argument("--tol", type=float, default=1e-12)
+    if solver:
         p.add_argument("--max-iter", type=int, default=50)
     if certifier:
         p.add_argument("--radius", type=float, default=None,
-                       help="single Krawczyk radius instead of the ladder")
+                       help="ladder of this one Krawczyk radius")
         p.add_argument("--all-fixtures", action="store_true",
                        help="certify every embedded fixture")
     _add_format_flags(p)
@@ -415,7 +395,7 @@ def build_parser():
                                    "equations from the file hints"),
                    solver=True)
     _add_tri_flags(tsub.add_parser("certify", help="Krawczyk certification"),
-                   solver=True, certifier=True)
+                   certifier=True)
     for sub in tsub.choices.values():
         sub.set_defaults(func=cmd_tri)
 

@@ -13,13 +13,15 @@ w = -log(1 - z):
 which converges geometrically with ratio |w| / (2*pi).  Arguments whose
 w lies outside a safe disk are first moved by the exact identities
 D(z) = -D(1/z) = -D(1-z).  The Bernoulli coefficients are generated
-exactly as rationals, so the same table also feeds the interval version
-used for certified volume enclosures (see krawczyk module).
+exactly as rationals, once per process, and the same table also feeds the
+interval version used for certified volume enclosures (see krawczyk
+module).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction as _Q
 
@@ -43,15 +45,16 @@ def _bernoulli_fractions(count):
     return out
 
 
-def li2_series_coefficients():
-    """Exact rationals B_k/(k+1)! for the w-series of Li2."""
+@functools.cache
+def li2_series_coefficients() -> tuple:
+    """Exact rationals B_k/(k+1)! for the w-series of Li2, built once."""
     bern = _bernoulli_fractions(_SERIES_LEN)
     fact = _Q(1)
     coeffs = []
     for k, b in enumerate(bern):
         fact *= (k + 1)
         coeffs.append(b / fact)
-    return coeffs
+    return tuple(coeffs)
 
 
 _COEFFS = [float(c) for c in li2_series_coefficients()]

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tri import Triangulation
+from .tri import Triangulation, _permutation_sign
 
 __all__ = [
     "EdgeClass", "GluingRow", "GluingSystem", "NewtonResult",
@@ -57,11 +57,6 @@ PAIR_TYPE = {
 _EDGE_PAIRS = tuple(PAIR_TYPE)
 
 
-def _perm_parity(p):
-    inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-    return inv % 2
-
-
 def _positive_turns():
     """Ordered face pairs (a, b) around each vertex v with positive turning.
 
@@ -77,7 +72,7 @@ def _positive_turns():
             for b in range(4):
                 if len({v, a, b}) == 3:
                     w = 6 - v - a - b
-                    if _perm_parity((v, w, a, b)) == 1:
+                    if _permutation_sign((v, w, a, b)) == -1:
                         pairs.append((a, b, w))
         assert len(pairs) == 3
         table[v] = tuple(pairs)
@@ -133,14 +128,6 @@ class GluingSystem:
     name: str
     tet_count: int
     rows: tuple
-
-    @property
-    def edge_rows(self):
-        return tuple(r for r in self.rows if r.kind == "edge")
-
-    @property
-    def cusp_rows(self):
-        return tuple(r for r in self.rows if r.kind != "edge")
 
 
 def edge_classes(tri: Triangulation) -> list:
@@ -290,52 +277,53 @@ def system_matrices(sys: GluingSystem, row_indices=None):
     return MA, MB, off
 
 
+def log_jacobian(MA, MB, shapes):
+    """Jacobian of rows (MA, MB) in log-shape coordinates u = log z.
+
+    Entry (r, j) is A_rj - B_rj z_j / (1 - z_j); dividing column j by z_j
+    gives the Jacobian in the shapes themselves.
+    """
+    z = np.asarray(shapes, dtype=complex)
+    return MA + MB * (-z / (1 - z))[None, :]
+
+
 def select_square_rows(sys: GluingSystem, shapes) -> list:
     """Indices of a square independent subsystem at the given shapes.
 
     All cusp rows are kept; edge rows are added greedily by largest
-    orthogonal complement norm of their Jacobian row (modified
-    Gram-Schmidt, ties broken by lowest row index).  The full edge block
-    is rank deficient: the rows of each fixture sum to the zero equation.
+    orthogonal complement norm of their Jacobian row (ties broken by
+    lowest row index).  Each pick projects every row off the new
+    direction at once, so the complement norms are always current.  The
+    full edge block is rank deficient: the rows of each fixture sum to
+    the zero equation.
     """
-    z = np.asarray(shapes, dtype=complex)
     n = sys.tet_count
     MA, MB, _ = system_matrices(sys)
-    jac = MA + MB * (-z / (1 - z))[None, :]
+    resid = log_jacobian(MA, MB, shapes)
+    norms = np.linalg.norm(resid, axis=1)
+    tol = 1e-9 * norms.max()
     cusp_idx = [i for i, r in enumerate(sys.rows) if r.kind != "edge"]
-    edge_idx = [i for i, r in enumerate(sys.rows) if r.kind == "edge"]
-
-    scale = max(np.linalg.norm(jac[i]) for i in range(len(sys.rows)))
-    tol = 1e-9 * scale
-    basis = []
-
-    def ortho_norm(vec):
-        v = vec.astype(complex)
-        for q in basis:
-            v = v - np.vdot(q, v) * q
-        return v, np.linalg.norm(v)
+    free = np.array([r.kind == "edge" for r in sys.rows])
 
     selected = []
-    for i in cusp_idx:
-        v, nv = ortho_norm(jac[i])
-        if nv < tol:
-            raise SingularJacobianError(
-                f"cusp row {i} is dependent on the previous rows")
-        basis.append(v / nv)
+    while len(selected) < max(n, len(cusp_idx)):
+        if len(selected) < len(cusp_idx):
+            i = cusp_idx[len(selected)]
+            if norms[i] < tol:
+                raise SingularJacobianError(
+                    f"cusp row {i} is dependent on the previous rows")
+        else:
+            candidates = np.where(free, norms, 0.0)
+            i = int(np.argmax(candidates))
+            if candidates[i] <= tol:
+                raise SingularJacobianError(
+                    f"system rank {len(selected)} < {n}: "
+                    "cannot select a square subsystem")
+            free[i] = False
+        q = resid[i] / norms[i]
+        resid -= np.outer(resid @ q.conj(), q)
+        norms = np.linalg.norm(resid, axis=1)
         selected.append(i)
-    remaining = list(edge_idx)
-    while len(selected) < n:
-        best, best_norm, best_vec = None, tol, None
-        for i in remaining:
-            v, nv = ortho_norm(jac[i])
-            if nv > best_norm:
-                best, best_norm, best_vec = i, nv, v
-        if best is None:
-            raise SingularJacobianError(
-                f"system rank {len(selected)} < {n}: cannot select a square subsystem")
-        basis.append(best_vec / best_norm)
-        selected.append(best)
-        remaining.remove(best)
     return sorted(selected)
 
 
@@ -384,7 +372,7 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
                                 iterations, full_max)
         if iterations >= max_iter:
             break
-        jac = MA + MB * (-z / (1 - z))[None, :]
+        jac = log_jacobian(MA, MB, z)
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:

@@ -3,8 +3,10 @@
 Every endpoint operation is widened by one step of math.nextafter, so
 results enclose the exact real (resp. complex rectangular) image.
 Library transcendentals (log, atan2) are widened by two steps, allowing
-for their sub-ulp but not exactly rounded results.  No hardware rounding
-modes are touched; all values are immutable.
+for their sub-ulp but not exactly rounded results.  Exact endpoints that
+no float equals (ints above 2**53, fractions) are rounded outward, and a
+product that would need 0 * inf raises EnclosureDomainError.  No hardware
+rounding modes are touched; all values are immutable.
 
 ComplexInterval is the axis-aligned rectangle re x im.  Division and
 logarithm require the rectangle to exclude the singularity: division
@@ -41,8 +43,14 @@ class RealInterval:
             hi = lo
         if not (lo <= hi):  # also rejects NaN
             raise ValueError(f"bad interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
+        flo, fhi = float(lo), float(hi)
+        # exact endpoints that no float equals (big ints, fractions)
+        if flo > lo:
+            flo = _dn(flo)
+        if fhi < hi:
+            fhi = _up(fhi)
+        object.__setattr__(self, "lo", flo)
+        object.__setattr__(self, "hi", fhi)
 
     def __setattr__(self, *a):
         raise AttributeError("RealInterval is immutable")
@@ -78,9 +86,11 @@ class RealInterval:
         other = _coerce_real(other)
         if other is None:
             return NotImplemented
-        cands = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return RealInterval(_dn(min(cands)), _up(max(cands)))
+        a, b = self.lo * other.lo, self.lo * other.hi
+        c, d = self.hi * other.lo, self.hi * other.hi
+        if a != a or b != b or c != c or d != d:
+            raise EnclosureDomainError(f"product {self} * {other} has 0 * inf")
+        return RealInterval(_dn(min(a, b, c, d)), _up(max(a, b, c, d)))
 
     __rmul__ = __mul__
 
@@ -148,7 +158,7 @@ def _coerce_real(x):
     if isinstance(x, RealInterval):
         return x
     if isinstance(x, (int, float)):
-        return RealInterval(float(x), float(x))
+        return RealInterval(x)
     return None
 
 

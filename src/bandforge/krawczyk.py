@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction as _Q
 
 import numpy as np
 
 from .dilog import li2_series_coefficients, volume as point_volume
-from .gluing import (GluingSystem, SolveError, build_equations, newton_solve,
-                     select_square_rows)
+from .gluing import (GluingSystem, SolveError, build_equations, log_jacobian,
+                     newton_solve, select_square_rows, system_matrices)
 from .intervals import (PI, ComplexInterval, EnclosureDomainError,
                         RealInterval, _dn, _up)
 from .tri import Triangulation, validate as validate_triangulation
@@ -77,18 +76,8 @@ class Certificate:
         }
 
 
-def _coeff_intervals():
-    out = []
-    for c in li2_series_coefficients():
-        f = float(c)
-        cf = _Q(f)
-        lo = f if cf <= c else _dn(f)
-        hi = f if cf >= c else _up(f)
-        out.append(RealInterval(lo, hi))
-    return out
-
-
-_COEFF_IV = _coeff_intervals()
+# the exact series table, rounded outward to float endpoints
+_COEFF_IV = [RealInterval(c) for c in li2_series_coefficients()]
 
 
 def _series_tail_bound(rho: float) -> float:
@@ -155,12 +144,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     rows = select_square_rows(sys, z0)
     selected = [sys.rows[i] for i in rows]
 
-    za = np.asarray(z0, dtype=complex)
-    jac_mid = np.zeros((n, n), dtype=complex)
-    for r, row in enumerate(selected):
-        for j in range(n):
-            if row.A[j] or row.B[j]:
-                jac_mid[r, j] = row.A[j] / za[j] - row.B[j] / (1 - za[j])
+    # midpoint Jacobian in z: the log-shape Jacobian with column j over z_j
+    MA, MB, _ = system_matrices(sys, rows)
+    jac_mid = log_jacobian(MA, MB, z0) / np.asarray(z0)[None, :]
     try:
         Y = np.linalg.inv(jac_mid)
     except np.linalg.LinAlgError as exc:
@@ -277,7 +263,11 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
             last = exc
             continue
         if cert.valid:
-            assert cert.volume_enclosure.contains(point_volume(result.shapes))
+            vol = point_volume(result.shapes)
+            if not cert.volume_enclosure.contains(vol):
+                raise CertifyError(
+                    "volume", f"enclosure {cert.volume_enclosure} misses "
+                    f"the floating-point volume {vol!r}")
             return cert
         last = cert
     raise CertifyError(

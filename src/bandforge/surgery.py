@@ -121,8 +121,10 @@ def matignon_family(m: int, n: int) -> tuple:
     p, q = 2 * m * m, 2 * m * n - 1
     lens = normalize_lens(p, q)
     link = normalize_two_bridge(p, q)
-    assert double_branched_cover(link) == lens
-    assert is_unlinking_number_one(link) is not None
+    if double_branched_cover(link) != lens:
+        raise RuntimeError(f"{link} does not double cover to {lens}")
+    if is_unlinking_number_one(link) is None:
+        raise RuntimeError(f"{link} has no unlinking-number-one witness")
     return (lens, link)
 
 

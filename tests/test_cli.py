@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from bandforge import cli
-from bandforge.fixtures import fixture_text
+from bandforge.fixtures import fixture_text, load_fixture
+from bandforge.krawczyk import certify_hyperbolic
 
 
 def run(capsys, argv):
@@ -166,6 +167,22 @@ def test_tri_certify(capsys):
     names = [a["name"] for a in rep["assertions"]]
     assert any("contracted" in n for n in names)
     assert all(a["pass"] for a in rep["assertions"])
+
+
+def test_tri_certify_radius_is_one_rung_ladder(capsys):
+    code, rep, _ = run_json(capsys, ["tri", "certify", "--fixture", "A",
+                                     "--radius", "1e-8"])
+    assert code == 0
+    tri = load_fixture("A")
+    cert = certify_hyperbolic(tri, radii=(1e-8,))
+    assert rep["results"] == {tri.name: cert.to_dict()}
+
+
+def test_tri_certify_has_no_max_iter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tri", "certify", "--fixture", "A", "--max-iter", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_tri_stdin(capsys, monkeypatch):

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from bandforge.gluing import (DivergenceError, HalfPlaneExitError,
+from bandforge.gluing import (DivergenceError, GluingSystem,
+                              HalfPlaneExitError, SingularJacobianError,
                               build_equations, edge_classes, newton_solve,
                               residual, row_value, select_square_rows,
                               system_matrices)
@@ -113,6 +114,24 @@ def test_selection_is_deterministic(tri_a):
     sys_ = build_equations(tri_a)
     hints = [t.shape_hint for t in tri_a.tets]
     assert select_square_rows(sys_, hints) == select_square_rows(sys_, hints)
+
+
+def test_selection_rejects_duplicated_cusp_row(tri_b):
+    sys_ = build_equations(tri_b)
+    cusp = next(r for r in sys_.rows if r.kind != "edge")
+    doubled = GluingSystem(sys_.name, sys_.tet_count, sys_.rows + (cusp,))
+    with pytest.raises(SingularJacobianError, match="cusp row .* dependent"):
+        select_square_rows(doubled, [t.shape_hint for t in tri_b.tets])
+
+
+def test_selection_rejects_too_few_edge_rows(tri_a):
+    sys_ = build_equations(tri_a)
+    edge = [r for r in sys_.rows if r.kind == "edge"]
+    cusp = [r for r in sys_.rows if r.kind != "edge"]
+    short = GluingSystem(sys_.name, sys_.tet_count,
+                         tuple(edge[:sys_.tet_count - len(cusp) - 1] + cusp))
+    with pytest.raises(SingularJacobianError, match="rank"):
+        select_square_rows(short, [t.shape_hint for t in tri_a.tets])
 
 
 # ------------------------------------------------------------ newton

@@ -43,6 +43,25 @@ def test_infinite_endpoints_allowed():
     assert iv.width == math.inf
 
 
+def test_zero_times_infinity_is_domain_error():
+    with pytest.raises(EnclosureDomainError):
+        RealInterval(-math.inf, math.inf) * RealInterval(0.0)
+    with pytest.raises(EnclosureDomainError):
+        RealInterval(0.0) * RealInterval(1.0, math.inf)
+
+
+def test_big_integers_rounded_outward():
+    n = 2**53 + 1
+    assert float(n) != n
+    assert ComplexInterval(n).re.contains(n)
+    assert ComplexInterval(-n).re.contains(-n)
+    assert RealInterval(n, n + 2).contains(n) and RealInterval(n, n + 2).contains(n + 2)
+    assert (RealInterval(0.0) + n).contains(n)
+    assert (RealInterval(1.0) * n).contains(n)
+    # an exactly representable int stays a point
+    assert RealInterval(2**60).width == 0.0
+
+
 def test_immutable():
     iv = RealInterval(0.0, 1.0)
     with pytest.raises(AttributeError):

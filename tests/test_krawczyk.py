@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from bandforge import krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
 from bandforge.intervals import ComplexInterval, EnclosureDomainError, RealInterval
@@ -166,6 +167,13 @@ def test_certify_ladder_respects_explicit_radii(tri_a):
     with pytest.raises(CertifyError) as err:
         certify_hyperbolic(tri_a, radii=(0.5,))
     assert err.value.stage == "krawczyk"
+
+
+def test_volume_outside_enclosure_is_certify_error(tri_a, monkeypatch):
+    monkeypatch.setattr(krawczyk, "point_volume", lambda shapes: 1.0)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(tri_a)
+    assert err.value.stage == "volume"
 
 
 def test_enclosure_widths_scale_with_radius(solved_b):

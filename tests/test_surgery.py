@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandforge import surgery
 from bandforge.surgery import (LensSpace, Slope, amphicheiral_pair_distance,
                                bhw_example_report, double_branched_cover,
                                lens_equivalent, lens_mirror, matignon_family,
@@ -120,6 +121,12 @@ def test_matignon_family_validation():
         matignon_family(3, 2)     # 2n > m
     with pytest.raises(ValueError):
         matignon_family(0, 1)
+
+
+def test_matignon_family_failed_check_raises(monkeypatch):
+    monkeypatch.setattr(surgery, "is_unlinking_number_one", lambda link: None)
+    with pytest.raises(RuntimeError, match="witness"):
+        matignon_family(3, 1)
 
 
 def test_matignon_family_range():
