@@ -44,7 +44,7 @@ __all__ = [
     "SolveError", "SingularJacobianError", "DivergenceError",
     "HalfPlaneExitError",
     "edge_classes", "build_equations", "residual", "newton_solve",
-    "select_square_rows",
+    "select_square_rows", "augmented_rank",
 ]
 
 # parameter type of an unordered vertex pair: 0 -> z, 1 -> z', 2 -> z''
@@ -74,7 +74,8 @@ def _positive_turns():
                     w = 6 - v - a - b
                     if _permutation_sign((v, w, a, b)) == -1:
                         pairs.append((a, b, w))
-        assert len(pairs) == 3
+        if len(pairs) != 3:
+            raise RuntimeError(f"vertex {v}: {len(pairs)} positive turns, not 3")
         table[v] = tuple(pairs)
     return table
 
@@ -166,7 +167,8 @@ def edge_classes(tri: Triangulation) -> list:
         classes.append(EdgeClass(orbit))
     classes.sort(key=lambda c: c.orbit[0][:2])
     total = sum(len(c) for c in classes)
-    assert total == 6 * n
+    if total != 6 * n:
+        raise RuntimeError(f"edge classes cover {total} edges, not {6 * n}")
     return classes
 
 
@@ -275,6 +277,27 @@ def system_matrices(sys: GluingSystem, row_indices=None):
     MB = np.array([r.B for r in rows], dtype=float)
     off = np.array([r.k - r.c for r in rows], dtype=float)
     return MA, MB, off
+
+
+def augmented_rank(sys: GluingSystem) -> int:
+    """Exact rank of the integer matrix [A | B | k - c] over all rows.
+
+    Fraction-free (Bareiss) elimination in Python ints: every entry stays
+    a minor of the original matrix, so each division is exact.
+    """
+    m = [list(r.A) + list(r.B) + [r.k - r.c] for r in sys.rows]
+    rank, prev = 0, 1
+    for col in range(2 * sys.tet_count + 1):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(p[col] * x - f * y) // prev for x, y in zip(m[i], p)]
+        prev, rank = p[col], rank + 1
+    return rank
 
 
 def log_jacobian(MA, MB, shapes):

@@ -11,13 +11,14 @@ Jacobian treated as an exact constant.  K(X) strictly inside X proves
 that the subsystem has exactly one zero in X; if moreover every
 component of the enclosure K(X) & X has strictly positive imaginary
 part, that zero is a geometric solution and the underlying manifold is
-hyperbolic.  The discarded edge rows are integer-linear combinations of
-the retained ones (their total is the zero row), so a zero of the square
-subsystem solves the full system.
+hyperbolic.  The discarded rows are checked exactly: the integer matrix
+[A | B | k - c] over all rows must have rank n.  Contraction proves the
+n retained rows independent, so every discarded row is then a rational
+combination of them, and a zero of the square subsystem solves the full
+system.
 
-The certified volume is the interval Bloch-Wigner sum over the final
-enclosures, using the same exact rational series coefficients as the
-floating-point evaluation.
+The certified volume is `dilog.interval_volume` over the final
+enclosures; this module holds no part of the dilogarithm series.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilog import li2_series_coefficients, volume as point_volume
-from .gluing import (GluingSystem, SolveError, build_equations, log_jacobian,
-                     newton_solve, select_square_rows, system_matrices)
-from .intervals import (PI, ComplexInterval, EnclosureDomainError,
-                        RealInterval, _dn, _up)
+from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
+from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
+                     log_jacobian, newton_solve, select_square_rows,
+                     system_matrices)
+from .intervals import PI, ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import Triangulation, validate as validate_triangulation
 
 __all__ = ["Certificate", "KrawczykError", "CertifyError",
@@ -76,63 +77,15 @@ class Certificate:
         }
 
 
-# the exact series table, rounded outward to float endpoints
-_COEFF_IV = [RealInterval(c) for c in li2_series_coefficients()]
-
-
-def _series_tail_bound(rho: float) -> float:
-    """Upper bound for the truncated Bernoulli-series tail at |w| <= rho.
-
-    Even-index coefficients satisfy |B_2n|/(2n+1)! <= 4 (2 pi)^(-2n), so
-    the terms beyond the table are dominated by 4 rho t^K (1 + t^2 + ...)
-    with t = rho / (2 pi) and K the first omitted even power.
-    """
-    if rho >= 6.0:
-        raise EnclosureDomainError(
-            f"|log(1-z)| bound {rho:.3f} outside the series domain")
-    t = _up(_up(rho) / 6.283185)  # divisor strictly below 2 pi: t is an upper bound
-    p = 1.0
-    for _ in range(len(_COEFF_IV) + 1):
-        p = _up(p * t)
-    denom = _dn(1.0 - _up(t * t))
-    return _up(4.0 * _up(rho * p) / denom)
-
-
-def bloch_wigner_interval(z: ComplexInterval) -> RealInterval:
-    """Enclosure of D over a rectangle off the real axis and away from 0, 1."""
-    log_one_minus = z.one_minus().log()
-    w = -log_one_minus
-    tail = _series_tail_bound(w.mag)
-    acc = ComplexInterval(RealInterval(0.0), RealInterval(0.0))
-    wp = w
-    for c in _COEFF_IV:
-        if c.lo != 0.0 or c.hi != 0.0:
-            acc = acc + c * wp
-        wp = wp * w
-    im_li2 = acc.im + RealInterval(-tail, tail)
-    log_abs_z = z.abs_sqr().log().half()
-    return im_li2 + log_one_minus.im * log_abs_z
-
-
-def interval_volume(enclosures) -> RealInterval:
-    total = RealInterval(0.0)
-    for e in enclosures:
-        total = total + bloch_wigner_interval(e)
-    return total
-
-
-def _civ_zero():
-    return ComplexInterval(RealInterval(0.0), RealInterval(0.0))
-
-
 def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     """Containment test on the box approx +- radius.
 
     The caller should provide approx with residual well below the box
     scale (the Newton output); a poor approx simply comes back with
     contracted = False.  Raises KrawczykError when the box itself is
-    unusable: midpoint Jacobian not invertible, or the radius pushes an
-    enclosure into a log/division singularity.
+    unusable: the rows [A | B | k - c] do not have rank n, the midpoint
+    Jacobian is not invertible, or the radius pushes an enclosure into a
+    log/division singularity.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -140,6 +93,10 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     n = sys.tet_count
     if len(z0) != n:
         raise ValueError(f"expected {n} shapes, got {len(z0)}")
+    rank = augmented_rank(sys)
+    if rank != n:
+        raise KrawczykError(f"rows [A | B | k - c] have rank {rank}, not {n}: "
+                            "the kept rows do not imply the dropped ones")
 
     rows = select_square_rows(sys, z0)
     selected = [sys.rows[i] for i in rows]
@@ -185,7 +142,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
             jac_cols.append(cols)
 
         # E = I - Y * J(X), built column-sparse
-        E = [[_civ_zero() for _ in range(n)] for _ in range(n)]
+        E = [[ComplexInterval(0.0) for _ in range(n)] for _ in range(n)]
         for m in range(n):
             for j, entry in jac_cols[m]:
                 for r in range(n):
@@ -197,7 +154,8 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
         d = [X[j] - y[j] for j in range(n)]
         K = []
         for r in range(n):
-            acc = y[r] - _dot_const(Y[r], f_y)
+            acc = y[r] - sum((complex(c) * v for c, v in zip(Y[r], f_y)),
+                               ComplexInterval(0.0))
             for j in range(n):
                 acc = acc + E[r][j] * d[j]
             K.append(acc)
@@ -224,13 +182,6 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
 
     return Certificate(sys.name, contracted, all_imag_positive,
                        tuple(enclosures), vol, float(radius))
-
-
-def _dot_const(coeffs, vec):
-    acc = _civ_zero()
-    for c, v in zip(coeffs, vec):
-        acc = acc + complex(c) * v
-    return acc
 
 
 RADIUS_LADDER = (1e-10, 1e-8, 1e-6)

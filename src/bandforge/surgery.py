@@ -72,7 +72,8 @@ def amphicheiral_pair_distance(s: Slope) -> int:
     if s.p == 0 or s.q == 0:
         raise ValueError(f"slope {s}: need both p and q nonzero")
     d = slope_distance(s, Slope(-s.p, s.q))
-    assert d == 2 * abs(s.p * s.q)
+    if d != 2 * abs(s.p * s.q):
+        raise RuntimeError(f"slope {s}: distance {d} to its mirror is not 2|pq|")
     return d
 
 

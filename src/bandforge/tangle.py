@@ -261,13 +261,15 @@ def signature_two_bridge(tb: TwoBridge) -> int:
     if tb.p % 2 == 0:
         raise ValueError(f"{tb}: signature needs p odd (a knot)")
     cs = _even_continued_fraction(tb.p, tb.q)
-    assert all(c != 0 and c % 2 == 0 for c in cs) and len(cs) % 2 == 0
+    if not (all(c != 0 and c % 2 == 0 for c in cs) and len(cs) % 2 == 0):
+        raise RuntimeError(f"{tb}: {cs} is not an even-length all-even expansion")
     d_prev, d = 1, cs[0]
     sig = 1 if d > 0 else -1
     for c in cs[1:]:
         d_prev, d = d, c * d - d_prev
         sig += 1 if d_prev * d > 0 else -1
-    assert abs(d) == tb.p and sig % 2 == 0
+    if abs(d) != tb.p or sig % 2:
+        raise RuntimeError(f"{tb}: final minor {d} or signature {sig} is inconsistent")
     return sig
 
 

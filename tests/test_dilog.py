@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from bandforge.dilog import bloch_wigner, li2_series_coefficients, volume
+import bandforge
+from bandforge.dilog import (bloch_wigner, bloch_wigner_interval,
+                             li2_series_coefficients, volume)
+from bandforge.intervals import ComplexInterval, EnclosureDomainError
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -111,3 +117,47 @@ def test_five_term_relation():
         terms = [x, y, (1 - x) / (1 - xy), 1 - xy, (1 - y) / (1 - xy)]
         total = sum(bloch_wigner(t) for t in terms)
         assert total == pytest.approx(0.0, abs=1e-12)
+
+
+# ------------------------------------- interval D: range reduction, lazy tables
+
+
+def oracle_mp(z: complex):
+    """D(z) as a 50-digit mpmath number, for exact containment checks."""
+    with mpmath.workdps(50):
+        w = mpmath.mpc(z)
+        return mpmath.im(mpmath.polylog(2, w)) + mpmath.arg(1 - w) * mpmath.log(abs(w))
+
+
+@pytest.mark.parametrize("z", [
+    1 + 0.002j, 800 + 3j, 0.999 + 1e-4j,             # |log(1 - z)| >= 6
+    1 - 0.002j, 1.001 + 1e-3j, 1 + 1e-8j, 0.98 + 0.05j,  # near 1
+    -800 + 3j, 1e6 + 1j, 0.5 + 300j, -40 + 0.5j,     # large |z|
+    1e-6 + 1e-6j,                                    # near 0
+])
+def test_interval_bw_range_reduction_contains_mpmath(z):
+    exact = oracle_mp(z)
+    for radius in (1e-12, 1e-9):
+        enc = bloch_wigner_interval(ComplexInterval.box(z, radius))
+        assert enc.lo <= exact <= enc.hi, (z, radius, enc)
+        assert enc.width < 1e-6
+    assert bloch_wigner(z) == pytest.approx(float(exact), abs=5e-13)
+
+
+def test_interval_bw_unmovable_boxes_raise_domain_error():
+    # the move picked at the midpoint is fine, but the box reaches 0 or 1
+    for z, radius in [(1 + 0.002j, 0.01), (800 + 3j, 1000.0)]:
+        with pytest.raises(EnclosureDomainError) as err:
+            bloch_wigner_interval(ComplexInterval.box(z, radius))
+        assert not isinstance(err.value, ValueError)
+
+
+def test_cli_import_builds_no_coefficient_table():
+    src = os.path.dirname(os.path.dirname(bandforge.__file__))
+    code = ("import bandforge.cli\n"
+            "from bandforge.dilog import li2_series_coefficients as f\n"
+            "print(f.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -3,15 +3,16 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bandforge.gluing import (DivergenceError, GluingSystem,
+from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
-                              build_equations, edge_classes, newton_solve,
-                              residual, row_value, select_square_rows,
-                              system_matrices)
+                              augmented_rank, build_equations, edge_classes,
+                              newton_solve, residual, row_value,
+                              select_square_rows, system_matrices)
 
 
 # ------------------------------------------------------------ structure
@@ -189,3 +190,40 @@ def test_newton_far_start_fails_controlled(tri_a):
     assert result.residual_max < 1e-12
     # if it converged, it found a genuine solution of the selected system
     assert err < 1e-6 or all(z.imag > 0 for z in result.shapes)
+
+def _fraction_rank(matrix):
+    """Reference rank: Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_augmented_rank_matches_rational_elimination(tri_a, tri_b):
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        base = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(2 * n + 1)]
+                for _ in range(rng.randint(1, 2 * n + 2))]
+        rows = list(base)
+        for _ in range(rng.randint(0, 3)):  # integer combinations of rows
+            a, b = rng.choice(base), rng.choice(base)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        sys_ = GluingSystem("random", n, tuple(
+            GluingRow("edge", tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], 0)
+            for r in rows))
+        assert augmented_rank(sys_) == _fraction_rank(rows), rows
+    # the fixtures' dropped rows follow from the kept ones
+    for tri in (tri_a, tri_b):
+        assert augmented_rank(build_equations(tri)) == len(tri.tets)

@@ -182,3 +182,27 @@ def test_enclosure_widths_scale_with_radius(solved_b):
     loose = krawczyk_test(sys_, result.shapes, 1e-6)
     assert tight.valid and loose.valid
     assert tight.volume_enclosure.width < loose.volume_enclosure.width
+
+
+# ------------------------------------------------- dropped-row rank check
+
+
+def _append_row(sys_, c_shift):
+    edge = next(r for r in sys_.rows if r.kind == "edge")
+    extra = dataclasses.replace(edge, c=edge.c + c_shift)
+    return dataclasses.replace(sys_, rows=sys_.rows + (extra,))
+
+
+@pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
+def test_inconsistent_appended_row_is_never_valid(solved, request):
+    sys_, result = request.getfixturevalue(solved)
+    # a copy of an edge row with c raised by 2 has no common solution
+    with pytest.raises(KrawczykError, match="rank"):
+        krawczyk_test(_append_row(sys_, 2), result.shapes, 1e-8)
+
+
+@pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
+def test_redundant_appended_row_still_certifies(solved, request):
+    sys_, result = request.getfixturevalue(solved)
+    cert = krawczyk_test(_append_row(sys_, 0), result.shapes, 1e-8)
+    assert cert.valid

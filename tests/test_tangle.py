@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandforge import tangle
 from bandforge.tangle import (Fraction, TwoBridge, check_conway,
                               conway_expand, cosmetic_band_partner,
                               eval_conway, four_move_signature_obstruction,
@@ -230,3 +231,10 @@ def test_four_move_obstruction():
                                                TwoBridge(5, 2))
     assert not four_move_signature_obstruction(TwoBridge(5, 1),
                                                TwoBridge(5, 1))
+
+
+def test_signature_guard_survives_stripped_asserts(monkeypatch):
+    # an odd-length expansion must raise, also under python -O
+    monkeypatch.setattr(tangle, "_even_continued_fraction", lambda p, q: [2, 2, 2])
+    with pytest.raises(RuntimeError):
+        tangle.signature_two_bridge(TwoBridge(7, 3))
