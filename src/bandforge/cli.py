@@ -2,11 +2,14 @@
 
 Three command groups: `tri` (triangulation files: parse, solve, volume,
 certify), `twobridge` (exact two-bridge calculus), `surgery` (slopes and
-lens spaces).  Every command prints a report with a `command` echo, the
-parsed `inputs`, a `results` payload, and an `assertions` list; the exit
-code is 0 exactly when every assertion passes.  Hard failures use
-distinct codes: 2 for file/parse/validation trouble, 3 for solver
-failures, 4 for certification failures.
+lens spaces).  Each subcommand is one handler, registered in this module
+with `@command(group, name, *arguments)`; `build_parser` builds every
+subparser from that table.  `main` prints the handler's `(results,
+assertions)` as a report with a `command` echo and the parsed `inputs`;
+the exit code is 0 exactly when every assertion passes.  Hard failures
+get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
+3 for solver failures, 4 for certification failures.  `tri certify
+--all-fixtures` reports every fixture and exits with the largest code.
 
 The report carries a `timestamp` field; comparisons between runs must
 ignore it, everything else is deterministic.
@@ -31,7 +34,7 @@ from .tangle import (check_conway, conway_expand, cosmetic_band_partner,
                      is_unlinking_number_one, mirror_two_bridge,
                      normalize_two_bridge, signature_two_bridge,
                      two_bridge_equivalent, verify_chirally_cosmetic)
-from .tri import TriParseError, parse_triangulation
+from .tri import parse_triangulation
 
 EXIT_ASSERTION = 1
 EXIT_PARSE = 2
@@ -40,41 +43,40 @@ EXIT_CERTIFY = 4
 
 HEADER_VOLUME_TOL = 5e-7
 
+# what a command raises on bad input; any other exception is a bug
+ERRORS = (ValueError, OSError, SolveError, CertifyError)
 
-# ---------------------------------------------------------------- helpers
+GROUP_HELP = {"tri": "triangulation file commands",
+              "twobridge": "two-bridge link calculus",
+              "surgery": "slopes and lens spaces"}
 
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# (group, name) -> (handler, argument specs), in registration order
+COMMANDS = {}
+
+
+def exit_code(exc):
+    """The documented exit code for one of `ERRORS`."""
+    if isinstance(exc, CertifyError):
+        return {"validation": EXIT_PARSE, "build": EXIT_PARSE,
+                "newton": EXIT_SOLVE}.get(exc.stage, EXIT_CERTIFY)
+    return EXIT_SOLVE if isinstance(exc, SolveError) else EXIT_PARSE
+
+
+def arg(*flags, **kwargs):
+    """One `add_argument` call, kept for `build_parser`."""
+    return flags, kwargs
+
+
+def command(group, name, *argspecs):
+    """Register the decorated handler as `bandforge GROUP NAME`."""
+    def register(handler):
+        COMMANDS[group, name] = handler, argspecs
+        return handler
+    return register
 
 
 def _assertion(name, ok, detail):
     return {"name": name, "pass": bool(ok), "detail": detail}
-
-
-def _report(args, results, assertions):
-    inputs = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "format") and v is not None}
-    return {
-        "command": f"{args.group} {args.subcommand}",
-        "inputs": inputs,
-        "results": results,
-        "assertions": assertions,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-
-
-def _emit(report, args):
-    if getattr(args, "format", "json") == "text":
-        print(report["command"])
-        for key, value in report["results"].items():
-            print(f"  {key} = {value}")
-        for a in report["assertions"]:
-            mark = "ok  " if a["pass"] else "FAIL"
-            print(f"  [{mark}] {a['name']}: {a['detail']}")
-    else:
-        print(json.dumps(report, indent=2))
-    return 0 if all(a["pass"] for a in report["assertions"]) else EXIT_ASSERTION
 
 
 def _parse_ratio(text, what):
@@ -100,350 +102,297 @@ def _parse_conway(text):
 
 
 def _parse_two_bridge(text):
-    p, q = _parse_ratio(text, "Schubert pair")
-    return normalize_two_bridge(p, q)
+    return normalize_two_bridge(*_parse_ratio(text, "Schubert pair"))
 
 
-def _parse_slope(text):
-    p, q = _parse_ratio(text, "slope")
-    return Slope(p, q)
-
-
-def _parse_lens(text):
-    p, q = _parse_ratio(text, "lens space")
-    return normalize_lens(p, q)
-
-
-def _load_triangulation(args):
+def _triangulation(args):
+    """The triangulation read from `path`, from `--fixture`, or from stdin."""
     if args.fixture is not None and args.path is not None:
         raise ValueError("give either a path or --fixture, not both")
     if args.fixture is not None:
-        return parse_triangulation(fixtures.fixture_text(args.fixture))
-    if args.path is not None:
+        text = fixtures.fixture_text(args.fixture)
+    elif args.path is not None:
         with open(args.path, "r", encoding="ascii") as fh:
-            return parse_triangulation(fh.read())
-    return parse_triangulation(sys.stdin.read())
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
+    return parse_triangulation(text)
 
 
 # ---------------------------------------------------------------- tri
 
-def cmd_tri(args):
-    if getattr(args, "all_fixtures", False):
-        tri = None  # the certify loop loads each fixture itself
-    else:
-        try:
-            tri = _load_triangulation(args)
-        except (TriParseError, OSError, ValueError) as exc:
-            return _fail(EXIT_PARSE, exc)
+TOL = arg("--tol", type=float, default=1e-12)
 
-    if args.subcommand == "parse":
-        results = {
-            "name": tri.name,
-            "solution_type": tri.solution_type,
-            "volume_header": tri.volume_hint,
-            "orientability": tri.orientability,
-            "cusp_count": tri.cusp_count,
-            "tet_count": tri.tet_count,
-            "fillings": [list(c.filling_ints()) if not c.is_complete()
-                         else None for c in tri.cusps],
-        }
-        assertions = [_assertion("well_formed", True,
-                                 f"{tri.tet_count} tetrahedra, "
-                                 f"{tri.cusp_count} cusps")]
-        return _emit(_report(args, results, assertions), args)
 
-    if args.subcommand == "volume":
-        try:
-            sys_ = build_equations(tri)
-            hints = [t.shape_hint for t in tri.tets]
-            vol = shape_volume(hints)
-            res = max(residual(sys_, hints))
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, exc)
-        results = {"volume": vol, "residual_max_at_hints": res}
-        assertions = [
-            _assertion("matches_header",
-                       abs(vol - tri.volume_hint) <= HEADER_VOLUME_TOL,
-                       f"|{vol:.10f} - {tri.volume_hint:.8f}| "
-                       f"<= {HEADER_VOLUME_TOL}"),
-        ]
-        return _emit(_report(args, results, assertions), args)
+@command("tri", "parse")
+def tri_parse(args):
+    """parse and validate"""
+    tri = _triangulation(args)
+    results = {"name": tri.name, "solution_type": tri.solution_type,
+               "volume_header": tri.volume_hint,
+               "orientability": tri.orientability,
+               "cusp_count": tri.cusp_count, "tet_count": tri.tet_count,
+               "fillings": [list(c.filling_ints()) if not c.is_complete()
+                            else None for c in tri.cusps]}
+    return results, [_assertion("well_formed", True, f"{tri.tet_count} "
+                                f"tetrahedra, {tri.cusp_count} cusps")]
 
-    if args.subcommand == "solve":
-        try:
-            result = newton_solve(build_equations(tri),
-                                  [t.shape_hint for t in tri.tets],
-                                  tol=args.tol, max_iter=args.max_iter)
-        except SolveError as exc:
-            return _fail(EXIT_SOLVE, exc)
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, exc)
-        vol = shape_volume(result.shapes)
-        results = {
-            "shapes": [[z.real, z.imag] for z in result.shapes],
-            "residual_max": result.residual_max,
-            "volume": vol,
-            "iterations": result.iterations,
-        }
-        assertions = [
-            _assertion("residual_below_tol",
-                       result.residual_max < args.tol,
-                       f"{result.residual_max:.3e} < {args.tol}"),
-        ]
-        return _emit(_report(args, results, assertions), args)
 
-    # certify
-    labels = fixtures.fixture_labels() if args.all_fixtures else [None]
+@command("tri", "volume")
+def tri_volume(args):
+    """volume at the file shape hints"""
+    tri = _triangulation(args)
+    sys_, hints = build_equations(tri), [t.shape_hint for t in tri.tets]
+    vol = shape_volume(hints)
+    res = max(residual(sys_, hints))
+    return {"volume": vol, "residual_max_at_hints": res}, [
+        _assertion("matches_header",
+                   abs(vol - tri.volume_hint) <= HEADER_VOLUME_TOL,
+                   f"|{vol:.10f} - {tri.volume_hint:.8f}| "
+                   f"<= {HEADER_VOLUME_TOL}")]
+
+
+@command("tri", "solve", TOL, arg("--max-iter", type=int, default=50))
+def tri_solve(args):
+    """Newton-solve the gluing equations from the file hints"""
+    tri = _triangulation(args)
+    result = newton_solve(build_equations(tri),
+                          [t.shape_hint for t in tri.tets],
+                          tol=args.tol, max_iter=args.max_iter)
+    results = {"shapes": [[z.real, z.imag] for z in result.shapes],
+               "residual_max": result.residual_max,
+               "volume": shape_volume(result.shapes),
+               "iterations": result.iterations}
+    return results, [_assertion("residual_below_tol",
+                                result.residual_max < args.tol,
+                                f"{result.residual_max:.3e} < {args.tol}")]
+
+
+def _certify(tri, tag, args):
+    """`tri`'s certificate as results under `tag`, and its assertions."""
     radii = RADIUS_LADDER if args.radius is None else (args.radius,)
-    results = {}
-    assertions = []
-    for label in labels:
-        if label is not None:
-            try:
-                tri = parse_triangulation(fixtures.fixture_text(label))
-            except (TriParseError, OSError, ValueError) as exc:
-                return _fail(EXIT_PARSE, exc)
-        tag = tri.name if label is None else f"{label}:{tri.name}"
+    cert = certify_hyperbolic(tri, radii=radii, tol=args.tol)
+    lo, hi = cert.volume_enclosure.lo, cert.volume_enclosure.hi
+    return {tag: cert.to_dict()}, [
+        _assertion(f"{tag}:contracted", cert.contracted,
+                   f"radius {cert.radius_used}"),
+        _assertion(f"{tag}:all_imag_positive", cert.all_imag_positive,
+                   "geometric solution"),
+        _assertion(f"{tag}:volume_matches_header",
+                   min(abs(lo - tri.volume_hint),
+                       abs(hi - tri.volume_hint)) <= HEADER_VOLUME_TOL
+                   or lo <= tri.volume_hint <= hi,
+                   f"[{lo:.12f}, {hi:.12f}] vs {tri.volume_hint:.8f}"),
+    ]
+
+
+@command("tri", "certify", TOL,
+         arg("--radius", type=float,
+             help="ladder of this one Krawczyk radius"),
+         arg("--all-fixtures", action="store_true",
+             help="certify every embedded and external fixture"))
+def tri_certify(args):
+    """Krawczyk certification"""
+    if not args.all_fixtures:
+        tri = _triangulation(args)
+        return _certify(tri, tri.name, args)
+    if args.path is not None or args.fixture is not None:
+        raise ValueError("--all-fixtures takes no path and no --fixture")
+    # a failed fixture carries its exit code; `main` exits with the largest
+    results, assertions = {}, []
+    for label in fixtures.fixture_labels():
         try:
-            cert = certify_hyperbolic(tri, radii=radii, tol=args.tol)
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, exc)
-        except CertifyError as exc:
-            code = {"validation": EXIT_PARSE, "build": EXIT_PARSE,
-                    "newton": EXIT_SOLVE}.get(exc.stage, EXIT_CERTIFY)
-            return _fail(code, exc)
-        results[tag] = cert.to_dict()
-        lo, hi = cert.volume_enclosure.lo, cert.volume_enclosure.hi
-        assertions += [
-            _assertion(f"{tag}:contracted", cert.contracted,
-                       f"radius {cert.radius_used}"),
-            _assertion(f"{tag}:all_imag_positive", cert.all_imag_positive,
-                       "geometric solution"),
-            _assertion(f"{tag}:volume_matches_header",
-                       min(abs(lo - tri.volume_hint),
-                           abs(hi - tri.volume_hint)) <= HEADER_VOLUME_TOL
-                       or lo <= tri.volume_hint <= hi,
-                       f"[{lo:.12f}, {hi:.12f}] vs {tri.volume_hint:.8f}"),
-        ]
-    return _emit(_report(args, results, assertions), args)
+            tri = fixtures.load_fixture(label)
+            entry, checks = _certify(tri, f"{label}:{tri.name}", args)
+        except ERRORS as exc:
+            entry = {label: {"error": str(exc), "exit_code": exit_code(exc)}}
+            checks = [_assertion(f"{label}:certified", False, str(exc))]
+        results.update(entry)
+        assertions += checks
+    return results, assertions
 
 
 # ---------------------------------------------------------------- twobridge
 
-def cmd_twobridge(args):
+PAIR = arg("pair", help="Schubert pair")
+LEFT_RIGHT = (arg("left", help="Schubert pair"),
+              arg("right", help="Schubert pair"))
+
+
+@command("twobridge", "eval", arg("conway", help="Conway form, e.g. 3,2,-3"))
+def twobridge_eval(args):
+    fr = eval_conway(_parse_conway(args.conway))
     try:
-        if args.subcommand == "eval":
-            cf = _parse_conway(args.conway)
-            fr = eval_conway(cf)
-            results = {"fraction": f"{fr.p}/{fr.q}"}
-            try:
-                results["schubert"] = str(normalize_two_bridge(fr.p, fr.q))
-            except ValueError:
-                results["schubert"] = None
-            assertions = []
+        schubert = str(normalize_two_bridge(fr.p, fr.q))
+    except ValueError:      # the fraction presents no two-bridge link
+        schubert = None
+    return {"fraction": f"{fr.p}/{fr.q}", "schubert": schubert}, []
 
-        elif args.subcommand == "expand":
-            p, q = _parse_ratio(args.pair, "fraction")
-            cf = conway_expand(p, q)
-            back = eval_conway(cf)
-            results = {"conway": list(cf)}
-            assertions = [_assertion("reexpands", (back.p, back.q) == (p, q)
-                                     or back.p * q == back.q * p,
-                                     f"{list(cf)} evaluates to {back.p}/{back.q}")]
 
-        elif args.subcommand == "equal":
-            a = _parse_two_bridge(args.left)
-            b = _parse_two_bridge(args.right)
-            results = {"left": str(a), "right": str(b),
-                       "equivalent": two_bridge_equivalent(a, b)}
-            assertions = []
+@command("twobridge", "expand", arg("pair", help="fraction p/q"))
+def twobridge_expand(args):
+    p, q = _parse_ratio(args.pair, "fraction")
+    cf = conway_expand(p, q)
+    back = eval_conway(cf)
+    return {"conway": list(cf)}, [
+        _assertion("reexpands", back.p * q == back.q * p,
+                   f"{list(cf)} evaluates to {back.p}/{back.q}")]
 
-        elif args.subcommand == "mirror":
-            tb = _parse_two_bridge(args.pair)
-            results = {"input": str(tb), "mirror": str(mirror_two_bridge(tb))}
-            assertions = []
 
-        elif args.subcommand == "unlink1":
-            tb = _parse_two_bridge(args.pair)
-            witness = is_unlinking_number_one(tb)
-            results = {"input": str(tb),
-                       "witness": list(witness) if witness else None,
-                       "unlinking_number_one": witness is not None}
-            assertions = []
+@command("twobridge", "equal", *LEFT_RIGHT)
+def twobridge_equal(args):
+    a, b = _parse_two_bridge(args.left), _parse_two_bridge(args.right)
+    return {"left": str(a), "right": str(b),
+            "equivalent": two_bridge_equivalent(a, b)}, []
 
-        elif args.subcommand == "cosmetic":
-            cf = _parse_conway(args.conway)
-            partner = cosmetic_band_partner(cf)
-            ok = verify_chirally_cosmetic(cf)
-            results = {"conway": list(cf), "partner": list(partner),
-                       "chirally_cosmetic": ok}
-            assertions = [_assertion("partner_is_mirror", ok,
-                                     f"{list(partner)} evaluates to the mirror")]
 
-        elif args.subcommand == "signature":
-            tb = _parse_two_bridge(args.pair)
-            results = {"input": str(tb),
-                       "signature": signature_two_bridge(tb)}
-            assertions = []
+@command("twobridge", "mirror", PAIR)
+def twobridge_mirror(args):
+    tb = _parse_two_bridge(args.pair)
+    return {"input": str(tb), "mirror": str(mirror_two_bridge(tb))}, []
 
-        else:  # fourmove
-            a = _parse_two_bridge(args.left)
-            b = _parse_two_bridge(args.right)
-            sa, sb = signature_two_bridge(a), signature_two_bridge(b)
-            results = {"left": str(a), "right": str(b),
-                       "signature_left": sa, "signature_right": sb,
-                       "signature_gap": abs(sa - sb),
-                       "four_move_obstructed":
-                           four_move_signature_obstruction(a, b)}
-            assertions = []
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, exc)
-    return _emit(_report(args, results, assertions), args)
+
+@command("twobridge", "unlink1", PAIR)
+def twobridge_unlink1(args):
+    tb = _parse_two_bridge(args.pair)
+    witness = is_unlinking_number_one(tb)
+    return {"input": str(tb), "witness": list(witness) if witness else None,
+            "unlinking_number_one": witness is not None}, []
+
+
+@command("twobridge", "cosmetic", arg("conway", help="Conway form"))
+def twobridge_cosmetic(args):
+    cf = _parse_conway(args.conway)
+    partner = cosmetic_band_partner(cf)
+    ok = verify_chirally_cosmetic(cf)
+    return {"conway": list(cf), "partner": list(partner),
+            "chirally_cosmetic": ok}, [
+        _assertion("partner_is_mirror", ok,
+                   f"{list(partner)} evaluates to the mirror")]
+
+
+@command("twobridge", "signature", PAIR)
+def twobridge_signature(args):
+    tb = _parse_two_bridge(args.pair)
+    return {"input": str(tb), "signature": signature_two_bridge(tb)}, []
+
+
+@command("twobridge", "fourmove", *LEFT_RIGHT)
+def twobridge_fourmove(args):
+    a, b = _parse_two_bridge(args.left), _parse_two_bridge(args.right)
+    sa, sb = signature_two_bridge(a), signature_two_bridge(b)
+    obstructed = four_move_signature_obstruction(a, b)
+    return {"left": str(a), "right": str(b), "signature_left": sa,
+            "signature_right": sb, "signature_gap": abs(sa - sb),
+            "four_move_obstructed": obstructed}, []
 
 
 # ---------------------------------------------------------------- surgery
 
-def cmd_surgery(args):
-    try:
-        if args.subcommand == "distance":
-            a, b = _parse_slope(args.left), _parse_slope(args.right)
-            results = {"left": f"{a.p}/{a.q}", "right": f"{b.p}/{b.q}",
-                       "distance": slope_distance(a, b)}
-            assertions = []
+@command("surgery", "distance", arg("left", help="slope p/q (1/0 allowed)"),
+         arg("right", help="slope p/q"))
+def surgery_distance(args):
+    a, b = (Slope(*_parse_ratio(t, "slope")) for t in (args.left, args.right))
+    return {"left": f"{a.p}/{a.q}", "right": f"{b.p}/{b.q}",
+            "distance": slope_distance(a, b)}, []
 
-        elif args.subcommand == "lens-equal":
-            a, b = _parse_lens(args.left), _parse_lens(args.right)
-            results = {"left": str(a), "right": str(b),
-                       "oriented": not args.unoriented,
-                       "equivalent": lens_equivalent(
-                           a, b, oriented=not args.unoriented)}
-            assertions = []
 
-        elif args.subcommand == "lens-mirror":
-            a = _parse_lens(args.pair)
-            results = {"input": str(a),
-                       "mirror": str(lens_mirror(a))}
-            assertions = []
+@command("surgery", "lens-equal", arg("left", help="lens space p/q"),
+         arg("right", help="lens space p/q"),
+         arg("--unoriented", action="store_true"))
+def surgery_lens_equal(args):
+    a, b = (normalize_lens(*_parse_ratio(t, "lens space"))
+            for t in (args.left, args.right))
+    oriented = not args.unoriented
+    return {"left": str(a), "right": str(b), "oriented": oriented,
+            "equivalent": lens_equivalent(a, b, oriented=oriented)}, []
 
-        elif args.subcommand == "dbc":
-            tb = _parse_two_bridge(args.pair)
-            results = {"link": str(tb),
-                       "double_branched_cover":
-                           str(double_branched_cover(tb))}
-            assertions = []
 
-        elif args.subcommand == "matignon":
-            lens, link = matignon_family(args.m, args.n)
-            results = {"m": args.m, "n": args.n,
-                       "lens_space": str(lens), "link": str(link)}
-            assertions = [_assertion(
-                "family_consistent", True,
-                f"{lens} is the double branched cover "
-                f"of {link} with an unlinking witness")]
+@command("surgery", "lens-mirror", arg("pair", help="lens space p/q"))
+def surgery_lens_mirror(args):
+    a = normalize_lens(*_parse_ratio(args.pair, "lens space"))
+    return {"input": str(a), "mirror": str(lens_mirror(a))}, []
 
-        else:  # bhw
-            triples = bhw_example_report()
-            results = {"checks": [name for name, _, _ in triples]}
-            assertions = [_assertion(name, ok, detail)
-                          for name, ok, detail in triples]
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, exc)
-    return _emit(_report(args, results, assertions), args)
+
+@command("surgery", "dbc", arg("pair", help="two-bridge Schubert pair"))
+def surgery_dbc(args):
+    tb = _parse_two_bridge(args.pair)
+    return {"link": str(tb),
+            "double_branched_cover": str(double_branched_cover(tb))}, []
+
+
+@command("surgery", "matignon", arg("m", type=int), arg("n", type=int))
+def surgery_matignon(args):
+    lens, link = matignon_family(args.m, args.n)
+    return {"m": args.m, "n": args.n,
+            "lens_space": str(lens), "link": str(link)}, [
+        _assertion("family_consistent", True,
+                   f"{lens} is the double branched cover "
+                   f"of {link} with an unlinking witness")]
+
+
+@command("surgery", "bhw")
+def surgery_bhw(args):
+    triples = bhw_example_report()
+    return {"checks": [name for name, _, _ in triples]}, [
+        _assertion(name, ok, detail) for name, ok, detail in triples]
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_format_flags(p):
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="format", action="store_const",
-                     const="json", help="JSON report (default)")
-    fmt.add_argument("--text", dest="format", action="store_const",
-                     const="text", help="plain-text report")
-    p.set_defaults(format="json")
-
-
-def _add_tri_flags(p, solver=False, certifier=False):
-    p.add_argument("path", nargs="?", default=None,
-                   help="triangulation file (default: stdin)")
-    p.add_argument("--fixture", choices=fixtures.fixture_labels(),
-                   default=None, help="use an embedded reference fixture")
-    if solver or certifier:
-        p.add_argument("--tol", type=float, default=1e-12)
-    if solver:
-        p.add_argument("--max-iter", type=int, default=50)
-    if certifier:
-        p.add_argument("--radius", type=float, default=None,
-                       help="ladder of this one Krawczyk radius")
-        p.add_argument("--all-fixtures", action="store_true",
-                       help="certify every embedded fixture")
-    _add_format_flags(p)
-
-
 def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="bandforge",
-        description="two-bridge banding calculus and certified "
-                    "hyperbolicity checks")
+    ap = argparse.ArgumentParser(prog="bandforge", description=(
+        "two-bridge banding calculus and certified hyperbolicity checks"))
     groups = ap.add_subparsers(dest="group", required=True)
-
-    tri = groups.add_parser("tri", help="triangulation file commands")
-    tsub = tri.add_subparsers(dest="subcommand", required=True)
-    _add_tri_flags(tsub.add_parser("parse", help="parse and validate"))
-    _add_tri_flags(tsub.add_parser("volume",
-                                   help="volume at the file shape hints"))
-    _add_tri_flags(tsub.add_parser("solve", help="Newton-solve the gluing "
-                                   "equations from the file hints"),
-                   solver=True)
-    _add_tri_flags(tsub.add_parser("certify", help="Krawczyk certification"),
-                   certifier=True)
-    for sub in tsub.choices.values():
-        sub.set_defaults(func=cmd_tri)
-
-    twob = groups.add_parser("twobridge", help="two-bridge link calculus")
-    bsub = twob.add_subparsers(dest="subcommand", required=True)
-    for name, argspec in [
-        ("eval", [("conway", "Conway form, e.g. 3,2,-3")]),
-        ("expand", [("pair", "fraction p/q")]),
-        ("equal", [("left", "Schubert pair"), ("right", "Schubert pair")]),
-        ("mirror", [("pair", "Schubert pair")]),
-        ("unlink1", [("pair", "Schubert pair")]),
-        ("cosmetic", [("conway", "Conway form")]),
-        ("signature", [("pair", "Schubert pair")]),
-        ("fourmove", [("left", "Schubert pair"), ("right", "Schubert pair")]),
-    ]:
-        sp = bsub.add_parser(name)
-        for arg, helptext in argspec:
-            sp.add_argument(arg, help=helptext)
-        _add_format_flags(sp)
-        sp.set_defaults(func=cmd_twobridge)
-
-    surg = groups.add_parser("surgery", help="slopes and lens spaces")
-    ssub = surg.add_subparsers(dest="subcommand", required=True)
-    sp = ssub.add_parser("distance")
-    sp.add_argument("left", help="slope p/q (1/0 allowed)")
-    sp.add_argument("right", help="slope p/q")
-    sp = ssub.add_parser("lens-equal")
-    sp.add_argument("left", help="lens space p/q")
-    sp.add_argument("right", help="lens space p/q")
-    sp.add_argument("--unoriented", action="store_true")
-    sp = ssub.add_parser("lens-mirror")
-    sp.add_argument("pair", help="lens space p/q")
-    sp = ssub.add_parser("dbc")
-    sp.add_argument("pair", help="two-bridge Schubert pair")
-    sp = ssub.add_parser("matignon")
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    ssub.add_parser("bhw")
-    for sub in ssub.choices.values():
-        _add_format_flags(sub)
-        sub.set_defaults(func=cmd_surgery)
-
+    subparsers = {}
+    for (group, name), (handler, argspecs) in COMMANDS.items():
+        if group not in subparsers:
+            subparsers[group] = groups.add_parser(
+                group, help=GROUP_HELP[group]).add_subparsers(
+                    dest="subcommand", required=True)
+        p = subparsers[group].add_parser(name, help=handler.__doc__)
+        if group == "tri":      # every tri command reads one triangulation
+            p.add_argument("path", nargs="?",
+                           help="triangulation file (default: stdin)")
+            p.add_argument("--fixture", choices=fixtures.fixture_labels(),
+                           help="use an embedded or external fixture")
+        for flags, kwargs in argspecs:
+            p.add_argument(*flags, **kwargs)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="format", action="store_const",
+                         const="json", help="JSON report (default)")
+        fmt.add_argument("--text", dest="format", action="store_const",
+                         const="text", help="plain-text report")
+        p.set_defaults(format="json", func=handler)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place errors become exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        results, assertions = args.func(args)
+    except ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exit_code(exc)
+    report = {"command": f"{args.group} {args.subcommand}",
+              "inputs": {k: v for k, v in sorted(vars(args).items())
+                         if k not in ("func", "format") and v is not None},
+              "results": results, "assertions": assertions,
+              "timestamp": datetime.now(timezone.utc).isoformat()}
+    if args.format == "text":
+        print(report["command"])
+        for key, value in results.items():
+            print(f"  {key} = {value}")
+        for a in assertions:
+            mark = "ok  " if a["pass"] else "FAIL"
+            print(f"  [{mark}] {a['name']}: {a['detail']}")
+    else:
+        print(json.dumps(report, indent=2))
+    batch_codes = [entry["exit_code"] for entry in results.values()
+                   if isinstance(entry, dict) and "exit_code" in entry]
+    passed = all(a["pass"] for a in assertions)
+    return max([0 if passed else EXIT_ASSERTION, *batch_codes])
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ def _external_dir():
 
 
 def fixture_text(label: str) -> str:
-    """Raw text for a fixture label, an external basename, or a path."""
+    """Raw text for an embedded label or an external-directory basename."""
     d = _external_dir()
     if d:
         for cand in (os.path.join(d, label), os.path.join(d, label + ".tri")):

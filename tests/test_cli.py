@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in process."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -9,6 +10,7 @@ import pytest
 from bandforge import cli
 from bandforge.fixtures import fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
+from bandforge.tri import CuspInfo, serialize_triangulation
 
 
 def run(capsys, argv):
@@ -269,3 +271,69 @@ def test_all_fixtures_certify(capsys):
     assert any(n.startswith("A:") for n in names)
     assert any(n.startswith("B:") for n in names)
     assert all(a["pass"] for a in rep["assertions"])
+
+
+# ------------------------------------------------------ batch and errors
+
+
+def _short_b(path):
+    """Fixture B with its complete cusp 6 filled at (1,0): Newton fails."""
+    tri = load_fixture("B")
+    cusps = list(tri.cusps)
+    cusps[6] = CuspInfo("torus", 1.0, 0.0)
+    path.write_text(serialize_triangulation(
+        dataclasses.replace(tri, cusps=tuple(cusps))))
+
+
+def _zero_hint_a(path):
+    """Fixture A with its first shape hint at the degenerate 0."""
+    tri = load_fixture("A")
+    tets = list(tri.tets)
+    tets[0] = dataclasses.replace(tets[0], shape_hint=0j)
+    path.write_text(serialize_triangulation(
+        dataclasses.replace(tri, tets=tuple(tets))))
+
+
+def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
+    (tmp_path / "bad.tri").write_text("not a triangulation\n1 2 3\n")
+    _short_b(tmp_path / "short.tri")
+    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(tmp_path))
+    code, rep, _ = run_json(capsys, ["tri", "certify", "--all-fixtures"])
+    assert code == 3
+    results = rep["results"]
+    assert results["bad"]["exit_code"] == 2
+    assert results["short"]["exit_code"] == 3
+    assert "[newton]" in results["short"]["error"]
+    for label in ("A", "B"):
+        tag = f"{label}:{load_fixture(label).name}"
+        assert results[tag]["valid"] is True
+        assert all(a["pass"] for a in rep["assertions"]
+                   if a["name"].startswith(tag))
+    failed = [a["name"] for a in rep["assertions"] if not a["pass"]]
+    assert failed == ["bad:certified", "short:certified"]
+
+
+@pytest.mark.parametrize("extra", [["PATH"], ["--fixture", "A"]])
+def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
+    path = tmp_path / "a.tri"
+    path.write_text(fixture_text("A"))
+    argv = [str(path) if a == "PATH" else a for a in extra]
+    code, out, err = run(capsys, ["tri", "certify", *argv, "--all-fixtures"])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, write, code, message", [
+    (["tri", "certify", "FILE"], _short_b, 3, "[newton]"),
+    (["tri", "certify", "--fixture", "A", "--radius", "-1"], None, 2,
+     "radius must be positive"),
+    (["tri", "volume", "FILE"], _zero_hint_a, 2, "degenerate"),
+])
+def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
+    path = tmp_path / "case.tri"
+    if write is not None:
+        write(path)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert out == "" and err.startswith("error:") and message in err
