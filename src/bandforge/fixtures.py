@@ -6,9 +6,10 @@ filling, 12 tetrahedra) and "B" (a 7-cusp triangulation with six filled
 cusps and one complete cusp, 26 tetrahedra).
 
 Setting the environment variable BANDFORGE_FIXTURE_DIR makes additional
-.tri files resolvable by basename, and adds them to the batch list used
-by `tri certify --all-fixtures`.  External files shadow the embedded
-labels on name collision.
+.tri files resolvable by bare basename, and adds them to the batch list
+used by `tri certify --all-fixtures`.  A label that is absolute, holds a
+path separator or is ".." is never joined onto the directory.  External
+files shadow the embedded labels on name collision.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _external_dir():
 def fixture_text(label: str) -> str:
     """Raw text for an embedded label or an external-directory basename."""
     d = _external_dir()
-    if d:
+    if d and os.path.basename(label) == label and label not in (".", ".."):
         for cand in (os.path.join(d, label), os.path.join(d, label + ".tri")):
             if os.path.isfile(cand):
                 with open(cand) as f:

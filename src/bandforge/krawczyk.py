@@ -3,19 +3,21 @@
 Given a numeric solution z of the selected square subsystem, the box
 X = z +- radius is tested with the Krawczyk operator
 
-    K(X) = y - Y f(y) + (I - Y Df(X)) (X - y),    y = mid X,
+    K(X) = y - Y f(y) + (I - Y J(X)) (X - y),    y = z = mid X,
 
-evaluated in rectangular complex interval arithmetic, with the
-preconditioner Y an ordinary floating-point inverse of the midpoint
-Jacobian treated as an exact constant.  K(X) strictly inside X proves
-that the subsystem has exactly one zero in X; if moreover every
-component of the enclosure K(X) & X has strictly positive imaginary
-part, that zero is a geometric solution and the underlying manifold is
-hyperbolic.  The discarded rows are checked exactly: the integer matrix
-[A | B | k - c] over all rows must have rank n.  Contraction proves the
-n retained rows independent, so every discarded row is then a rational
-combination of them, and a zero of the square subsystem solves the full
-system.
+evaluated in midpoint-radius ("ball") arithmetic on numpy arrays, with
+the preconditioner Y a floating-point inverse of the midpoint Jacobian
+treated as an exact constant.  Rounding is bounded a priori, without
+touching the rounding mode (Rump, "Fast and parallel interval
+arithmetic", BIT 39, 1999): see `_operator`.  Strict inclusion,
+|Re(K_c - z)| + K_rad < radius and the same for Im for every shape,
+proves that the subsystem has exactly one zero in X; if moreover every
+outward-rounded box of K(X) & X has strictly positive imaginary part,
+that zero is a geometric solution and the manifold is hyperbolic.  The
+discarded rows are checked exactly: the integer matrix [A | B | k - c]
+over all rows must have rank n.  Contraction proves the n retained rows
+independent, so every discarded row is then a rational combination of
+them, and a zero of the square subsystem solves the full system.
 
 The certified volume is `dilog.interval_volume` over the final
 enclosures; this module holds no part of the dilogarithm series.
@@ -30,9 +32,8 @@ import numpy as np
 
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
-                     log_jacobian, newton_solve, select_square_rows,
-                     system_matrices)
-from .intervals import PI, ComplexInterval, EnclosureDomainError, RealInterval
+                     newton_solve, select_square_rows, system_matrices)
+from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import Triangulation, validate as validate_triangulation
 
 __all__ = ["Certificate", "KrawczykError", "CertifyError",
@@ -77,100 +78,163 @@ class Certificate:
         }
 
 
+_U = 2.0 ** -53           # unit roundoff of round-to-nearest doubles
+_ETA = 2.0 ** -1074       # smallest subnormal: twice the error of an underflow
+_TINY = 2.0 ** -500       # discs keep this far from 0 and 1, so |v|^2 stays normal
+
+
+def _up(x):
+    """Upper bound of a correctly rounded non-negative result: the next float."""
+    return np.nextafter(x, np.inf)
+
+
+def _dn(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _gamma(k):
+    """Upper bound on gamma_k = k u / (1 - k u), for k u < 0.009."""
+    return 1.01 * k * _U
+
+
+def _mag(x):
+    """Upper bound on |x|: np.abs (hypot for complex) is within one ulp."""
+    return _up(_up(np.abs(x)))
+
+
+def _matmul_up(P, Q):
+    """Upper bound on P @ Q for non-negative P, Q, in any summation order.
+
+    A length-m sum of products loses at most gamma_m relatively and m eta/2
+    to underflow: P @ Q <= (fl(P @ Q) + m eta)(1 + 2 gamma_m).
+    """
+    m = P.shape[-1]
+    return _up(_up(P @ Q + m * _ETA) * (1.0 + 2.0 * _gamma(m)))
+
+
+def _ball_matmul(A, Bc, Brad):
+    """Centre and radius of A @ (Bc +- Brad), A exact.
+
+    A real part of the centre is a length-2m real dot product (four real
+    products per complex one, as zgemm forms them), so in any order its
+    error is at most gamma_2m |A| |Bc| + m eta; gamma_3m >= sqrt(2)
+    gamma_2m and 2 m eta bound the complex error.
+    """
+    m = A.shape[-1]
+    rad = _matmul_up(_mag(A), _up(Brad + _up(_gamma(3 * m) * _mag(Bc))))
+    return A @ Bc, _up(rad + 2 * m * _ETA)
+
+
+def _operator(sys, z, radius):
+    """Rows, preconditioner Y, and the balls of E and K on X = z +- radius.
+
+    Returns (rows, Y, (E_c, E_rad), (K_c, K_rad)): E_c +- E_rad holds
+    I - Y J(x) for every x in X, and K_c +- K_rad holds
+    y - Y f(y) + (I - Y J(X))(X - y), entry by entry.  Each radius bounds
+    the enclosure plus every rounding made in computing its centre, and
+    is itself computed with every operation stepped one float up.
+    """
+    n = len(z)
+    # v = (z, 1 - z); fl(1 - z) is within u |Re| of 1 - z, so the discs
+    # |v - c| <= rv around the computed c hold X and 1 - X
+    v = np.stack([z, 1 - z])
+    rho = _up(radius * _up(math.sqrt(2.0)))
+    rv = np.stack([np.full(n, rho), _up(rho + _up(_U * np.abs(v[1].real)))])
+    lo = _dn(_dn(np.abs(v)))
+    gap = _dn(lo - rv)
+    # a disc across the real axis outside (0, 1) meets a branch cut of log
+    cut = (np.abs(z.imag) <= rho) & ((z.real <= 0.0) | (z.real >= 1.0))
+    bad = np.flatnonzero(~(gap.min(axis=0) > _TINY) | cut)
+    if bad.size:
+        raise KrawczykError(f"the disc of radius {radius} around shape "
+                            f"{bad[0]} = {z[bad[0]]} reaches 0, 1 or a cut")
+
+    rows = select_square_rows(sys, z)
+    MA, MB, off = system_matrices(sys, rows)
+    # J(X) = A/x - B/(1 - x).  On a disc |1/x - 1/c| <= rv / (|c| (|c| - rv));
+    # 1/c = conj(c) / |c|^2 takes four roundings per part (gamma_5 |fl(1/c)|)
+    # and the centre J_c three more.
+    recip = v.conj() * (1.0 / (v.real * v.real + v.imag * v.imag))
+    rad = _up(_up(rv / _dn(lo * gap)) + _up(_gamma(8) * _mag(recip)))
+    J_c = MA * recip[0] - MB * recip[1]
+    J_rad = _up(_up(np.abs(MA) * rad[0]) + _up(np.abs(MB) * rad[1]))
+    try:
+        Y = np.linalg.inv(J_c)                 # an exact constant from here on
+    except np.linalg.LinAlgError as exc:
+        raise KrawczykError(f"midpoint Jacobian inversion failed: {exc}") from None
+    YJ_c, YJ_rad = _ball_matmul(Y, J_c, J_rad)
+    E_c = np.eye(n) - YJ_c                     # only the diagonal rounds
+    E_rad = _up(YJ_rad + _up(_U * _mag(E_c)))
+
+    # f(y), y = z: [A | B | k - c] times (log z, log(1 - z), i pi).  The
+    # complex log is allowed 4 ulps per part, the roundings of 1 - z and of
+    # pi another 8 u: 8 u (1 + |Re| + |Im|) bounds each entry's error.
+    V = np.append(np.log(v).ravel(), 1j * np.pi)
+    V_rad = _up(8 * _U * _up(_up(1.0 + np.abs(V.real)) + np.abs(V.imag)))
+    C = np.hstack([MA, MB, off[:, None]])
+    # rows summed left to right (cumsum): each non-zero product and the
+    # partial sum it enters round once, by at most u |Re| + u |Im| <= 2 u |.|
+    P = C * V
+    S = np.cumsum(P, axis=1)
+    steps = np.where(P != 0, _up(_mag(P) + _mag(S)), 0.0)
+    f_rad = _up(_up(_matmul_up(np.abs(C), V_rad) + len(V) * _ETA)
+                + _matmul_up(steps, np.full(len(V), 2 * _U)))
+    t_c, t_rad = _ball_matmul(Y, S[:, -1], f_rad)
+
+    # K = y - Y f(y) + E (X - y), with X - y in the disc |d| <= rho
+    K_c = z - t_c
+    K_rad = _up(_up(t_rad + _up(2 * _U * _mag(K_c)))
+                + _matmul_up(_up(_mag(E_c) + E_rad), np.full(n, rho)))
+    if not (np.isfinite(K_c).all() and np.isfinite(K_rad).all()):
+        raise KrawczykError("the Krawczyk operator is not finite")
+    return rows, Y, (E_c, E_rad), (K_c, K_rad)
+
+
+def _boxes(c, rad):
+    """Outward-rounded ComplexInterval boxes c +- rad."""
+    ends = [a.tolist() for a in (_dn(c.real - rad), _up(c.real + rad),
+                                 _dn(c.imag - rad), _up(c.imag + rad))]
+    return [ComplexInterval(RealInterval(a, b), RealInterval(c, d))
+            for a, b, c, d in zip(*ends)]
+
+
 def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     """Containment test on the box approx +- radius.
 
     The caller should provide approx with residual well below the box
     scale (the Newton output); a poor approx simply comes back with
     contracted = False.  Raises KrawczykError when the box itself is
-    unusable: the rows [A | B | k - c] do not have rank n, the midpoint
-    Jacobian is not invertible, or the radius pushes an enclosure into a
-    log/division singularity.
+    unusable: a shape is not finite, the rows [A | B | k - c] do not have
+    rank n, the midpoint Jacobian is not invertible, or the disc around a
+    shape reaches 0, 1 or a branch cut of log.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    z0 = [complex(z) for z in approx]
+    z = np.array([complex(v) for v in approx])
     n = sys.tet_count
-    if len(z0) != n:
-        raise ValueError(f"expected {n} shapes, got {len(z0)}")
+    if len(z) != n:
+        raise ValueError(f"expected {n} shapes, got {len(z)}")
+    if not np.isfinite(z).all():
+        raise KrawczykError(f"shapes are not all finite: {z}")
     rank = augmented_rank(sys)
     if rank != n:
         raise KrawczykError(f"rows [A | B | k - c] have rank {rank}, not {n}: "
                             "the kept rows do not imply the dropped ones")
 
-    rows = select_square_rows(sys, z0)
-    selected = [sys.rows[i] for i in rows]
-
-    # midpoint Jacobian in z: the log-shape Jacobian with column j over z_j
-    MA, MB, _ = system_matrices(sys, rows)
-    jac_mid = log_jacobian(MA, MB, z0) / np.asarray(z0)[None, :]
     try:
-        Y = np.linalg.inv(jac_mid)
-    except np.linalg.LinAlgError as exc:
-        raise KrawczykError(f"midpoint Jacobian inversion failed: {exc}") from None
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, _, _, (K_c, K_rad) = _operator(sys, z, radius)
+            # strictly inside the exact box z +- radius, part by part
+            reach = [_up(_up(np.abs(part(K_c) - part(z))) + K_rad)
+                     for part in (np.real, np.imag)]
+            contracted = bool((np.maximum(*reach) < radius).all())
+            K, X = _boxes(K_c, K_rad), _boxes(z, radius)
+    except FloatingPointError as exc:
+        raise KrawczykError(f"ball arithmetic overflowed: {exc}") from None
 
-    try:
-        X = [ComplexInterval.box(z, radius) for z in z0]
-        y = [ComplexInterval.point(z) for z in z0]
-
-        ylog = [p.log() for p in y]
-        ylog1 = [p.one_minus().log() for p in y]
-        f_y = []
-        for row in selected:
-            acc = ComplexInterval(RealInterval(0.0), PI * (row.k - row.c))
-            for j in range(n):
-                if row.A[j]:
-                    acc = acc + row.A[j] * ylog[j]
-                if row.B[j]:
-                    acc = acc + row.B[j] * ylog1[j]
-            f_y.append(acc)
-
-        recip_x = [x.recip() for x in X]
-        recip_1x = [x.one_minus().recip() for x in X]
-        jac_cols = []  # per selected row: list of (j, ComplexInterval)
-        for row in selected:
-            cols = []
-            for j in range(n):
-                entry = None
-                if row.A[j]:
-                    entry = row.A[j] * recip_x[j]
-                if row.B[j]:
-                    term = (-row.B[j]) * recip_1x[j]
-                    entry = term if entry is None else entry + term
-                if entry is not None:
-                    cols.append((j, entry))
-            jac_cols.append(cols)
-
-        # E = I - Y * J(X), built column-sparse
-        E = [[ComplexInterval(0.0) for _ in range(n)] for _ in range(n)]
-        for m in range(n):
-            for j, entry in jac_cols[m]:
-                for r in range(n):
-                    E[r][j] = E[r][j] + complex(Y[r, m]) * entry
-        for r in range(n):
-            for j in range(n):
-                E[r][j] = (1.0 if r == j else 0.0) - E[r][j]
-
-        d = [X[j] - y[j] for j in range(n)]
-        K = []
-        for r in range(n):
-            acc = y[r] - sum((complex(c) * v for c, v in zip(Y[r], f_y)),
-                               ComplexInterval(0.0))
-            for j in range(n):
-                acc = acc + E[r][j] * d[j]
-            K.append(acc)
-    except EnclosureDomainError as exc:
-        raise KrawczykError(f"interval evaluation failed: {exc}") from None
-
-    contracted = all(K[j].strictly_inside(X[j]) for j in range(n))
-    enclosures = []
-    for j in range(n):
-        inter = K[j].intersect(X[j])
-        if inter is None:
-            contracted = False
-            enclosures = list(X)
-            break
-        enclosures.append(inter)
+    # an empty K & X leaves contracted False; X then stands as the enclosure
+    inters = [k.intersect(x) for k, x in zip(K, X)]
+    enclosures = X if None in inters else inters
     all_imag_positive = all(e.im.lo > 0.0 for e in enclosures)
 
     try:

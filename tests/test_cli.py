@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from bandforge import cli
-from bandforge.fixtures import fixture_text, load_fixture
+from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
 from bandforge.tri import CuspInfo, serialize_triangulation
 
@@ -262,6 +262,21 @@ def test_external_fixture_dir(capsys, monkeypatch, tmp_path):
     code, rep, _ = run_json(capsys, ["tri", "volume", "--fixture", "C"])
     assert code == 0
     assert abs(rep["results"]["volume"] - 10.01776364) < 5e-7
+
+
+def test_external_fixture_dir_resolves_only_basenames(monkeypatch, tmp_path):
+    inside = tmp_path / "dir"
+    inside.mkdir()
+    (inside / "C.tri").write_text(fixture_text("A"))
+    outside = tmp_path / "x.tri"
+    outside.write_text(fixture_text("A"))
+    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(inside))
+    labels = fixture_labels()
+    for label in (str(outside), "../x", "../x.tri", ".."):
+        with pytest.raises(ValueError, match="unknown fixture"):
+            load_fixture(label)
+    assert load_fixture("C").name == load_fixture("A").name
+    assert fixture_labels() == labels == ["A", "B", "C"]
 
 
 def test_all_fixtures_certify(capsys):

@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from bandforge import krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
+from bandforge.gluing import build_equations, newton_solve, system_matrices
 from bandforge.intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
@@ -206,3 +209,105 @@ def test_redundant_appended_row_still_certifies(solved, request):
     sys_, result = request.getfixturevalue(solved)
     cert = krawczyk_test(_append_row(sys_, 0), result.shapes, 1e-8)
     assert cert.valid
+
+
+# ------------------------------------------------ ball operator domain
+
+
+def test_disc_reaching_one_raises(solved_a):
+    sys_, result = solved_a
+    shapes = [1 + 1e-11j] + list(result.shapes[1:])
+    with pytest.raises(KrawczykError, match="reaches 0, 1"):
+        krawczyk_test(sys_, shapes, 1e-10)
+
+
+def test_nan_shape_raises(solved_a):
+    sys_, result = solved_a
+    shapes = [complex(math.nan, 1.0)] + list(result.shapes[1:])
+    with pytest.raises(KrawczykError, match="finite"):
+        krawczyk_test(sys_, shapes, 1e-10)
+
+
+# ------------------------------------------- ball operator vs mpmath
+
+
+def _oracle_points(mpmath, z, radius, rng, count=4):
+    """The four common corners of the boxes, then seeded points of X."""
+    r = mpmath.mpf(radius)
+    pts = [[mpmath.mpc(v) + r * mpmath.mpc(a, b) for v in z]
+           for a in (-1, 1) for b in (-1, 1)]
+    for _ in range(count):
+        pts.append([mpmath.mpc(v) + r * mpmath.mpc(rng.uniform(-1, 1),
+                                                    rng.uniform(-1, 1))
+                    for v in z])
+    return pts
+
+
+@pytest.mark.parametrize("radius", [1e-10, 1e-6])
+@pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
+def test_ball_operator_holds_mpmath_values(solved, radius, request):
+    mpmath = pytest.importorskip("mpmath")
+
+    def inside(x, centre, rad):
+        return abs(x - mpmath.mpc(complex(centre))) <= mpmath.mpf(float(rad))
+
+    sys_, result = request.getfixturevalue(solved)
+    z = np.array(result.shapes)
+    rows, Y, (E_c, E_rad), (K_c, K_rad) = krawczyk._operator(sys_, z, radius)
+    MA, MB, off = system_matrices(sys_, rows)
+    n = len(z)
+    rng = random.Random(f"{solved}:{radius}")
+    with mpmath.workdps(50):
+        Ymp = [[mpmath.mpc(complex(c)) for c in row] for row in Y]
+        # Y A and Y B at 50 digits; A and B are small integer matrices
+        YA, YB = ([[mpmath.fsum(Ymp[i][m] * int(c)
+                                for m, c in enumerate(M[:, j]) if c)
+                    for j in range(n)] for i in range(n)] for M in (MA, MB))
+        y = [mpmath.mpc(v) for v in z]
+        f = [mpmath.fsum([int(MA[m, j]) * mpmath.log(y[j])
+                          + int(MB[m, j]) * mpmath.log(1 - y[j])
+                          for j in range(n)])
+             + 1j * mpmath.pi * int(off[m]) for m in range(n)]
+        newton = [y[i] - mpmath.fsum(Ymp[i][m] * f[m] for m in range(n))
+                  for i in range(n)]
+        for x in _oracle_points(mpmath, z, radius, rng):
+            # I - Y J(x) with J(x) = A / x - B / (1 - x)
+            E = [[int(i == j) - YA[i][j] / x[j] + YB[i][j] / (1 - x[j])
+                  for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    assert inside(E[i][j], E_c[i, j], E_rad[i, j]), (i, j)
+                k = newton[i] + mpmath.fsum(E[i][j] * (x[j] - y[j])
+                                            for j in range(n))
+                assert inside(k, K_c[i], K_rad[i]), i
+
+
+# -------------------------------------------- filling sweep parity
+
+# slopes of fixture B's cusp 6 whose Newton solve fails from the file hints
+SEED_UNCERTIFIED = frozenset([
+    (-3, 1), (-2, 1), (-1, 1), (-1, 2), (0, 1), (1, 0), (1, 1), (1, 2),
+    (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 2), (5, 3),
+    (7, 3), (7, 4)])
+
+
+def test_filling_sweep_verdicts(tri_b):
+    cusped = certify_hyperbolic(tri_b).volume_enclosure
+    slopes = [(m, l) for m in range(-10, 11) for l in range(11)
+              if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
+    assert len(slopes) == 128
+    for m, l in slopes:
+        cusps = list(tri_b.cusps)
+        cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
+                                       filling_l=float(l))
+        tri = dataclasses.replace(tri_b, cusps=tuple(cusps))
+        if (m, l) in SEED_UNCERTIFIED:
+            with pytest.raises(CertifyError) as err:
+                certify_hyperbolic(tri)
+            assert err.value.stage == "newton", (m, l)
+            continue
+        cert = certify_hyperbolic(tri, radii=(1e-10,))
+        shapes = newton_solve(build_equations(tri),
+                              [t.shape_hint for t in tri.tets]).shapes
+        assert cert.volume_enclosure.contains(point_volume(shapes)), (m, l)
+        assert cert.volume_enclosure.hi < cusped.lo, (m, l)
