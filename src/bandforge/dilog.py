@@ -1,4 +1,4 @@
-"""Bloch-Wigner dilogarithm and hyperbolic volume, in floats and intervals.
+"""Bloch-Wigner dilogarithm and hyperbolic volume: a float path and a ball kernel.
 
 D(z) = Im(Li2(z)) + arg(1 - z) * log|z| is the volume of the ideal
 tetrahedron with shape z (positive on the upper half-plane, zero on the
@@ -10,25 +10,32 @@ w = -log(1 - z):
 
     Li2(z) = sum_{k >= 0} B_k / (k+1)! * w^(k+1),   |w| < 2*pi,
 
-which converges geometrically with ratio |w| / (2*pi).  The float D
-(`bloch_wigner`) and the interval D of certified volumes
-(`bloch_wigner_interval`) share one range reduction (the identities
-D(z) = -D(1/z) = -D(1-z), chosen at the point or box midpoint and applied
-to boxes with outward-rounded `recip()` / `one_minus()`), one truncation
-rule (the term count from a bound on |w|, whose rigorous tail bound the
-interval path adds as +-tail) and one exact table of the rationals
-B_k/(k+1)!.  The table and its float and interval roundings are built on
-first use, never at import.
+which converges geometrically with ratio |w| / (2*pi).  The certified
+volume (`interval_volume`, `bloch_wigner_interval`) is one vectorized
+numpy kernel, `_ball_bloch_wigner`: D at every disc centre in ball
+arithmetic (rounding rules in `_ball`), plus a mean-value term over the
+disc.  The float D (`bloch_wigner`, `volume`) is the independent
+cross-check that `certify_hyperbolic` runs against that enclosure.  Both
+share one range reduction (the identities D(z) = -D(1/z) = -D(1-z),
+chosen at the point or disc centre by `_moves`), one truncation rule (the
+term count from a bound on |w|, with a rigorous tail bound) and one
+exact table of the rationals B_k/(k+1)!, rounded to floats on first use,
+never at import.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction as _Q
 
-from .intervals import ComplexInterval, EnclosureDomainError, RealInterval, _dn, _up
+import numpy as np
+
+from ._ball import _TINY, _discs, _dn, _gamma, _log_rad, _mag, _recip, _up
+from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
+from .intervals import _dn as _dn_float, _up as _up_float
 
 __all__ = ["bloch_wigner", "volume", "li2_series_coefficients",
            "bloch_wigner_interval", "interval_volume"]
@@ -59,9 +66,9 @@ def li2_series_coefficients() -> tuple:
 
 
 @functools.cache
-def _coefficient_table(kind) -> tuple:
-    """The exact table as floats, or as RealIntervals rounded outward."""
-    return tuple(kind(c) for c in li2_series_coefficients())
+def _coefficient_table() -> tuple:
+    """The exact table rounded to floats."""
+    return tuple(float(c) for c in li2_series_coefficients())
 
 
 def _series_terms(rho: float):
@@ -75,16 +82,17 @@ def _series_terms(rho: float):
     if not rho < _W_MAX:
         raise EnclosureDomainError(
             f"|log(1-z)| bound {rho:.3f} outside the series domain")
-    t = _up(rho / _TWO_PI_DN)
-    t2 = _up(t * t)
-    terms, tail = 2, _up(_up(4.0 * _up(rho * t2)) / _dn(1.0 - t2))
+    t = _up_float(rho / _TWO_PI_DN)
+    t2 = _up_float(t * t)
+    tail = _up_float(_up_float(4.0 * _up_float(rho * t2)) / _dn_float(1.0 - t2))
+    terms = 2
     while tail > _TAIL_TOL and terms < _SERIES_LEN:
-        terms, tail = terms + 2, _up(tail * t2)
+        terms, tail = terms + 2, _up_float(tail * t2)
     return terms, tail
 
 
 def _li2_series(w, coeffs, terms):
-    """sum_{k < terms} coeffs[k] w^(k+1), for complex or ComplexInterval w."""
+    """sum_{k < terms} coeffs[k] w^(k+1), for complex w."""
     w2 = w * w
     acc, wp = w + coeffs[1] * w2, w
     for k in range(2, terms, 2):
@@ -120,7 +128,7 @@ def bloch_wigner(z: complex) -> float:
     for move in moves:
         z = 1 / z if move == "recip" else 1 - z
     w = -cmath.log(1 - z)
-    li2 = _li2_series(w, _coefficient_table(float), _series_terms(abs(w))[0])
+    li2 = _li2_series(w, _coefficient_table(), _series_terms(abs(w))[0])
     d = li2.imag + cmath.phase(1 - z) * math.log(abs(z))
     return -d if len(moves) % 2 else d
 
@@ -130,20 +138,94 @@ def volume(shapes) -> float:
     return float(sum(bloch_wigner(z) for z in shapes))
 
 
-def bloch_wigner_interval(z: ComplexInterval) -> RealInterval:
-    """Enclosure of D over a rectangle away from 0, 1 and the cut (1, inf)."""
-    moves = _moves(z.mid, EnclosureDomainError)
-    for move in moves:
-        z = z.recip() if move == "recip" else z.one_minus()
-    log_one_minus = z.one_minus().log()
-    w = -log_one_minus
-    terms, tail = _series_terms(w.mag)
-    li2 = _li2_series(w, _coefficient_table(RealInterval), terms)
-    d = (li2.im + RealInterval(-tail, tail)
-         + log_one_minus.im * z.abs_sqr().log().half())
-    return -d if len(moves) % 2 else d
+def _ball_bloch_wigner(c, rho):
+    """Centres and radii of balls holding D on the discs |z - c_j| <= rho_j.
+
+    The moves picked at each centre carry its disc to one around p with
+    |w| <= _W_SAFE, each flipping the sign of D (1 - z onto the disc
+    around fl(1 - c), 1/z into the disc of `_ball._recip`).  D(p) sums the
+    series by Horner in w^2.  D on the disc is within rho sup |grad D| of
+    D(p): dD = log|z| d arg(1 - z) - log|1 - z| d arg z gives
+    |grad D| <= |log|z|| / |1 - z| + |log|1 - z|| / |z|, and D is
+    real-analytic off 0 and 1, so no branch cut enters.  A disc that
+    reaches 0 or 1 raises EnclosureDomainError.  Runs under
+    np.errstate(over=, invalid=, divide="raise").
+    """
+    plans = [_moves(z, EnclosureDomainError) for z in c.tolist()]
+    sign = np.ones(len(c))
+    for step in itertools.count():
+        v, rv, lo, gap = _discs(c, rho)
+        bad = np.flatnonzero(~(gap.min(axis=0) > _TINY))
+        if bad.size:
+            raise EnclosureDomainError(f"the disc of radius {rho[bad[0]]:.3g} "
+                                       f"around {c[bad[0]]} reaches 0 or 1")
+        move = np.array([p[step] if step < len(p) else "" for p in plans])
+        if (move == "").all():
+            break
+        recip, recip_rad = _recip(v[0], rv[0], lo[0], gap[0])
+        c = np.where(move == "recip", recip, np.where(move == "", c, v[1]))
+        rho = np.where(move == "recip", recip_rad,
+                       np.where(move == "", rho, rv[1]))
+        sign = np.where(move == "", sign, -sign)
+
+    # D(p) = Im F(w) + arg(1 - p) log|p| with L = (log p, log fl(1 - p)),
+    # w = -L[1] and F(w) = w E(w^2) - w^2 / 4 the Li2 series, E(x) =
+    # sum_j a_2j x^j, summed beside G(X) = sum_j |a_2j| X^j and G'(X)
+    L = np.log(v)
+    L_rad = _log_rad(L)
+    w = -L[1]
+    W = _up(_mag(w) + L_rad[1])              # |w| and |fl(w)| are <= W
+    terms, tail = _series_terms(float(np.max(W, initial=0.0)))
+    a = _coefficient_table()
+    x, X = w * w, W * W
+    E, G, dG = a[terms - 2] + 0 * x, abs(a[terms - 2]), 0.0
+    for k in range(terms - 4, -1, -2):
+        E, G, dG = a[k] + x * E, abs(a[k]) + X * G, G + X * dG
+    ab = L[1].imag * L[0].real
+    centre = (w * E - 0.25 * x).imag + ab
+
+    # |log t| <= max(-log gap, log hi) for gap <= t <= hi, up to the allowance
+    logs = np.log(np.stack([gap, _up(_mag(v) + rv)]))
+    sup_log = np.maximum(-logs[0], logs[1]) + _log_rad(logs).max(axis=0)
+    grad = sup_log[0] / gap[1] + sup_log[1] / gap[0]
+    # The radius sums non-negative bounds: evaluated in round-to-nearest it
+    # is within 1 + gamma_m of its value, m <= 6 N + 40 roundings on a chain
+    # of N Horner steps, and _TINY covers underflows (|w| < 6 keeps the sums
+    # below 2^400).  Term j of fl(F) carries gamma_(7j+6) (x, each Horner
+    # step, the product by w, the subtraction, the table's rounding): in
+    # all u (7 W X G'(X) + 6 F+(W)), F+(W) = W G(X) + X / 4.  The error of
+    # w moves F by at most |w - fl(w)| (G(X) + 2 X G'(X) + W / 2).
+    rad = (_gamma(1) * (7 * W * X * dG + 6 * (W * G + 0.25 * X)) + tail
+           + L_rad[1] * (G + 2 * X * dG + 0.5 * W)
+           + np.abs(L[1].imag) * L_rad[0]
+           + L_rad[1] * (np.abs(L[0].real) + L_rad[0])
+           + _gamma(1) * (np.abs(ab) + np.abs(centre)) + rv[0] * grad + _TINY)
+    return sign * centre, _up(rad * (1.0 + 2.0 * _gamma(6 * (terms // 2) + 40)))
 
 
 def interval_volume(enclosures) -> RealInterval:
-    """Enclosure of the volume: the interval sum of D over shape boxes."""
-    return sum((bloch_wigner_interval(e) for e in enclosures), RealInterval(0.0))
+    """Enclosure of the volume: the sum of D over shape boxes.
+
+    Each box reaches the kernel as a disc: its centre, and its
+    half-diagonal rounded up.
+    """
+    ends = np.array([(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures],
+                    float).reshape(-1, 4).T
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            mid = 0.5 * (ends[0::2] + ends[1::2])
+            half = _up(np.maximum(ends[1::2] - mid, mid - ends[0::2]))
+            centres, radii = _ball_bloch_wigner(mid[0] + 1j * mid[1],
+                                                _mag(half[0] + 1j * half[1]))
+    except FloatingPointError as exc:
+        raise EnclosureDomainError(f"ball arithmetic overflowed: {exc}") from None
+    total, n = np.sum(centres), len(centres)
+    # a sum in any order is within gamma_n sum |c| of the exact one
+    err = _up((np.sum(radii) + _gamma(n) * np.sum(np.abs(centres)))
+              * (1.0 + 2.0 * _gamma(n + 2)))
+    return RealInterval(float(_dn(total - err)), float(_up(total + err)))
+
+
+def bloch_wigner_interval(z: ComplexInterval) -> RealInterval:
+    """Enclosure of D over a rectangle away from 0 and 1."""
+    return interval_volume([z])

@@ -1,6 +1,6 @@
-"""Rectangular interval arithmetic with outward rounding, for the certified
-volume (`dilog.interval_volume`), the certificate's boxes and, in the tests,
-an independent oracle; the Krawczyk operator itself runs in ball arithmetic.
+"""Rectangular interval arithmetic with outward rounding, for the
+certificate's boxes and volume enclosure and, in the tests, an independent
+oracle; the Krawczyk operator and the volume run in ball arithmetic (`_ball`).
 
 Every endpoint operation is widened by one step of math.nextafter, so
 results enclose the exact real (resp. complex rectangular) image.

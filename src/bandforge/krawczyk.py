@@ -9,7 +9,7 @@ evaluated in midpoint-radius ("ball") arithmetic on numpy arrays, with
 the preconditioner Y a floating-point inverse of the midpoint Jacobian
 treated as an exact constant.  Rounding is bounded a priori, without
 touching the rounding mode (Rump, "Fast and parallel interval
-arithmetic", BIT 39, 1999): see `_operator`.  Strict inclusion,
+arithmetic", BIT 39, 1999): see `_ball` and `_operator`.  Strict inclusion,
 |Re(K_c - z)| + K_rad < radius and the same for Im for every shape,
 proves that the subsystem has exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
+                    _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
                      newton_solve, select_square_rows, system_matrices)
@@ -78,30 +80,6 @@ class Certificate:
         }
 
 
-_U = 2.0 ** -53           # unit roundoff of round-to-nearest doubles
-_ETA = 2.0 ** -1074       # smallest subnormal: twice the error of an underflow
-_TINY = 2.0 ** -500       # discs keep this far from 0 and 1, so |v|^2 stays normal
-
-
-def _up(x):
-    """Upper bound of a correctly rounded non-negative result: the next float."""
-    return np.nextafter(x, np.inf)
-
-
-def _dn(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _gamma(k):
-    """Upper bound on gamma_k = k u / (1 - k u), for k u < 0.009."""
-    return 1.01 * k * _U
-
-
-def _mag(x):
-    """Upper bound on |x|: np.abs (hypot for complex) is within one ulp."""
-    return _up(_up(np.abs(x)))
-
-
 def _matmul_up(P, Q):
     """Upper bound on P @ Q for non-negative P, Q, in any summation order.
 
@@ -135,13 +113,9 @@ def _operator(sys, z, radius):
     is itself computed with every operation stepped one float up.
     """
     n = len(z)
-    # v = (z, 1 - z); fl(1 - z) is within u |Re| of 1 - z, so the discs
-    # |v - c| <= rv around the computed c hold X and 1 - X
-    v = np.stack([z, 1 - z])
+    # the discs |x - v| <= rv around v = (z, fl(1 - z)) hold X and 1 - X
     rho = _up(radius * _up(math.sqrt(2.0)))
-    rv = np.stack([np.full(n, rho), _up(rho + _up(_U * np.abs(v[1].real)))])
-    lo = _dn(_dn(np.abs(v)))
-    gap = _dn(lo - rv)
+    v, rv, lo, gap = _discs(z, np.full(n, rho))
     # a disc across the real axis outside (0, 1) meets a branch cut of log
     cut = (np.abs(z.imag) <= rho) & ((z.real <= 0.0) | (z.real >= 1.0))
     bad = np.flatnonzero(~(gap.min(axis=0) > _TINY) | cut)
@@ -151,11 +125,9 @@ def _operator(sys, z, radius):
 
     rows = select_square_rows(sys, z)
     MA, MB, off = system_matrices(sys, rows)
-    # J(X) = A/x - B/(1 - x).  On a disc |1/x - 1/c| <= rv / (|c| (|c| - rv));
-    # 1/c = conj(c) / |c|^2 takes four roundings per part (gamma_5 |fl(1/c)|)
-    # and the centre J_c three more.
-    recip = v.conj() * (1.0 / (v.real * v.real + v.imag * v.imag))
-    rad = _up(_up(rv / _dn(lo * gap)) + _up(_gamma(8) * _mag(recip)))
+    # J(X) = A/x - B/(1 - x); the centre J_c rounds three more times
+    recip, rad = _recip(v, rv, lo, gap)
+    rad = _up(rad + _up(_gamma(3) * _mag(recip)))
     J_c = MA * recip[0] - MB * recip[1]
     J_rad = _up(_up(np.abs(MA) * rad[0]) + _up(np.abs(MB) * rad[1]))
     try:
@@ -166,11 +138,10 @@ def _operator(sys, z, radius):
     E_c = np.eye(n) - YJ_c                     # only the diagonal rounds
     E_rad = _up(YJ_rad + _up(_U * _mag(E_c)))
 
-    # f(y), y = z: [A | B | k - c] times (log z, log(1 - z), i pi).  The
-    # complex log is allowed 4 ulps per part, the roundings of 1 - z and of
-    # pi another 8 u: 8 u (1 + |Re| + |Im|) bounds each entry's error.
+    # f(y), y = z: [A | B | k - c] times (log z, log(1 - z), i pi); the
+    # rounding of pi is within the log allowance too
     V = np.append(np.log(v).ravel(), 1j * np.pi)
-    V_rad = _up(8 * _U * _up(_up(1.0 + np.abs(V.real)) + np.abs(V.imag)))
+    V_rad = _log_rad(V)
     C = np.hstack([MA, MB, off[:, None]])
     # rows summed left to right (cumsum): each non-zero product and the
     # partial sum it enters round once, by at most u |Re| + u |Im| <= 2 u |.|
@@ -270,12 +241,12 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
         result = newton_solve(sys, hints, tol=tol)
     except (SolveError, ValueError) as exc:
         raise CertifyError("newton", str(exc)) from None
-    last = None
+    outcomes = []
     for radius in radii:
         try:
             cert = krawczyk_test(sys, result.shapes, radius)
         except KrawczykError as exc:
-            last = exc
+            outcomes.append(f"{radius}: {exc}")
             continue
         if cert.valid:
             vol = point_volume(result.shapes)
@@ -284,8 +255,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
                     "volume", f"enclosure {cert.volume_enclosure} misses "
                     f"the floating-point volume {vol!r}")
             return cert
-        last = cert
-    raise CertifyError(
-        "krawczyk",
-        f"no radius in {tuple(radii)} produced a valid certificate "
-        f"(last outcome: {last})")
+        outcomes.append(f"{radius}: not contracted" if not cert.contracted
+                        else f"{radius}: Im not positive")
+    raise CertifyError("krawczyk", "no radius produced a valid certificate ("
+                       + "; ".join(outcomes) + ")")

@@ -21,14 +21,15 @@ round-trip identity).
 
 Only orientable manifolds with torus cusps are accepted; a filling of
 (0, 0) means the cusp is complete, anything else must be an integral
-coprime pair.
+coprime pair.  A shape hint of 0, 1 or a non-finite value is degenerate
+and rejected; negatively oriented hints are legal.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isfinite
 
 __all__ = [
     "TriParseError", "CuspInfo", "Tetrahedron", "Triangulation",
@@ -194,8 +195,11 @@ def parse_triangulation(text: str) -> Triangulation:
             for r in range(4))
         sre = rd.next_float(f"tet {t} shape re")
         sim = rd.next_float(f"tet {t} shape im")
-        tets.append(Tetrahedron(tuple(nbr), tuple(glu), vc, rows,
-                                complex(sre, sim)))
+        hint = complex(sre, sim)
+        if hint in (0, 1) or not (isfinite(sre) and isfinite(sim)):
+            raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
+                                "(0, 1 or not finite)", rd.tokens[rd.pos - 1][1])
+        tets.append(Tetrahedron(tuple(nbr), tuple(glu), vc, rows, hint))
     if rd.pos != len(rd.tokens):
         raise TriParseError(
             f"trailing tokens after tetrahedron {tet_count - 1} "

@@ -352,3 +352,18 @@ def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     got, out, err = run(capsys, argv)
     assert got == code
     assert out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["parse", "volume", "solve", "certify"])
+@pytest.mark.parametrize("hint", ["0 0", "1 0", "nan 1"])
+def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
+    tri = load_fixture("A")
+    tets = list(tri.tets)
+    tets[0] = dataclasses.replace(
+        tets[0], shape_hint=complex(*map(float, hint.split())))
+    path = tmp_path / "hint.tri"
+    path.write_text(serialize_triangulation(
+        dataclasses.replace(tri, tets=tuple(tets))))
+    code, out, err = run(capsys, ["tri", command, str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error: line ") and "degenerate" in err

@@ -1,5 +1,6 @@
 """Certified enclosures: operator contraction and interval volume."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -291,23 +292,110 @@ SEED_UNCERTIFIED = frozenset([
     (7, 3), (7, 4)])
 
 
-def test_filling_sweep_verdicts(tri_b):
-    cusped = certify_hyperbolic(tri_b).volume_enclosure
+def _filled(tri, m, l):
+    """`tri` with its complete cusp 6 filled along the slope (m, l)."""
+    cusps = list(tri.cusps)
+    cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
+                                   filling_l=float(l))
+    return dataclasses.replace(tri, cusps=tuple(cusps))
+
+
+@pytest.fixture(scope="module")
+def sweep(tri_b):
+    """Slope -> (filled B, its r = 1e-10 certificate or CertifyError)."""
     slopes = [(m, l) for m in range(-10, 11) for l in range(11)
               if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
-    assert len(slopes) == 128
+    out = {}
     for m, l in slopes:
-        cusps = list(tri_b.cusps)
-        cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
-                                       filling_l=float(l))
-        tri = dataclasses.replace(tri_b, cusps=tuple(cusps))
+        tri = _filled(tri_b, m, l)
+        try:
+            out[m, l] = tri, certify_hyperbolic(tri, radii=(1e-10,))
+        except CertifyError as exc:
+            out[m, l] = tri, exc
+    return out
+
+
+def test_filling_sweep_verdicts(tri_b, sweep):
+    cusped = certify_hyperbolic(tri_b).volume_enclosure
+    assert len(sweep) == 128
+    for (m, l), (tri, cert) in sweep.items():
         if (m, l) in SEED_UNCERTIFIED:
-            with pytest.raises(CertifyError) as err:
-                certify_hyperbolic(tri)
-            assert err.value.stage == "newton", (m, l)
+            assert isinstance(cert, CertifyError), (m, l)
+            assert cert.stage == "newton", (m, l)
             continue
-        cert = certify_hyperbolic(tri, radii=(1e-10,))
+        assert isinstance(cert, Certificate), (m, l, cert)
         shapes = newton_solve(build_equations(tri),
                               [t.shape_hint for t in tri.tets]).shapes
         assert cert.volume_enclosure.contains(point_volume(shapes)), (m, l)
         assert cert.volume_enclosure.hi < cusped.lo, (m, l)
+
+
+# ------------------------------------------------ ball volume vs mpmath
+
+
+def _bw_mp(mpmath, z):
+    """D(z) at mpmath's working precision."""
+    z = mpmath.mpc(z)
+    return (mpmath.im(mpmath.polylog(2, z))
+            + mpmath.arg(1 - z) * mpmath.log(abs(z)))
+
+
+def test_volume_enclosures_narrower_than_3e_11(tri_a, tri_b, sweep):
+    certs = [certify_hyperbolic(tri, radii=(1e-10,)) for tri in (tri_a, tri_b)]
+    certs += [c for _, c in sweep.values() if isinstance(c, Certificate)]
+    assert len(certs) == 2 + 109
+    assert max(c.volume_enclosure.width for c in certs) < 3e-11
+
+
+@pytest.mark.parametrize("case", ["A", "B", (-10, 1), (6, 1), (7, 2)],
+                         ids=["A", "B", "-10/1", "6/1", "7/2"])
+def test_volume_enclosure_holds_mpmath_sums(case, tri_a, tri_b, sweep):
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(case, tuple):
+        cert = sweep[case][1]
+    else:
+        cert = certify_hyperbolic(tri_a if case == "A" else tri_b)
+    boxes = cert.enclosures
+    rng = random.Random(f"volume:{case}")
+    points = [[complex(getattr(b.re, a), getattr(b.im, c)) for b in boxes]
+              for a in ("lo", "hi") for c in ("lo", "hi")]
+    points += [[complex(rng.uniform(b.re.lo, b.re.hi),
+                        rng.uniform(b.im.lo, b.im.hi)) for b in boxes]
+               for _ in range(4)]
+    vol = cert.volume_enclosure
+    with mpmath.workdps(50):
+        for zs in points:
+            total = mpmath.fsum(_bw_mp(mpmath, z) for z in zs)
+            assert vol.lo <= total <= vol.hi, case
+
+
+def test_point_enclosures_hold_mpmath_values():
+    # rho = 0: the radius is the rounding of D at the centre alone, plus
+    # the rounding of the moves that carry far points into the series domain
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(43)
+    points = []
+    for _ in range(80):
+        r, t = 10 ** rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi)
+        points += [complex(rng.uniform(-3, 4), rng.uniform(-3, 3)),
+                   cmath.rect(r, t),
+                   1 + cmath.rect(10 ** rng.uniform(-6, 0), t)]
+    with mpmath.workdps(50):
+        for z in points:
+            enc = bloch_wigner_interval(ComplexInterval.point(z))
+            assert enc.lo <= _bw_mp(mpmath, z) <= enc.hi, z
+            assert enc.width < 1e-12, z
+
+
+# --------------------------------------------------- staged failures
+
+
+def test_krawczyk_failure_names_each_rung(tri_a):
+    radii = (0.05, 0.1, 0.5)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(tri_a, radii=radii)
+    message = str(err.value)
+    assert err.value.stage == "krawczyk"
+    assert all(f"{r}: " in message for r in radii)
+    assert "not contracted" in message and "reaches 0, 1" in message
+    assert len(message) < 400
