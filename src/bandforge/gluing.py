@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tri import Triangulation, _permutation_sign
+from .tri import _SIGN, Triangulation
 
 __all__ = [
     "EdgeClass", "GluingRow", "GluingSystem", "NewtonResult",
@@ -57,30 +57,14 @@ PAIR_TYPE = {
 _EDGE_PAIRS = tuple(PAIR_TYPE)
 
 
-def _positive_turns():
-    """Ordered face pairs (a, b) around each vertex v with positive turning.
-
-    A peripheral strand entering a cusp triangle through the side in face
-    a and leaving through the side in face b wraps the corner at the edge
-    {v, w}, w = 6-v-a-b.  For a positively oriented tetrahedron the turn
-    is counterclockwise exactly when the permutation (v, w, a, b) is odd.
-    """
-    table = {}
-    for v in range(4):
-        pairs = []
-        for a in range(4):
-            for b in range(4):
-                if len({v, a, b}) == 3:
-                    w = 6 - v - a - b
-                    if _permutation_sign((v, w, a, b)) == -1:
-                        pairs.append((a, b, w))
-        if len(pairs) != 3:
-            raise RuntimeError(f"vertex {v}: {len(pairs)} positive turns, not 3")
-        table[v] = tuple(pairs)
-    return table
-
-
-POS_TURNS = _positive_turns()
+# Ordered face pairs (a, b) around each vertex v with positive turning.  A
+# peripheral strand entering a cusp triangle through the side in face a and
+# leaving through the side in face b wraps the corner at the edge {v, w},
+# w = 6 - v - a - b.  For a positively oriented tetrahedron the turn is
+# counterclockwise exactly when the permutation (v, w, a, b) is odd.
+POS_TURNS = {v: tuple((a, b, 6 - v - a - b) for a in range(4) for b in range(4)
+                      if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
+             for v in range(4)}
 
 # Global sign of all peripheral holonomy rows.  The opposite choice sends
 # every filled-cusp row to -2*pi*i and fails the fixture residual oracle.
@@ -282,21 +266,31 @@ def system_matrices(sys: GluingSystem, row_indices=None):
 def augmented_rank(sys: GluingSystem) -> int:
     """Exact rank of the integer matrix [A | B | k - c] over all rows.
 
-    Fraction-free (Bareiss) elimination in Python ints: every entry stays
-    a minor of the original matrix, so each division is exact.
+    Fraction-free (Bareiss) elimination, so each division is exact: one
+    numpy int64 update of the trailing block per pivot.  A block with an
+    entry of modulus 2^30 or more first becomes Python ints (dtype object),
+    so no product overflows; a matrix beyond int64 starts as object.
     """
-    m = [list(r.A) + list(r.B) + [r.k - r.c] for r in sys.rows]
+    m = [(*r.A, *r.B, r.k - r.c) for r in sys.rows]
+    try:
+        m = np.array(m, dtype=np.int64)
+    except OverflowError:
+        m = np.array(m, dtype=object)
+    m = m.reshape(len(sys.rows), 2 * sys.tet_count + 1)
     rank, prev = 0, 1
-    for col in range(2 * sys.tet_count + 1):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
+    for col in range(m.shape[1]):
+        block = m[rank:, col:]
+        if m.dtype != object and block.size and (
+                block.max() >= 2 ** 30 or block.min() <= -2 ** 30):
+            m = m.astype(object)
+        nz = np.flatnonzero(m[rank:, col])
+        if not nz.size:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col]
-            m[i] = [(p[col] * x - f * y) // prev for x, y in zip(m[i], p)]
-        prev, rank = p[col], rank + 1
+        m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
+        p = int(m[rank, col])
+        m[rank + 1:, col:] = (p * m[rank + 1:, col:]
+                              - m[rank + 1:, col, None] * m[rank, col:]) // prev
+        prev, rank = p, rank + 1
     return rank
 
 
@@ -352,9 +346,13 @@ def select_square_rows(sys: GluingSystem, shapes) -> list:
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """Newton's solution; `krawczyk_test` certifies its `rows`, the square
+    subsystem `select_square_rows` picked at the initial shapes."""
+
     shapes: tuple          # solved shape parameters, one per tetrahedron
     iterations: int
     residual_max: float
+    rows: tuple            # indices into sys.rows of the solved subsystem
 
 
 def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
@@ -392,7 +390,7 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
                     f"square subsystem converged (residual {res:.3e}) but the "
                     f"full system does not ({full_max:.3e}); inconsistent rows")
             return NewtonResult(tuple(complex(v) for v in z),
-                                iterations, full_max)
+                                iterations, full_max, tuple(rows))
         if iterations >= max_iter:
             break
         jac = log_jacobian(MA, MB, z)

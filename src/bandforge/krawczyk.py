@@ -103,14 +103,15 @@ def _ball_matmul(A, Bc, Brad):
     return A @ Bc, _up(rad + 2 * m * _ETA)
 
 
-def _operator(sys, z, radius):
+def _operator(sys, z, radius, rows=None):
     """Rows, preconditioner Y, and the balls of E and K on X = z +- radius.
 
-    Returns (rows, Y, (E_c, E_rad), (K_c, K_rad)): E_c +- E_rad holds
-    I - Y J(x) for every x in X, and K_c +- K_rad holds
-    y - Y f(y) + (I - Y J(X))(X - y), entry by entry.  Each radius bounds
-    the enclosure plus every rounding made in computing its centre, and
-    is itself computed with every operation stepped one float up.
+    The rows are selected at z unless given.  Returns (rows, Y, (E_c, E_rad),
+    (K_c, K_rad)): E_c +- E_rad holds I - Y J(x) for every x in X, and
+    K_c +- K_rad holds y - Y f(y) + (I - Y J(X))(X - y), entry by entry.
+    Each radius bounds the enclosure plus every rounding made in computing
+    its centre, and is itself computed with every operation stepped one
+    float up.
     """
     n = len(z)
     # the discs |x - v| <= rv around v = (z, fl(1 - z)) hold X and 1 - X
@@ -123,7 +124,8 @@ def _operator(sys, z, radius):
         raise KrawczykError(f"the disc of radius {radius} around shape "
                             f"{bad[0]} = {z[bad[0]]} reaches 0, 1 or a cut")
 
-    rows = select_square_rows(sys, z)
+    if rows is None:
+        rows = select_square_rows(sys, z)
     MA, MB, off = system_matrices(sys, rows)
     # J(X) = A/x - B/(1 - x); the centre J_c rounds three more times
     recip, rad = _recip(v, rv, lo, gap)
@@ -169,15 +171,18 @@ def _boxes(c, rad):
             for a, b, c, d in zip(*ends)]
 
 
-def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
+def krawczyk_test(sys: GluingSystem, approx, radius: float,
+                  rows=None) -> Certificate:
     """Containment test on the box approx +- radius.
 
     The caller should provide approx with residual well below the box
     scale (the Newton output); a poor approx simply comes back with
-    contracted = False.  Raises KrawczykError when the box itself is
-    unusable: a shape is not finite, the rows [A | B | k - c] do not have
-    rank n, the midpoint Jacobian is not invertible, or the disc around a
-    shape reaches 0, 1 or a branch cut of log.
+    contracted = False.  `rows`, the n rows to test (`NewtonResult.rows`),
+    are selected at approx when not given; any n rows are sound, as
+    contraction proves them independent.  Raises KrawczykError when the
+    box itself is unusable: a shape is not finite, the rows [A | B | k - c]
+    do not have rank n, the midpoint Jacobian is not invertible, or the
+    disc around a shape reaches 0, 1 or a branch cut of log.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -185,6 +190,10 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     n = sys.tet_count
     if len(z) != n:
         raise ValueError(f"expected {n} shapes, got {len(z)}")
+    if rows is not None and not len(rows) == n == len(
+            set(rows) & set(range(len(sys.rows)))):
+        raise ValueError(f"rows must be {n} distinct indices into the "
+                         f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
     rank = augmented_rank(sys)
@@ -194,7 +203,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, _, _, (K_c, K_rad) = _operator(sys, z, radius)
+            _, _, _, (K_c, K_rad) = _operator(sys, z, radius, rows)
             # strictly inside the exact box z +- radius, part by part
             reach = [_up(_up(np.abs(part(K_c) - part(z))) + K_rad)
                      for part in (np.real, np.imag)]
@@ -226,8 +235,9 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
                        tol: float = 1e-12) -> Certificate:
     """Full pipeline: validate, build, Newton from the file hints, certify.
 
-    Tries the radii in order and returns the first valid certificate;
-    every stage failure is wrapped in CertifyError with a stage tag.
+    Krawczyk tests the rows Newton selected.  Tries the radii in order and
+    returns the first valid certificate; every stage failure is wrapped in
+    CertifyError with a stage tag.
     """
     problems = validate_triangulation(tri)
     if problems:
@@ -244,7 +254,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     outcomes = []
     for radius in radii:
         try:
-            cert = krawczyk_test(sys, result.shapes, radius)
+            cert = krawczyk_test(sys, result.shapes, radius, result.rows)
         except KrawczykError as exc:
             outcomes.append(f"{radius}: {exc}")
             continue

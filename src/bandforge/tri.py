@@ -87,46 +87,49 @@ class Triangulation:
 
 class _TokenReader:
     def __init__(self, text):
-        self.tokens = []
+        self.tokens, self.lines = [], []
         for lineno, line in enumerate(text.splitlines(), start=1):
-            for tok in line.split():
-                self.tokens.append((tok, lineno))
+            toks = line.split()
+            self.tokens += toks
+            self.lines += [lineno] * len(toks)
         self.pos = 0
 
     @property
-    def line(self):
-        idx = min(self.pos, len(self.tokens) - 1)
-        return self.tokens[idx][1] if self.tokens else None
+    def last_line(self):
+        return self.lines[self.pos - 1]
 
     def next(self, what):
         if self.pos >= len(self.tokens):
-            last = self.tokens[-1][1] if self.tokens else None
+            last = self.lines[-1] if self.lines else None
             raise TriParseError(f"unexpected end of input while reading {what}", last)
-        tok, _ = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def next_number(self, what, kind):
+        tok = self.next(what)
+        try:
+            return kind(tok)
+        except ValueError:
+            name = "integer" if kind is int else "real"
+            raise TriParseError(f"expected {name} for {what}, got {tok!r}",
+                                self.last_line) from None
 
     def next_int(self, what):
-        tok = self.next(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise TriParseError(f"expected integer for {what}, got {tok!r}",
-                                self.tokens[self.pos - 1][1]) from None
+        return self.next_number(what, int)
 
     def next_float(self, what):
-        tok = self.next(what)
+        return self.next_number(what, float)
+
+    def next_ints(self, count, what):
+        """The next count integers, converted in one pass."""
         try:
-            return float(tok)
+            vals = tuple(map(int, self.tokens[self.pos:self.pos + count]))
         except ValueError:
-            raise TriParseError(f"expected real for {what}, got {tok!r}",
-                                self.tokens[self.pos - 1][1]) from None
-
-
-def _parse_permutation(tok, line):
-    if len(tok) != 4 or sorted(tok) != ["0", "1", "2", "3"]:
-        raise TriParseError(f"malformed gluing permutation {tok!r}", line)
-    return tuple(int(ch) for ch in tok)
+            vals = ()
+        if len(vals) < count:  # token by token, to raise the first error
+            return tuple(self.next_int(what) for _ in range(count))
+        self.pos += count
+        return vals
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -141,20 +144,20 @@ def parse_triangulation(text: str) -> Triangulation:
     if orientability != "oriented_manifold":
         raise TriParseError(
             f"unsupported orientability {orientability!r} "
-            "(only oriented_manifold is accepted)", rd.line)
+            "(only oriented_manifold is accepted)", rd.last_line)
     cs_flag = rd.next("CS flag")
     if cs_flag not in ("CS_known", "CS_unknown"):
-        raise TriParseError(f"unrecognized CS flag {cs_flag!r}", rd.line)
+        raise TriParseError(f"unrecognized CS flag {cs_flag!r}", rd.last_line)
     cs_value = rd.next_float("CS value") if cs_flag == "CS_known" else None
     cusp_count = rd.next_int("cusp count")
-    fake_cusp_count = rd.next_int("second cusp count")
     if cusp_count < 1:
-        raise TriParseError("cusp count must be positive", rd.line)
+        raise TriParseError("cusp count must be positive", rd.last_line)
+    fake_cusp_count = rd.next_int("second cusp count")
 
     cusps = []
     for c in range(cusp_count):
         topo = rd.next(f"cusp {c} topology")
-        topo_line = rd.tokens[rd.pos - 1][1]
+        topo_line = rd.last_line
         if topo == "Klein":
             raise TriParseError(f"cusp {c}: Klein bottle cusps are not supported",
                                 topo_line)
@@ -174,7 +177,7 @@ def parse_triangulation(text: str) -> Triangulation:
 
     tet_count = rd.next_int("tetrahedron count")
     if tet_count < 1:
-        raise TriParseError("tetrahedron count must be positive", rd.line)
+        raise TriParseError("tetrahedron count must be positive", rd.last_line)
     tets = []
     for t in range(tet_count):
         nbr = []
@@ -183,27 +186,29 @@ def parse_triangulation(text: str) -> Triangulation:
             if not 0 <= v < tet_count:
                 raise TriParseError(
                     f"tet {t} face {f}: neighbor index {v} out of range "
-                    f"[0, {tet_count})", rd.tokens[rd.pos - 1][1])
+                    f"[0, {tet_count})", rd.last_line)
             nbr.append(v)
         glu = []
         for f in range(4):
             tok = rd.next(f"tet {t} gluing {f}")
-            glu.append(_parse_permutation(tok, rd.tokens[rd.pos - 1][1]))
+            if tok not in _PERMUTATION:
+                raise TriParseError(f"malformed gluing permutation {tok!r}",
+                                    rd.last_line)
+            glu.append(_PERMUTATION[tok])
         vc = tuple(rd.next_int(f"tet {t} vertex {v} cusp") for v in range(4))
-        rows = tuple(
-            tuple(rd.next_int(f"tet {t} peripheral row {r}") for _ in range(16))
-            for r in range(4))
+        rows = tuple(rd.next_ints(16, f"tet {t} peripheral row {r}")
+                     for r in range(4))
         sre = rd.next_float(f"tet {t} shape re")
         sim = rd.next_float(f"tet {t} shape im")
         hint = complex(sre, sim)
         if hint in (0, 1) or not (isfinite(sre) and isfinite(sim)):
             raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
-                                "(0, 1 or not finite)", rd.tokens[rd.pos - 1][1])
+                                "(0, 1 or not finite)", rd.last_line)
         tets.append(Tetrahedron(tuple(nbr), tuple(glu), vc, rows, hint))
     if rd.pos != len(rd.tokens):
         raise TriParseError(
             f"trailing tokens after tetrahedron {tet_count - 1} "
-            f"({len(rd.tokens) - rd.pos} extra)", rd.tokens[rd.pos][1])
+            f"({len(rd.tokens) - rd.pos} extra)", rd.lines[rd.pos])
 
     tri = Triangulation(name, solution_type, volume_hint, orientability,
                         cs_flag, cs_value, cusp_count, fake_cusp_count,
@@ -231,17 +236,18 @@ def validate(tri: Triangulation) -> list:
             if not 0 <= t2 < n:
                 out.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
-            sigma = tet.gluings[f]
-            if sorted(sigma) != [0, 1, 2, 3]:
+            sigma = tuple(tet.gluings[f])
+            sign = _SIGN.get(sigma)
+            if sign is None:
                 out.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
                 continue
             # coherent orientation forces orientation-reversing face maps
-            if _permutation_sign(sigma) != -1:
+            if sign != -1:
                 out.append(f"tet {t} face {f}: gluing {sigma} is an even "
                            "permutation (orientation not coherent)")
             back = tri.tets[t2]
             f2 = sigma[f]
-            if back.neighbors[f2] != t or _compose(back.gluings[f2], sigma) != (0, 1, 2, 3):
+            if back.neighbors[f2] != t or tuple(back.gluings[f2]) != _INVERSE[sigma]:
                 out.append(f"tet {t} face {f}: face pairing with tet {t2} "
                            f"face {f2} is not involutive")
         for v in range(4):
@@ -261,16 +267,13 @@ def _compose(a, b):
     return tuple(a[b[i]] for i in range(4))
 
 
-def _permutation_sign(p):
-    inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-    return -1 if inv % 2 else 1
-
-
-def _invert(p):
-    inv = [0] * 4
-    for i in range(4):
-        inv[p[i]] = i
-    return tuple(inv)
+# every permutation of {0, 1, 2, 3}: its sign (-1 for an odd number of
+# inversions), its inverse, and the digit string that spells it in the file
+_SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+         for p in itertools.permutations(range(4))}
+_INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
+_PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
+_PERIPHERAL_ROW = "%3d" * 16
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
@@ -296,7 +299,7 @@ def serialize_triangulation(tri: Triangulation) -> str:
         lines.append(" " + " ".join("".join(str(d) for d in g) for g in tet.gluings))
         lines.append("".join(f"{c:4d} " for c in tet.vertex_cusp))
         for row in tet.peripheral:
-            lines.append("".join(f"{x:3d}" for x in row))
+            lines.append(_PERIPHERAL_ROW % tuple(row))
         lines.append(f"{tet.shape_hint.real:16.12f} {tet.shape_hint.imag:16.12f}")
     return "\n".join(lines) + "\n"
 
@@ -330,7 +333,7 @@ def _extends(a, b, t0, sigma0, n):
             tau = a.tets[t].gluings[f]
             bt2 = b.tets[bt].neighbors[sigma[f]]
             tau_b = b.tets[bt].gluings[sigma[f]]
-            sigma2 = _compose(_compose(tau_b, sigma), _invert(tau))
+            sigma2 = _compose(_compose(tau_b, sigma), _INVERSE[tau])
             if t2 in mapping:
                 if mapping[t2] != (bt2, sigma2):
                     return False

@@ -1,6 +1,7 @@
 """Edge classes, gluing rows, the residual oracle, and Newton solving."""
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -227,3 +228,61 @@ def test_augmented_rank_matches_rational_elimination(tri_a, tri_b):
     # the fixtures' dropped rows follow from the kept ones
     for tri in (tri_a, tri_b):
         assert augmented_rank(build_equations(tri)) == len(tri.tets)
+
+
+def _rank_system(rows, n):
+    return GluingSystem("random", n, tuple(
+        GluingRow("edge", tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], 0)
+        for r in rows))
+
+
+def _dependent_rows(rng, n, entry):
+    """A few random rows of width 2n + 1 and integer combinations of them."""
+    base = [[entry() for _ in range(2 * n + 1)] for _ in range(rng.randint(1, 2 * n))]
+    rows = list(base)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.choice(base), rng.choice(base)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_augmented_rank_beyond_int64_starts_as_object():
+    # entries of 2^63 and more do not fit int64; -2^63 fits, but its
+    # modulus does not, so it must not stay in int64 either: here
+    # (-2^63)(-2) would wrap to 0 and hide the second pivot
+    rows = [[-2 ** 63, 0, 0], [0, -2, 0]]
+    assert augmented_rank(_rank_system(rows, 1)) == _fraction_rank(rows) == 2
+    rng = random.Random(63)
+    for big in (2 ** 63, -2 ** 63, 2 ** 64 + 1, -3 ** 50, 2 ** 62 + 7):
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            rows = _dependent_rows(
+                rng, n, lambda: rng.choice((0, 1, -2, 3, big)))
+            assert augmented_rank(_rank_system(rows, n)) == _fraction_rank(rows), rows
+
+
+def test_augmented_rank_promotes_growing_minors():
+    # every entry is below 2^21, so the matrix starts as int64, but the
+    # Bareiss minors of order 2 reach 2^41 and those of order 3 pass 2^63
+    rng = random.Random(30)
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        rows = _dependent_rows(
+            rng, n, lambda: rng.randint(-2 ** 20, 2 ** 20))
+        assert max(abs(x) for r in rows for x in r) < 2 ** 30
+        assert augmented_rank(_rank_system(rows, n)) == _fraction_rank(rows), rows
+
+
+def test_augmented_rank_on_every_filling_of_b(tri_b):
+    slopes = [(m, l) for m in range(-10, 11) for l in range(11)
+              if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
+    assert len(slopes) == 128
+    for m, l in slopes:
+        cusps = list(tri_b.cusps)
+        cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
+                                       filling_l=float(l))
+        sys_ = build_equations(dataclasses.replace(tri_b, cusps=tuple(cusps)))
+        matrix = [r.A + r.B + (r.k - r.c,) for r in sys_.rows]
+        assert augmented_rank(sys_) == _fraction_rank(matrix) == 26, (m, l)

@@ -9,10 +9,11 @@ import random
 import numpy as np
 import pytest
 
-from bandforge import krawczyk
+from bandforge import gluing, krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
-from bandforge.gluing import build_equations, newton_solve, system_matrices
+from bandforge.gluing import (build_equations, newton_solve, select_square_rows,
+                              system_matrices)
 from bandforge.intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
@@ -120,6 +121,35 @@ def test_invalid_inputs(solved_a):
         krawczyk_test(sys_, result.shapes, -1e-9)
     with pytest.raises(ValueError):
         krawczyk_test(sys_, result.shapes[:-1], 1e-8)
+
+
+def test_carried_rows_are_checked(solved_a):
+    sys_, result = solved_a
+    rows = list(result.rows)
+    assert krawczyk_test(sys_, result.shapes, 1e-8, rows).valid
+    for bad in (rows[:-1],                        # short
+                rows[:-1] + rows[:1],             # duplicated
+                rows[:-1] + [len(sys_.rows)],     # past the last row
+                rows[:-1] + [-1]):                # negative
+        with pytest.raises(ValueError, match="distinct indices"):
+            krawczyk_test(sys_, result.shapes, 1e-8, bad)
+
+
+def test_certify_selects_rows_once(tri_a, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return select_square_rows(*args)
+
+    monkeypatch.setattr(gluing, "select_square_rows", counted)
+    monkeypatch.setattr(krawczyk, "select_square_rows", counted)
+    assert certify_hyperbolic(tri_a).valid
+    assert len(calls) == 1
+    monkeypatch.undo()
+    sys_ = build_equations(tri_a)
+    hints = [t.shape_hint for t in tri_a.tets]
+    assert newton_solve(sys_, hints).rows == tuple(select_square_rows(sys_, hints))
 
 
 def test_unusable_radius_raises_typed_error(solved_a):

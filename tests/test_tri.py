@@ -291,3 +291,51 @@ def test_not_isomorphic_same_size(tri_a):
             assert not combinatorial_isomorphic(tri_a, candidate)
             return
     pytest.skip("no rewiring with a distinct edge profile found")
+
+
+# ------------------------------------------------ diagnostic line numbers
+
+def _edit_line(text, lineno, new):
+    lines = text.splitlines()
+    lines[lineno - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+def _parse_error(text):
+    with pytest.raises(TriParseError) as info:
+        parse_triangulation(text)
+    return info.value
+
+
+@pytest.mark.parametrize("lineno, new, words", [
+    (3, "nonorientable_manifold", "orientability"),
+    (4, "CS_maybe", "CS flag"),
+    (6, "0 0", "cusp count"),
+    (9, "0", "tetrahedron count"),
+])
+def test_header_diagnostic_names_its_own_line(text_a, lineno, new, words):
+    err = _parse_error(_edit_line(text_a, lineno, new))
+    assert err.line == lineno, str(err)
+    assert str(err).startswith(f"line {lineno}: ") and words in str(err)
+
+
+# tet 2 of fixture A: its peripheral row 1 is line 10 + 9 * 2 + 3 + 1
+TET, ROW, ROW_LINE = 2, 1, 32
+
+
+@pytest.mark.parametrize("col", range(16))
+def test_corrupt_peripheral_entry_is_named(text_a, col):
+    tokens = text_a.splitlines()[ROW_LINE - 1].split()
+    assert len(tokens) == 16
+    tokens[col] = f"x{col}"
+    err = _parse_error(_edit_line(text_a, ROW_LINE, " ".join(tokens)))
+    assert str(err) == (f"line {ROW_LINE}: expected integer for tet {TET} "
+                        f"peripheral row {ROW}, got 'x{col}'")
+
+
+def test_file_cut_inside_peripheral_row(text_a):
+    lines = text_a.splitlines()
+    cut = lines[:ROW_LINE - 1] + [" ".join(lines[ROW_LINE - 1].split()[:7])]
+    err = _parse_error("\n".join(cut) + "\n")
+    assert str(err) == (f"line {ROW_LINE}: unexpected end of input while "
+                        f"reading tet {TET} peripheral row {ROW}")
