@@ -3,7 +3,7 @@
 The package splits into an exact layer (continued fractions, Schubert
 normal forms, signatures, lens-space bookkeeping) and a numerical layer
 (triangulation files, gluing equations, Newton solving, Krawczyk
-certification with interval arithmetic).  The command-line front end in
+certification with ball arithmetic).  The command-line front end in
 `bandforge.cli` exposes both.
 """
 

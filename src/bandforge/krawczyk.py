@@ -184,8 +184,8 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     do not have rank n, the midpoint Jacobian is not invertible, or the
     disc around a shape reaches 0, 1 or a branch cut of log.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:  # also rejects NaN
+        raise ValueError("radius must be positive and finite")
     z = np.array([complex(v) for v in approx])
     n = sys.tet_count
     if len(z) != n:

@@ -229,8 +229,22 @@ def validate(tri: Triangulation) -> list:
     if tri.fake_cusp_count != 0:
         out.append(f"second header count {tri.fake_cusp_count} is nonzero "
                    "(uninterpreted; only 0 is supported)")
+    # a tetrahedron of the wrong shape gets no other check, and no face
+    # pairing is checked against it
+    misshapen = set()
+    for t, tet in enumerate(tri.tets):
+        rows = tuple(map(len, tet.peripheral))
+        if (len(tet.neighbors), len(tet.gluings), len(tet.vertex_cusp),
+                rows) != (4, 4, 4, (16,) * 4):
+            out.append(f"tet {t}: {len(tet.neighbors)} neighbors, "
+                       f"{len(tet.gluings)} gluings, {len(tet.vertex_cusp)} "
+                       f"vertex cusps and peripheral rows of {rows} entries; "
+                       "expected 4, 4, 4 and 4 rows of 16")
+            misshapen.add(t)
     n = len(tri.tets)
     for t, tet in enumerate(tri.tets):
+        if t in misshapen:
+            continue
         for f in range(4):
             t2 = tet.neighbors[f]
             if not 0 <= t2 < n:
@@ -245,6 +259,8 @@ def validate(tri: Triangulation) -> list:
             if sign != -1:
                 out.append(f"tet {t} face {f}: gluing {sigma} is an even "
                            "permutation (orientation not coherent)")
+            if t2 in misshapen:
+                continue
             back = tri.tets[t2]
             f2 = sigma[f]
             if back.neighbors[f2] != t or tuple(back.gluings[f2]) != _INVERSE[sigma]:

@@ -343,6 +343,10 @@ def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
     (["tri", "certify", "--fixture", "A", "--radius", "-1"], None, 2,
      "radius must be positive"),
     (["tri", "volume", "FILE"], _zero_hint_a, 2, "degenerate"),
+    (["tri", "certify", "--fixture", "A", "--radius", "nan"], None, 2,
+     "radius must be positive"),
+    (["tri", "certify", "--fixture", "A", "--radius", "inf"], None, 2,
+     "radius must be positive"),
 ])
 def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     path = tmp_path / "case.tri"

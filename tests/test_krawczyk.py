@@ -14,11 +14,12 @@ from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
 from bandforge.gluing import (build_equations, newton_solve, select_square_rows,
                               system_matrices)
-from bandforge.intervals import ComplexInterval, EnclosureDomainError, RealInterval
+from bandforge.intervals import ComplexInterval, EnclosureDomainError
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
                                 certify_hyperbolic, interval_volume,
                                 krawczyk_test)
+from bandforge.tri import validate
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -193,6 +194,22 @@ def test_certify_rejects_invalid_triangulation(tri_a):
         certify_hyperbolic(bad)
     assert err.value.stage == "validation"
     assert "validation" in str(err.value)
+
+
+@pytest.mark.parametrize("field, cut", [
+    ("gluings", lambda g: g[:3]),
+    ("vertex_cusp", lambda v: v[:3]),
+    ("peripheral", lambda p: p[:3]),
+    ("peripheral", lambda p: (p[0][:15],) + tuple(p[1:])),
+], ids=["3 gluings", "3 vertex cusps", "3 peripheral rows", "15-entry row"])
+def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut):
+    bad_tet = dataclasses.replace(
+        tri_a.tets[0], **{field: cut(getattr(tri_a.tets[0], field))})
+    bad = dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
+    assert any(p.startswith("tet 0: ") for p in validate(bad))
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(bad)
+    assert err.value.stage == "validation"
 
 
 def test_certify_ladder_respects_explicit_radii(tri_a):
