@@ -57,7 +57,7 @@ COMMANDS = {}
 def exit_code(exc):
     """The documented exit code for one of `ERRORS`."""
     if isinstance(exc, CertifyError):
-        return {"validation": EXIT_PARSE, "build": EXIT_PARSE,
+        return {"validation": EXIT_PARSE,
                 "newton": EXIT_SOLVE}.get(exc.stage, EXIT_CERTIFY)
     return EXIT_SOLVE if isinstance(exc, SolveError) else EXIT_PARSE
 

@@ -23,14 +23,18 @@ log-derivative of the peripheral holonomy: c = 0 for a complete cusp
 (meridian row) and c = 2 for a filled cusp (the filling curve bounds a
 disk, so its holonomy is a full rotation).  Peripheral-curve corner
 contributions are assembled with the fixed orientation convention below
-(POS_TURNS together with HOLONOMY_SIGN); the convention is pinned by the
-requirement that both shipped fixtures have residual < 1e-8 at their
-stored shape hints, and is frozen by the test suite.
+(POS_TURNS, with the log terms taken at sign +1); the convention is pinned
+by the requirement that both shipped fixtures have residual < 1e-8 at
+their stored shape hints, and is frozen by the test suite.
+
+Every stage reads the system as one exact integer matrix,
+`GluingSystem.matrix` = [A | B | k - c], built once from the rows.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,8 +58,11 @@ PAIR_TYPE = {
     (0, 3): 2, (1, 2): 2,
 }
 
-_EDGE_PAIRS = tuple(PAIR_TYPE)
-
+# (A, B, k) of log z, log z' = -log(1 - z) and log z'' = log(1 - z) - log z
+# + i pi, indexed by parameter type.  Peripheral rows take these terms with
+# sign +1: the opposite sign sends every filled-cusp row to -2*pi*i and
+# fails the fixture residual oracle.
+_LOG_TERMS = ((1, 0, 0), (0, -1, 0), (-1, 1, 1))
 
 # Ordered face pairs (a, b) around each vertex v with positive turning.  A
 # peripheral strand entering a cusp triangle through the side in face a and
@@ -65,10 +72,6 @@ _EDGE_PAIRS = tuple(PAIR_TYPE)
 POS_TURNS = {v: tuple((a, b, 6 - v - a - b) for a in range(4) for b in range(4)
                       if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
              for v in range(4)}
-
-# Global sign of all peripheral holonomy rows.  The opposite choice sends
-# every filled-cusp row to -2*pi*i and fails the fixture residual oracle.
-HOLONOMY_SIGN = +1
 
 
 class SolveError(RuntimeError):
@@ -93,9 +96,6 @@ class EdgeClass:
 
     orbit: tuple
 
-    def __len__(self):
-        return len(self.orbit)
-
 
 @dataclass(frozen=True)
 class GluingRow:
@@ -114,45 +114,48 @@ class GluingSystem:
     tet_count: int
     rows: tuple
 
+    @functools.cached_property
+    def matrix(self):
+        """[A | B | k - c], one read-only row per equation row: int64, or
+        Python ints (dtype object) when an entry does not fit."""
+        m = [(*r.A, *r.B, r.k - r.c) for r in self.rows]
+        try:
+            m = np.array(m, dtype=np.int64)
+        except OverflowError:
+            m = np.array(m, dtype=object)
+        m = m.reshape(len(self.rows), 2 * self.tet_count + 1)
+        m.flags.writeable = False
+        return m
+
 
 def edge_classes(tri: Triangulation) -> list:
-    """Partition the 6T tetrahedron edges into identification classes."""
-    n = len(tri.tets)
-    parent = {}
+    """Partition the 6T tetrahedron edges into identification classes.
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for t in range(n):
-        for e in _EDGE_PAIRS:
-            parent[(t, e)] = (t, e)
-    for t in range(n):
-        for f in range(4):
-            sigma = tri.tets[t].gluings[f]
-            t2 = tri.tets[t].neighbors[f]
-            for e in _EDGE_PAIRS:
+    Each class is the orbit of an edge under the face gluings, walked from
+    every not yet seen (tet, vertex pair) in sorted order, so the classes
+    come out ordered by least member and each edge is visited once.
+    """
+    seen, classes = set(), []
+    for start in itertools.product(range(len(tri.tets)), sorted(PAIR_TYPE)):
+        if start in seen:
+            continue
+        seen.add(start)
+        walk, members = [start], []
+        while walk:
+            t, e = walk.pop()
+            members.append((t, e))
+            tet = tri.tets[t]
+            for f in range(4):
                 if f not in e:
-                    img = tuple(sorted((sigma[e[0]], sigma[e[1]])))
-                    ra, rb = find((t, e)), find((t2, img))
-                    if ra != rb:
-                        parent[ra] = rb
-    orbits = {}
-    for key in parent:
-        orbits.setdefault(find(key), []).append(key)
-    classes = []
-    for members in orbits.values():
+                    sigma = tet.gluings[f]
+                    img = (tet.neighbors[f],
+                           tuple(sorted((sigma[e[0]], sigma[e[1]]))))
+                    if img not in seen:
+                        seen.add(img)
+                        walk.append(img)
         members.sort()
-        orbit = tuple((t, e, PAIR_TYPE[e]) for t, e in members)
-        classes.append(EdgeClass(orbit))
-    classes.sort(key=lambda c: c.orbit[0][:2])
-    total = sum(len(c) for c in classes)
-    if total != 6 * n:
-        raise RuntimeError(f"edge classes cover {total} edges, not {6 * n}")
+        classes.append(EdgeClass(tuple((t, e, PAIR_TYPE[e])
+                                       for t, e in members)))
     return classes
 
 
@@ -165,102 +168,71 @@ def _flow(x, y):
     return 0
 
 
-def _accumulate(A, B, t, ptype, mult):
-    """Fold mult * log(parameter of type ptype at tet t) into A, B, k terms."""
-    if ptype == 0:
-        A[t] += mult
-        return 0
-    if ptype == 1:
-        B[t] -= mult
-        return 0
-    A[t] -= mult
-    B[t] += mult
-    return mult
+def _fold(n, terms):
+    """[A | B | k] of the sum of mult * log(parameter ptype at tet t) over
+    the (t, ptype, mult) terms."""
+    row = [0] * (2 * n + 1)
+    for t, ptype, mult in terms:
+        a, b, k = _LOG_TERMS[ptype]
+        row[t] += mult * a
+        row[n + t] += mult * b
+        row[2 * n] += mult * k
+    return row
 
 
 def build_equations(tri: Triangulation) -> GluingSystem:
-    """One row per edge class, then one row per cusp (complete or filled)."""
-    n = len(tri.tets)
-    rows = []
-    for cls in edge_classes(tri):
-        A = [0] * n
-        B = [0] * n
-        k = 0
-        for t, _e, ptype in cls.orbit:
-            k += _accumulate(A, B, t, ptype, 1)
-        rows.append(GluingRow("edge", tuple(A), tuple(B), k, 2))
+    """One row per edge class, then one row per cusp (complete or filled).
 
-    # peripheral holonomy rows: H[cusp][curve] as (A, B, k) integer triples
-    ncusp = len(tri.cusps)
-    hol = [[([0] * n, [0] * n, [0]) for _ in range(2)] for _ in range(ncusp)]
+    The triangulation must be valid (`tri.validate`): torus cusps, each
+    filling complete or an integral coprime pair.
+    """
+    n = len(tri.tets)
+    # (kind, [A | B | k], c, cusp, filling) per row
+    rows = [("edge", _fold(n, ((t, ptype, 1) for t, _e, ptype in cls.orbit)),
+             2, None, None) for cls in edge_classes(tri)]
+
+    # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
+    terms = [([], []) for _ in tri.cusps]
     for t, tet in enumerate(tri.tets):
         for v in range(4):
-            cusp = tet.vertex_cusp[v]
             for curve in (0, 1):
                 # both sheets; sheet 1 is zero for oriented manifolds
                 coeff = [tet.peripheral[2 * curve][4 * v + f]
                          + tet.peripheral[2 * curve + 1][4 * v + f]
                          for f in range(4)]
-                A, B, k = hol[cusp][curve]
                 for a, b, w in POS_TURNS[v]:
-                    mult = HOLONOMY_SIGN * _flow(coeff[a], coeff[b])
+                    mult = _flow(coeff[a], coeff[b])
                     if mult:
-                        ptype = PAIR_TYPE[tuple(sorted((v, w)))]
-                        k[0] += _accumulate(A, B, t, ptype, mult)
+                        terms[tet.vertex_cusp[v]][curve].append(
+                            (t, PAIR_TYPE[tuple(sorted((v, w)))], mult))
 
     for cusp, info in enumerate(tri.cusps):
-        if info.topology != "torus":
-            raise ValueError(f"cusp {cusp}: only torus cusps are supported")
-        (mA, mB, mk), (lA, lB, lk) = hol[cusp]
+        mer, lon = (_fold(n, curve) for curve in terms[cusp])
         if info.is_complete():
-            rows.append(GluingRow("cusp_complete", tuple(mA), tuple(mB),
-                                  mk[0], 0, cusp=cusp))
+            rows.append(("cusp_complete", mer, 0, cusp, None))
         else:
             m, l = info.filling_ints()
-            if abs(info.filling_m - m) > 1e-9 or abs(info.filling_l - l) > 1e-9:
-                raise ValueError(f"cusp {cusp}: non-integral filling")
-            A = tuple(m * x + l * y for x, y in zip(mA, lA))
-            B = tuple(m * x + l * y for x, y in zip(mB, lB))
-            rows.append(GluingRow("cusp_filled", A, B, m * mk[0] + l * lk[0],
-                                  2, cusp=cusp, filling=(m, l)))
-    return GluingSystem(tri.name, n, tuple(rows))
+            rows.append(("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
+                         2, cusp, (m, l)))
+    return GluingSystem(tri.name, n, tuple(
+        GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
+        for kind, r, c, cusp, filling in rows))
 
 
-def _logs(shapes):
-    us, ws = [], []
-    for j, z in enumerate(shapes):
-        if z == 0 or z == 1:
-            raise ValueError(f"shape {j} = {z} is degenerate")
-        us.append(cmath.log(z))
-        ws.append(cmath.log(1 - z))
-    return us, ws
-
-
-def row_value(row: GluingRow, us, ws) -> complex:
-    """Left-hand side minus right-hand side of one equation row."""
-    v = complex(0.0)
-    for a, u in zip(row.A, us):
-        if a:
-            v += a * u
-    for b, w in zip(row.B, ws):
-        if b:
-            v += b * w
-    return v + complex(0.0, (row.k - row.c) * math.pi)
+def _rows_at(M, u, w):
+    """sum A u + sum B w + (k - c) i pi for each row of M = [A | B | k - c]."""
+    n = M.shape[1] // 2
+    return M[:, :n] @ u + M[:, n:2 * n] @ w + 1j * math.pi * M[:, 2 * n]
 
 
 def residual(sys: GluingSystem, shapes) -> list:
     """Per-row defect |sum A log z + sum B log(1-z) + (k - c) i pi|."""
-    us, ws = _logs(shapes)
-    return [abs(row_value(row, us, ws)) for row in sys.rows]
-
-
-def system_matrices(sys: GluingSystem, row_indices=None):
-    """Integer coefficient matrices (A, B) and offsets (k - c) for rows."""
-    rows = sys.rows if row_indices is None else [sys.rows[i] for i in row_indices]
-    MA = np.array([r.A for r in rows], dtype=float)
-    MB = np.array([r.B for r in rows], dtype=float)
-    off = np.array([r.k - r.c for r in rows], dtype=float)
-    return MA, MB, off
+    z = np.asarray(shapes, dtype=complex)
+    bad = np.flatnonzero((z == 0) | (z == 1))
+    if bad.size:
+        raise ValueError(f"shape {bad[0]} = {z[bad[0]]} is degenerate")
+    f = _rows_at(sys.matrix.astype(float), np.log(z), np.log(1 - z))
+    return np.abs(f).tolist()
 
 
 def augmented_rank(sys: GluingSystem) -> int:
@@ -271,12 +243,7 @@ def augmented_rank(sys: GluingSystem) -> int:
     entry of modulus 2^30 or more first becomes Python ints (dtype object),
     so no product overflows; a matrix beyond int64 starts as object.
     """
-    m = [(*r.A, *r.B, r.k - r.c) for r in sys.rows]
-    try:
-        m = np.array(m, dtype=np.int64)
-    except OverflowError:
-        m = np.array(m, dtype=object)
-    m = m.reshape(len(sys.rows), 2 * sys.tet_count + 1)
+    m = sys.matrix.copy()
     rank, prev = 0, 1
     for col in range(m.shape[1]):
         block = m[rank:, col:]
@@ -294,14 +261,16 @@ def augmented_rank(sys: GluingSystem) -> int:
     return rank
 
 
-def log_jacobian(MA, MB, shapes):
-    """Jacobian of rows (MA, MB) in log-shape coordinates u = log z.
+def log_jacobian(M, shapes):
+    """Jacobian of the rows M = [A | B | k - c] in log-shape coordinates
+    u = log z.
 
     Entry (r, j) is A_rj - B_rj z_j / (1 - z_j); dividing column j by z_j
     gives the Jacobian in the shapes themselves.
     """
     z = np.asarray(shapes, dtype=complex)
-    return MA + MB * (-z / (1 - z))[None, :]
+    n = M.shape[1] // 2
+    return M[:, :n] + M[:, n:2 * n] * (-z / (1 - z))[None, :]
 
 
 def select_square_rows(sys: GluingSystem, shapes) -> list:
@@ -315,8 +284,7 @@ def select_square_rows(sys: GluingSystem, shapes) -> list:
     the zero equation.
     """
     n = sys.tet_count
-    MA, MB, _ = system_matrices(sys)
-    resid = log_jacobian(MA, MB, shapes)
+    resid = log_jacobian(sys.matrix.astype(float), shapes)
     norms = np.linalg.norm(resid, axis=1)
     tol = 1e-9 * norms.max()
     cusp_idx = [i for i, r in enumerate(sys.rows) if r.kind != "edge"]
@@ -370,15 +338,14 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
     if np.any(z0.imag <= 0):
         raise HalfPlaneExitError("initial shapes must have Im z > 0")
     rows = select_square_rows(sys, z0)
-    MA, MB, off = system_matrices(sys, rows)
-    rhs_off = 1j * math.pi * off
+    M = sys.matrix[rows].astype(float)
 
     u = np.log(z0)
     iterations = 0
     for _ in range(max_iter + 1):
         z = np.exp(u)
         w = np.log(1 - z)
-        f = MA @ u + MB @ w + rhs_off
+        f = _rows_at(M, u, w)
         res = float(np.max(np.abs(f)))
         if not np.isfinite(res):
             raise DivergenceError("iteration produced a non-finite residual")
@@ -393,7 +360,7 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
                                 iterations, full_max, tuple(rows))
         if iterations >= max_iter:
             break
-        jac = log_jacobian(MA, MB, z)
+        jac = log_jacobian(M, z)
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:

@@ -34,7 +34,7 @@ from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
                     _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
-                     newton_solve, select_square_rows, system_matrices)
+                     newton_solve, select_square_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import Triangulation, validate as validate_triangulation
 
@@ -126,7 +126,8 @@ def _operator(sys, z, radius, rows=None):
 
     if rows is None:
         rows = select_square_rows(sys, z)
-    MA, MB, off = system_matrices(sys, rows)
+    C = sys.matrix[list(rows)].astype(float)      # [A | B | k - c]
+    MA, MB = C[:, :n], C[:, n:2 * n]
     # J(X) = A/x - B/(1 - x); the centre J_c rounds three more times
     recip, rad = _recip(v, rv, lo, gap)
     rad = _up(rad + _up(_gamma(3) * _mag(recip)))
@@ -144,7 +145,6 @@ def _operator(sys, z, radius, rows=None):
     # rounding of pi is within the log allowance too
     V = np.append(np.log(v).ravel(), 1j * np.pi)
     V_rad = _log_rad(V)
-    C = np.hstack([MA, MB, off[:, None]])
     # rows summed left to right (cumsum): each non-zero product and the
     # partial sum it enters round once, by at most u |Re| + u |Im| <= 2 u |.|
     P = C * V
@@ -242,10 +242,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     problems = validate_triangulation(tri)
     if problems:
         raise CertifyError("validation", "; ".join(problems))
-    try:
-        sys = build_equations(tri)
-    except ValueError as exc:
-        raise CertifyError("build", str(exc)) from None
+    sys = build_equations(tri)
     hints = [tet.shape_hint for tet in tri.tets]
     try:
         result = newton_solve(sys, hints, tol=tol)

@@ -15,14 +15,17 @@ The format is whitespace-tokenized with a fixed field order:
     face), and the shape hint as two reals.
 
 Exactly 4 + 4 + 4 + 64 + 2 tokens per tetrahedron.  Parsing is strict and
-every diagnostic carries the offending line number.  Serialization
+every token diagnostic carries the offending line number; `validate`'s
+name the cusp or tetrahedron instead.  Serialization
 reproduces the token stream exactly (token-level, not byte-level,
 round-trip identity).
 
-Only orientable manifolds with torus cusps are accepted; a filling of
-(0, 0) means the cusp is complete, anything else must be an integral
-coprime pair.  A shape hint of 0, 1 or a non-finite value is degenerate
-and rejected; negatively oriented hints are legal.
+Only orientable manifolds are accepted.  `validate` holds the cusp
+rules: every cusp is a torus, and a filling of (0, 0) means the cusp is
+complete; anything else must be an integral coprime pair below 2^53 in
+modulus, as the format stores it as a real.  A shape hint of 0, 1 or a
+non-finite value is degenerate and rejected; negatively oriented hints
+are legal.
 """
 
 from __future__ import annotations
@@ -157,22 +160,8 @@ def parse_triangulation(text: str) -> Triangulation:
     cusps = []
     for c in range(cusp_count):
         topo = rd.next(f"cusp {c} topology")
-        topo_line = rd.last_line
-        if topo == "Klein":
-            raise TriParseError(f"cusp {c}: Klein bottle cusps are not supported",
-                                topo_line)
-        if topo != "torus":
-            raise TriParseError(f"cusp {c}: unknown topology {topo!r}", topo_line)
         m = rd.next_float(f"cusp {c} filling m")
         l = rd.next_float(f"cusp {c} filling l")
-        if (m, l) != (0.0, 0.0):
-            mi, li = int(round(m)), int(round(l))
-            if abs(m - mi) > 1e-9 or abs(l - li) > 1e-9:
-                raise TriParseError(
-                    f"cusp {c}: filling ({m}, {l}) is not integral", topo_line)
-            if gcd(abs(mi), abs(li)) != 1:
-                raise TriParseError(
-                    f"cusp {c}: filling ({mi}, {li}) is not coprime", topo_line)
         cusps.append(CuspInfo(topo, m + 0.0, l + 0.0))  # normalize -0.0
 
     tet_count = rd.next_int("tetrahedron count")
@@ -229,6 +218,21 @@ def validate(tri: Triangulation) -> list:
     if tri.fake_cusp_count != 0:
         out.append(f"second header count {tri.fake_cusp_count} is nonzero "
                    "(uninterpreted; only 0 is supported)")
+    for c, cusp in enumerate(tri.cusps):
+        m, l = cusp.filling_m, cusp.filling_l
+        if cusp.topology != "torus":
+            out.append(f"cusp {c}: topology {cusp.topology!r} is not supported "
+                       "(only torus cusps are)")
+        elif cusp.is_complete():
+            continue
+        elif not (isfinite(m) and isfinite(l)) or max(
+                abs(m - round(m)), abs(l - round(l))) > 1e-9:
+            out.append(f"cusp {c}: filling ({m}, {l}) is not integral")
+        elif max(abs(m), abs(l)) >= 2 ** 53:
+            out.append(f"cusp {c}: filling ({m}, {l}) is not exactly "
+                       "representable (|m| and |l| must be below 2^53)")
+        elif gcd(*map(abs, cusp.filling_ints())) != 1:
+            out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
     # a tetrahedron of the wrong shape gets no other check, and no face
     # pairing is checked against it
     misshapen = set()

@@ -309,6 +309,14 @@ def _zero_hint_a(path):
         dataclasses.replace(tri, tets=tuple(tets))))
 
 
+def _huge_filling_a(path):
+    """Fixture A filled at (1e300, 1): integral and coprime as read, but
+    far beyond the integers a real holds exactly."""
+    tri = load_fixture("A")
+    path.write_text(serialize_triangulation(dataclasses.replace(
+        tri, cusps=(CuspInfo("torus", 1e300, 1.0),))))
+
+
 def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
     (tmp_path / "bad.tri").write_text("not a triangulation\n1 2 3\n")
     _short_b(tmp_path / "short.tri")
@@ -347,6 +355,8 @@ def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
      "radius must be positive"),
     (["tri", "certify", "--fixture", "A", "--radius", "inf"], None, 2,
      "radius must be positive"),
+    (["tri", "certify", "FILE"], _huge_filling_a, 2,
+     "not exactly representable"),
 ])
 def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     path = tmp_path / "case.tri"

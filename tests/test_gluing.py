@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,18 @@ import pytest
 from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
                               augmented_rank, build_equations, edge_classes,
-                              newton_solve, residual, row_value,
-                              select_square_rows, system_matrices)
+                              newton_solve, residual, select_square_rows)
+
+# the 128 primitive slopes of B's complete cusp 6: m ascending, then l
+B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
+            if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
+
+
+def _fill_b(tri_b, m, l):
+    cusps = list(tri_b.cusps)
+    cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
+                                   filling_l=float(l))
+    return dataclasses.replace(tri_b, cusps=tuple(cusps))
 
 
 # ------------------------------------------------------------ structure
@@ -27,6 +38,32 @@ def test_edge_class_count_matches_tet_count(tri_a, tri_b):
 def test_edge_orbits_partition_corner_pairs(tri_a):
     total = sum(len(c.orbit) for c in edge_classes(tri_a))
     assert total == 6 * tri_a.tet_count
+
+
+# SHA-256 of the edge orbits and rows of A and B, then the rows of B's 128
+# fillings: any change to an orbit, a row or their order moves it
+ROW_DIGEST = "be48f78cf1435b3411351b28d9b8fee3da32a3f26af2d58ef876f9706c3fe6fb"
+
+
+def test_rows_match_the_pinned_digest(tri_a, tri_b):
+    digest = hashlib.sha256()
+    for tri in (tri_a, tri_b):
+        digest.update(repr([c.orbit for c in edge_classes(tri)]).encode())
+        digest.update(repr(build_equations(tri).rows).encode())
+    for m, l in B_SLOPES:
+        digest.update(repr(build_equations(_fill_b(tri_b, m, l)).rows).encode())
+    assert digest.hexdigest() == ROW_DIGEST
+
+
+def test_matrix_is_the_read_only_rows(tri_b):
+    sys_ = build_equations(tri_b)
+    M = sys_.matrix
+    assert M is sys_.matrix and M.dtype == np.int64 and not M.flags.writeable
+    assert M.tolist() == [[*r.A, *r.B, r.k - r.c] for r in sys_.rows]
+    with pytest.raises(ValueError):
+        M[0, 0] = 1
+    big = GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
+    assert big.matrix.dtype == object and big.matrix.tolist() == [[2 ** 64, 0, 1]]
 
 
 def test_row_inventory_a(tri_a):
@@ -86,14 +123,18 @@ def test_residual_detects_wrong_shapes(tri_a):
     assert max(residual(sys_, wrong)) > 1e-3
 
 
-def test_row_value_matches_residual(tri_a):
-    sys_ = build_equations(tri_a)
-    hints = [t.shape_hint for t in tri_a.tets]
-    us = [cmath.log(z) for z in hints]
-    ws = [cmath.log(1 - z) for z in hints]
-    res = residual(sys_, hints)
-    for row, r in zip(sys_.rows, res):
-        assert abs(row_value(row, us, ws)) == pytest.approx(r, abs=1e-15)
+def test_residual_matches_a_row_loop(tri_a, tri_b):
+    # the residual is one numpy product; a row-by-row cmath sum is the reference
+    for tri in (tri_a, tri_b):
+        sys_ = build_equations(tri)
+        shapes = [z * cmath.exp(0.01j) for z in (t.shape_hint for t in tri.tets)]
+        us = [cmath.log(z) for z in shapes]
+        ws = [cmath.log(1 - z) for z in shapes]
+        for row, r in zip(sys_.rows, residual(sys_, shapes)):
+            ref = (sum(a * u for a, u in zip(row.A, us))
+                   + sum(b * w for b, w in zip(row.B, ws))
+                   + complex(0, (row.k - row.c) * math.pi))
+            assert r == pytest.approx(abs(ref), rel=1e-12, abs=1e-13)
 
 
 # ------------------------------------------------------------ selection
@@ -106,9 +147,10 @@ def test_select_square_rows(tri_b):
     # cusp rows are always retained
     cusp_indices = {i for i, r in enumerate(sys_.rows) if r.kind != "edge"}
     assert cusp_indices <= set(rows)
-    MA, MB, _ = system_matrices(sys_, rows)
+    n = sys_.tet_count
+    M = sys_.matrix[rows]
     z = np.asarray(hints)
-    jac = MA / z[None, :] - MB / (1 - z)[None, :]
+    jac = M[:, :n] / z[None, :] - M[:, n:2 * n] / (1 - z)[None, :]
     assert np.linalg.cond(jac) < 1e8
 
 
@@ -276,13 +318,8 @@ def test_augmented_rank_promotes_growing_minors():
 
 
 def test_augmented_rank_on_every_filling_of_b(tri_b):
-    slopes = [(m, l) for m in range(-10, 11) for l in range(11)
-              if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
-    assert len(slopes) == 128
-    for m, l in slopes:
-        cusps = list(tri_b.cusps)
-        cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
-                                       filling_l=float(l))
-        sys_ = build_equations(dataclasses.replace(tri_b, cusps=tuple(cusps)))
+    assert len(B_SLOPES) == 128
+    for m, l in B_SLOPES:
+        sys_ = build_equations(_fill_b(tri_b, m, l))
         matrix = [r.A + r.B + (r.k - r.c,) for r in sys_.rows]
         assert augmented_rank(sys_) == _fraction_rank(matrix) == 26, (m, l)

@@ -12,14 +12,13 @@ import pytest
 from bandforge import gluing, krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
-from bandforge.gluing import (build_equations, newton_solve, select_square_rows,
-                              system_matrices)
+from bandforge.gluing import build_equations, newton_solve, select_square_rows
 from bandforge.intervals import ComplexInterval, EnclosureDomainError
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
                                 certify_hyperbolic, interval_volume,
                                 krawczyk_test)
-from bandforge.tri import validate
+from bandforge.tri import CuspInfo, validate
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -212,6 +211,23 @@ def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut):
     assert err.value.stage == "validation"
 
 
+@pytest.mark.parametrize("label, cusp, info", [
+    ("A", 0, CuspInfo("torus", 2.0, 0.0)),
+    ("B", 6, CuspInfo("torus", -2.0, 2.0)),
+    ("A", 0, CuspInfo("Klein", 1.0, 0.0)),
+    ("A", 0, CuspInfo("torus", 1.5, 0.0)),
+], ids=["A at (2,0)", "B at (-2,2)", "Klein cusp", "(1.5,0)"])
+def test_certify_rejects_unsupported_cusp(label, cusp, info):
+    # a non-coprime filling is an orbifold, not a manifold: never `valid`
+    tri = load_fixture(label)
+    cusps = list(tri.cusps)
+    cusps[cusp] = info
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(dataclasses.replace(tri, cusps=tuple(cusps)))
+    assert err.value.stage == "validation"
+    assert f"cusp {cusp}: " in str(err.value)
+
+
 def test_certify_ladder_respects_explicit_radii(tri_a):
     cert = certify_hyperbolic(tri_a, radii=(1e-8,))
     assert cert.valid and cert.radius_used == 1e-8
@@ -302,8 +318,9 @@ def test_ball_operator_holds_mpmath_values(solved, radius, request):
     sys_, result = request.getfixturevalue(solved)
     z = np.array(result.shapes)
     rows, Y, (E_c, E_rad), (K_c, K_rad) = krawczyk._operator(sys_, z, radius)
-    MA, MB, off = system_matrices(sys_, rows)
     n = len(z)
+    M = sys_.matrix[rows]
+    MA, MB, off = M[:, :n], M[:, n:2 * n], M[:, 2 * n]
     rng = random.Random(f"{solved}:{radius}")
     with mpmath.workdps(50):
         Ymp = [[mpmath.mpc(complex(c)) for c in row] for row in Y]

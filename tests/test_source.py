@@ -42,3 +42,38 @@ def test_no_unused_imports():
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(pathlib.Path(__file__).parent.glob("*.py"))
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def _private_definitions(tree):
+    """Module-level `_private` names a module defines (not dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names a module reads, imports by name, or reaches as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_private_name_is_used():
+    # a module-level `_name` nothing in the package reads is a leftover
+    package = pathlib.Path(bandforge.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    assert [f"{name}:{n}" for name, tree in trees.items()
+            for n in sorted(_private_definitions(tree)) if n not in used] == []
