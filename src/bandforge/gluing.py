@@ -23,7 +23,7 @@ log-derivative of the peripheral holonomy: c = 0 for a complete cusp
 (meridian row) and c = 2 for a filled cusp (the filling curve bounds a
 disk, so its holonomy is a full rotation).  Peripheral-curve corner
 contributions are assembled with the fixed orientation convention below
-(POS_TURNS, with the log terms taken at sign +1); the convention is pinned
+(_TURNS, with the log terms taken at sign +1); the convention is pinned
 by the requirement that both shipped fixtures have residual < 1e-8 at
 their stored shape hints, and is frozen by the test suite.
 
@@ -48,7 +48,7 @@ __all__ = [
     "SolveError", "SingularJacobianError", "DivergenceError",
     "HalfPlaneExitError",
     "edge_classes", "build_equations", "residual", "newton_solve",
-    "select_square_rows", "augmented_rank",
+    "select_square_rows", "augmented_rank", "wide_rows",
 ]
 
 # parameter type of an unordered vertex pair: 0 -> z, 1 -> z', 2 -> z''
@@ -64,14 +64,14 @@ PAIR_TYPE = {
 # fails the fixture residual oracle.
 _LOG_TERMS = ((1, 0, 0), (0, -1, 0), (-1, 1, 1))
 
-# Ordered face pairs (a, b) around each vertex v with positive turning.  A
-# peripheral strand entering a cusp triangle through the side in face a and
-# leaving through the side in face b wraps the corner at the edge {v, w},
-# w = 6 - v - a - b.  For a positively oriented tetrahedron the turn is
-# counterclockwise exactly when the permutation (v, w, a, b) is odd.
-POS_TURNS = {v: tuple((a, b, 6 - v - a - b) for a in range(4) for b in range(4)
-                      if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
-             for v in range(4)}
+# (v, a, b, ptype) for each ordered face pair (a, b) around vertex v with
+# positive turning: a peripheral strand entering a cusp triangle through the
+# side in face a and leaving through face b wraps the corner at the edge
+# {v, w}, w = 6 - v - a - b, of parameter type ptype.  For a positively
+# oriented tetrahedron the turn is counterclockwise iff (v, w, a, b) is odd.
+_TURNS = tuple((v, a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
+               for v in range(4) for a in range(4) for b in range(4)
+               if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
 
 
 class SolveError(RuntimeError):
@@ -184,7 +184,8 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     """One row per edge class, then one row per cusp (complete or filled).
 
     The triangulation must be valid (`tri.validate`): torus cusps, each
-    filling complete or an integral coprime pair.
+    filling complete or an integral coprime pair, peripheral sheet 1 zero
+    (only sheet 0 is read).  A row floats cannot hold raises ValueError.
     """
     n = len(tri.tets)
     # (kind, [A | B | k], c, cusp, filling) per row
@@ -194,17 +195,11 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
     terms = [([], []) for _ in tri.cusps]
     for t, tet in enumerate(tri.tets):
-        for v in range(4):
-            for curve in (0, 1):
-                # both sheets; sheet 1 is zero for oriented manifolds
-                coeff = [tet.peripheral[2 * curve][4 * v + f]
-                         + tet.peripheral[2 * curve + 1][4 * v + f]
-                         for f in range(4)]
-                for a, b, w in POS_TURNS[v]:
-                    mult = _flow(coeff[a], coeff[b])
-                    if mult:
-                        terms[tet.vertex_cusp[v]][curve].append(
-                            (t, PAIR_TYPE[tuple(sorted((v, w)))], mult))
+        for curve, row in enumerate(tet.peripheral[::2]):
+            for v, a, b, ptype in _TURNS:
+                mult = _flow(row[4 * v + a], row[4 * v + b])
+                if mult:
+                    terms[tet.vertex_cusp[v]][curve].append((t, ptype, mult))
 
     for cusp, info in enumerate(tri.cusps):
         mer, lon = (_fold(n, curve) for curve in terms[cusp])
@@ -214,9 +209,20 @@ def build_equations(tri: Triangulation) -> GluingSystem:
             m, l = info.filling_ints()
             rows.append(("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
                          2, cusp, (m, l)))
-    return GluingSystem(tri.name, n, tuple(
+    sys = GluingSystem(tri.name, n, tuple(
         GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
         for kind, r, c, cusp, filling in rows))
+    wide = wide_rows(sys.matrix)
+    if wide.size:
+        raise ValueError(f"{sys.rows[wide[0]].kind} row {wide[0]} has an entry "
+                         "of modulus 2^53 or more, which floats do not hold")
+    return sys
+
+
+def wide_rows(M):
+    """Rows of M with an entry of modulus 2^53 or more, which floats round;
+    both bounds are compared, as |-2^63| overflows int64."""
+    return np.flatnonzero(((M >= 2 ** 53) | (M <= -2 ** 53)).any(axis=1))
 
 
 def _rows_at(M, u, w):

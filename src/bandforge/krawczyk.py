@@ -34,7 +34,7 @@ from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
                     _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
-                     newton_solve, select_square_rows)
+                     newton_solve, select_square_rows, wide_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import Triangulation, validate as validate_triangulation
 
@@ -181,8 +181,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     are selected at approx when not given; any n rows are sound, as
     contraction proves them independent.  Raises KrawczykError when the
     box itself is unusable: a shape is not finite, the rows [A | B | k - c]
-    do not have rank n, the midpoint Jacobian is not invertible, or the
-    disc around a shape reaches 0, 1 or a branch cut of log.
+    have an entry of modulus 2^53 or more or do not have rank n, the
+    midpoint Jacobian is not invertible, or the disc around a shape reaches
+    0, 1 or a branch cut of log.
     """
     if not 0 < radius < math.inf:  # also rejects NaN
         raise ValueError("radius must be positive and finite")
@@ -196,6 +197,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
                          f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
+    if wide_rows(sys.matrix).size:
+        raise KrawczykError("[A | B | k - c] has an entry of modulus 2^53 "
+                            "or more, which floats do not hold")
     rank = augmented_rank(sys)
     if rank != n:
         raise KrawczykError(f"rows [A | B | k - c] have rank {rank}, not {n}: "
@@ -237,12 +241,15 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
 
     Krawczyk tests the rows Newton selected.  Tries the radii in order and
     returns the first valid certificate; every stage failure is wrapped in
-    CertifyError with a stage tag.
+    CertifyError with a stage tag; rows beyond floats fail `validation`.
     """
     problems = validate_triangulation(tri)
     if problems:
         raise CertifyError("validation", "; ".join(problems))
-    sys = build_equations(tri)
+    try:
+        sys = build_equations(tri)
+    except ValueError as exc:
+        raise CertifyError("validation", str(exc)) from None
     hints = [tet.shape_hint for tet in tri.tets]
     try:
         result = newton_solve(sys, hints, tol=tol)

@@ -55,11 +55,7 @@ def normalize_lens(p: int, q: int) -> LensSpace:
     """Reduce L(p, q) mod p; accepts negative q as written in the wild."""
     if p < 0:
         p, q = -p, -q
-    if p == 0:
-        return LensSpace(0, 1 if q > 0 else -1)
-    if q % p == 0:
-        raise ValueError(f"L({p},{q}): q degenerate mod p")
-    return LensSpace(p, q % p)
+    return LensSpace(p, q % p if p else q)
 
 
 def slope_distance(a: Slope, b: Slope) -> int:
@@ -71,10 +67,7 @@ def amphicheiral_pair_distance(s: Slope) -> int:
     """Distance between the slopes p/q and -p/q; always 2|pq|."""
     if s.p == 0 or s.q == 0:
         raise ValueError(f"slope {s}: need both p and q nonzero")
-    d = slope_distance(s, Slope(-s.p, s.q))
-    if d != 2 * abs(s.p * s.q):
-        raise RuntimeError(f"slope {s}: distance {d} to its mirror is not 2|pq|")
-    return d
+    return slope_distance(s, Slope(-s.p, s.q))
 
 
 def lens_equivalent(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool:
@@ -110,8 +103,8 @@ def double_branched_cover(tb: TwoBridge) -> LensSpace:
 def matignon_family(m: int, n: int) -> tuple:
     """The pair (L(2m^2, 2mn-1), S(2m^2, 2mn-1)) for coprime m, n with 2n <= m.
 
-    Checks that the lens space is the double branched cover of the link and
-    that the link admits an unlinking-number-one witness.
+    Checks that the link admits an unlinking-number-one witness; the lens
+    space is its double branched cover by construction.
     """
     if m <= 0 or n <= 0:
         raise ValueError(f"(m, n) = ({m}, {n}): need positive integers")
@@ -122,8 +115,6 @@ def matignon_family(m: int, n: int) -> tuple:
     p, q = 2 * m * m, 2 * m * n - 1
     lens = normalize_lens(p, q)
     link = normalize_two_bridge(p, q)
-    if double_branched_cover(link) != lens:
-        raise RuntimeError(f"{link} does not double cover to {lens}")
     if is_unlinking_number_one(link) is None:
         raise RuntimeError(f"{link} has no unlinking-number-one witness")
     return (lens, link)

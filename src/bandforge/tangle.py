@@ -91,11 +91,9 @@ def eval_conway(cf) -> Fraction:
     p, q = entries[-1], 1
     for a in reversed(entries[:-1]):
         p, q = a * p + q, p
-    # gcd(p, q) = 1 is preserved by the recurrence; only fix signs
+    # the recurrence keeps gcd(p, q) = 1, so the sign fix sends q = 0 to 1/0
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    if q == 0:
-        return Fraction(1, 0)
     return Fraction(p, q)
 
 
@@ -132,27 +130,18 @@ def normalize_two_bridge(p: int, q: int) -> TwoBridge:
     """
     if p < 0:
         p, q = -p, -q
-    if p < 2:
-        raise ValueError(f"S({p},{q}): |p| must be >= 2")
-    if q % p == 0:
-        raise ValueError(f"S({p},{q}): q is degenerate mod p")
-    if gcd(p, abs(q)) != 1:
-        raise ValueError(f"S({p},{q}): p, q not coprime")
-    return TwoBridge(p, q % p)
+    return TwoBridge(p, q % p if p > 1 else q)
 
 
 def two_bridge_from_fraction(fr: Fraction) -> TwoBridge:
     """Interpret a Conway-form value as a two-bridge link.
 
-    Negative numerators flip both signs (p/q and -p/-q present the same
-    link); p in {0, 1} or the formal 1/0 has no two-bridge meaning.
+    |p| < 2 or the formal 1/0 has no two-bridge meaning; signs are left
+    to `normalize_two_bridge`.
     """
-    p, q = fr.p, fr.q
-    if p < 0:
-        p, q = -p, -q
-    if q == 0 or p < 2:
+    if fr.q == 0 or abs(fr.p) < 2:
         raise ValueError(f"fraction {fr} does not define a two-bridge link")
-    return normalize_two_bridge(p, q)
+    return normalize_two_bridge(fr.p, fr.q)
 
 
 def two_bridge_equivalent(a: TwoBridge, b: TwoBridge) -> bool:
@@ -169,21 +158,19 @@ def is_unlinking_number_one(tb: TwoBridge) -> Optional[tuple]:
     """Witness (n, m) with tb equivalent to S(2n^2, 2nm+1) or S(2n^2, 2nm-1).
 
     Only two-component links (p even) qualify; returns None when p is not
-    twice a square or no coprime m in the admissible range works.
+    twice a square or no m in [1, n] coprime to n works.  The pairs
+    equivalent to tb are r = q and r = q^-1 mod p, so m is read off
+    r -+ 1 = 2nm, and the least such m is returned.
     """
     if tb.p % 2 != 0:
         raise ValueError(f"{tb}: unlinking classification needs p even (a link)")
     n = isqrt(tb.p // 2)
     if 2 * n * n != tb.p:
         return None
-    for m in range(1, n + 1):
-        if gcd(m, n) != 1:
-            continue
-        for sign in (1, -1):
-            q = 2 * n * m + sign
-            if 0 < q < tb.p and two_bridge_equivalent(tb, TwoBridge(tb.p, q)):
-                return (n, m)
-    return None
+    ms = [m for r in (tb.q, pow(tb.q, -1, tb.p))
+          for m, rest in (divmod(r - 1, 2 * n), divmod(r + 1, 2 * n))
+          if not rest and 1 <= m <= n and gcd(m, n) == 1]
+    return (n, min(ms)) if ms else None
 
 
 def cosmetic_band_partner(cf) -> ConwayForm:

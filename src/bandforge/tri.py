@@ -293,7 +293,6 @@ _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
-_PERIPHERAL_ROW = "%3d" * 16
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
@@ -318,8 +317,8 @@ def serialize_triangulation(tri: Triangulation) -> str:
         lines.append("".join(f"{v:4d} " for v in tet.neighbors))
         lines.append(" " + " ".join("".join(str(d) for d in g) for g in tet.gluings))
         lines.append("".join(f"{c:4d} " for c in tet.vertex_cusp))
-        for row in tet.peripheral:
-            lines.append(_PERIPHERAL_ROW % tuple(row))
+        # a space before each entry keeps wide ones apart
+        lines += [(" %2d" * 16) % tuple(row) for row in tet.peripheral]
         lines.append(f"{tet.shape_hint.real:16.12f} {tet.shape_hint.imag:16.12f}")
     return "\n".join(lines) + "\n"
 

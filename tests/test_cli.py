@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import pathlib
 import sys
 
 import pytest
@@ -317,6 +318,25 @@ def _huge_filling_a(path):
         tri, cusps=(CuspInfo("torus", 1e300, 1.0),))))
 
 
+def _wide_filling_b(path):
+    """Fixture B with cusp 6 filled at (1, 2^52 + 1): a valid filling whose
+    row has entries of modulus 2^53 or more."""
+    tri = load_fixture("B")
+    cusps = list(tri.cusps)
+    cusps[6] = CuspInfo("torus", 1.0, float(2 ** 52 + 1))
+    path.write_text(serialize_triangulation(
+        dataclasses.replace(tri, cusps=tuple(cusps))))
+
+
+def _wide_meridians_b(path):
+    """Fixture B with every meridian sheet-0 row multiplied by 10^400."""
+    tri = load_fixture("B")
+    path.write_text(serialize_triangulation(dataclasses.replace(
+        tri, tets=tuple(dataclasses.replace(t, peripheral=(
+            tuple(10 ** 400 * x for x in t.peripheral[0]), *t.peripheral[1:]))
+            for t in tri.tets))))
+
+
 def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
     (tmp_path / "bad.tri").write_text("not a triangulation\n1 2 3\n")
     _short_b(tmp_path / "short.tri")
@@ -357,6 +377,10 @@ def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
      "radius must be positive"),
     (["tri", "certify", "FILE"], _huge_filling_a, 2,
      "not exactly representable"),
+    (["tri", "certify", "FILE"], _wide_filling_b, 2, "[validation]"),
+    (["tri", "certify", "FILE"], _wide_meridians_b, 2, "[validation]"),
+    (["tri", "solve", "FILE"], _wide_meridians_b, 2, "2^53"),
+    (["tri", "volume", "FILE"], _wide_meridians_b, 2, "2^53"),
 ])
 def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     path = tmp_path / "case.tri"
@@ -381,3 +405,27 @@ def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
     code, out, err = run(capsys, ["tri", command, str(path)])
     assert code == 2
     assert out == "" and err.startswith("error: line ") and "degenerate" in err
+
+
+# ------------------------------------------------------ documented commands
+
+
+def _readme_commands():
+    """Each `bandforge ...` line of the README's command block, as argv."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].split() for line in
+             readme.read_text(encoding="utf-8").splitlines()]
+    return [words[1:] for words in lines
+            if words[:1] == ["bandforge"] and "file.tri" not in words]
+
+
+def test_readme_lists_the_commands():
+    assert len(_readme_commands()) == 18
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_zero(capsys, monkeypatch, argv):
+    monkeypatch.delenv("BANDFORGE_FIXTURE_DIR", raising=False)
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert err == "" and json.loads(out)["command"] == " ".join(argv[:2])

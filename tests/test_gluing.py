@@ -13,7 +13,8 @@ import pytest
 from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
                               augmented_rank, build_equations, edge_classes,
-                              newton_solve, residual, select_square_rows)
+                              newton_solve, residual, select_square_rows,
+                              wide_rows)
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
 B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
@@ -64,6 +65,14 @@ def test_matrix_is_the_read_only_rows(tri_b):
         M[0, 0] = 1
     big = GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
     assert big.matrix.dtype == object and big.matrix.tolist() == [[2 ** 64, 0, 1]]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_wide_rows_bound_both_signs(dtype):
+    top = 2 ** 53
+    M = np.array([[top - 1, 1 - top], [0, top], [-top, 0], [1, -2 ** 63]],
+                 dtype=dtype)
+    assert wide_rows(M).tolist() == [1, 2, 3]
 
 
 def test_row_inventory_a(tri_a):

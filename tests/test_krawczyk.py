@@ -275,6 +275,42 @@ def test_redundant_appended_row_still_certifies(solved, request):
     assert cert.valid
 
 
+# ------------------------------------------- rows that floats cannot hold
+
+
+def _b_wide(case):
+    tri = load_fixture("B")
+    if case == "filling":       # a valid filling, (1, 2^52 + 1)
+        cusps = list(tri.cusps)
+        cusps[6] = CuspInfo("torus", 1.0, float(2 ** 52 + 1))
+        return dataclasses.replace(tri, cusps=tuple(cusps))
+    return dataclasses.replace(tri, tets=tuple(     # meridians x 10^400
+        dataclasses.replace(t, peripheral=(
+            tuple(10 ** 400 * x for x in t.peripheral[0]), *t.peripheral[1:]))
+        for t in tri.tets))
+
+
+@pytest.mark.parametrize("case, row", [("filling", "cusp_filled row 32"),
+                                       ("meridians", "cusp_filled row 26")])
+def test_rows_beyond_floats_fail_validation(case, row):
+    tri = _b_wide(case)
+    assert validate(tri) == []
+    with pytest.raises(ValueError, match=f"{row} has an entry of modulus"):
+        build_equations(tri)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(tri)
+    assert err.value.stage == "validation" and row in str(err.value)
+
+
+@pytest.mark.parametrize("entry", [2 ** 53, -2 ** 53, -2 ** 63, 10 ** 400])
+def test_krawczyk_refuses_rows_beyond_floats(entry):
+    # a system built directly skips build_equations' check
+    sys_ = gluing.GluingSystem("wide", 1, (gluing.GluingRow(
+        "edge", (entry,), (0,), 0, 0),))
+    with pytest.raises(KrawczykError, match="2\\^53"):
+        krawczyk_test(sys_, [0.5 + 0.8j], 1e-8)
+
+
 # ------------------------------------------------ ball operator domain
 
 

@@ -69,6 +69,15 @@ def test_normalize_lens():
     assert normalize_lens(7, 9) == LensSpace(7, 2)
 
 
+def test_normalize_lens_leaves_the_rules_to_lens_space():
+    assert normalize_lens(0, 1) == LensSpace(0, 1)
+    assert normalize_lens(0, -1) == LensSpace(0, -1)
+    # q must be a unit mod p: 0 mod p, or a common factor, is no lens space
+    for p, q in [(0, 0), (0, 5), (7, 0), (7, -14), (6, 3), (-6, 4)]:
+        with pytest.raises(ValueError):
+            normalize_lens(p, q)
+
+
 def test_lens_equivalent_oriented():
     # q' = q or q q' = 1 mod p preserves orientation
     assert lens_equivalent(LensSpace(7, 2), LensSpace(7, 4))
@@ -138,6 +147,14 @@ def test_matignon_family_range():
             assert lens.p == 2 * m * m
             assert double_branched_cover(link) == normalize_lens(lens.p,
                                                                  lens.q)
+
+
+def test_matignon_family_at_huge_m():
+    # the witness is read off q^+-1, so p = 2m^2 ~ 2e40 costs no search
+    m = 10 ** 20 + 1
+    lens, link = matignon_family(m, 3)
+    assert link == TwoBridge(2 * m * m, 6 * m - 1)
+    assert double_branched_cover(link) == lens
 
 
 # ------------------------------------------------------------ the example

@@ -90,16 +90,19 @@ def test_normalize_two_bridge():
 
 
 def test_normalize_rejects_degenerate():
-    with pytest.raises(ValueError):
-        normalize_two_bridge(0, 1)
-    with pytest.raises(ValueError):
-        normalize_two_bridge(4, 2)
+    # TwoBridge holds the rules: p >= 2, q not 0 mod p, p and q coprime
+    for p, q in [(0, 1), (1, 3), (-1, 3), (4, 2), (4, 8), (6, -4), (5, 0),
+                 (5, 10)]:
+        with pytest.raises(ValueError):
+            normalize_two_bridge(p, q)
 
 
 def test_two_bridge_from_fraction_matches_normalize():
     assert two_bridge_from_fraction(Fraction(-49, 19)) == TwoBridge(49, 30)
-    with pytest.raises(ValueError):
-        two_bridge_from_fraction(Fraction(1, 0))
+    assert two_bridge_from_fraction(Fraction(-18, 5)) == TwoBridge(18, 13)
+    for fr in (Fraction(1, 0), Fraction(0, 1), Fraction(-1, 3), Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            two_bridge_from_fraction(fr)
 
 
 def test_equivalence_inverse_rule():
@@ -150,6 +153,38 @@ def test_unlinking_witness_reconstructs_the_link():
                       normalize_two_bridge(2 * n * n, 2 * n * m + 1)}
         assert any(two_bridge_equivalent(TwoBridge(p, q), c)
                    for c in candidates)
+
+
+def _witness_by_search(tb):
+    """The former search over m in [1, n], kept as the reference."""
+    n = math.isqrt(tb.p // 2)
+    if 2 * n * n != tb.p:
+        return None
+    for m in range(1, n + 1):
+        if math.gcd(m, n) != 1:
+            continue
+        for sign in (1, -1):
+            q = 2 * n * m + sign
+            if 0 < q < tb.p and two_bridge_equivalent(tb, TwoBridge(tb.p, q)):
+                return (n, m)
+    return None
+
+
+def test_unlinking_witness_matches_the_search():
+    for n in range(1, 31):
+        p = 2 * n * n
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                tb = TwoBridge(p, q)
+                assert is_unlinking_number_one(tb) == _witness_by_search(tb)
+
+
+def test_unlinking_witness_at_huge_p():
+    n = 10 ** 30
+    p = 2 * n * n
+    for q in (2 * n * 7 + 1, 2 * n * 7 - 1, pow(2 * n * 7 + 1, -1, p)):
+        assert is_unlinking_number_one(TwoBridge(p, q)) == (n, 7)
+    assert is_unlinking_number_one(TwoBridge(p, 3)) is None
 
 
 def test_cosmetic_band_partner():

@@ -1,10 +1,12 @@
 """Parsing, validation, serialization, and isomorphism of .tri files."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from bandforge.gluing import edge_classes
+from bandforge.krawczyk import CertifyError, certify_hyperbolic
 from bandforge.tri import (TriParseError, Triangulation, Tetrahedron,
                            combinatorial_isomorphic, parse_triangulation,
                            serialize_triangulation, validate)
@@ -71,6 +73,31 @@ def test_round_trip_is_stable(text_a):
     once = serialize_triangulation(parse_triangulation(text_a))
     twice = serialize_triangulation(parse_triangulation(once))
     assert once == twice
+
+
+def test_round_trip_cs_known(tri_a):
+    tri = dataclasses.replace(tri_a, cs_flag="CS_known",
+                              cs_value=-0.0123456789012345)
+    text = serialize_triangulation(tri)
+    assert text.splitlines()[3].split() == ["CS_known", "-0.0123456789012345"]
+    assert parse_triangulation(text) == tri
+
+
+def _scale_peripheral(tri, factor):
+    return dataclasses.replace(tri, tets=tuple(
+        dataclasses.replace(t, peripheral=tuple(
+            tuple(factor * x for x in row) for row in t.peripheral))
+        for t in tri.tets))
+
+
+@pytest.mark.parametrize("factor", [-10, 100, 10 ** 30])
+def test_wide_peripheral_entries_round_trip(tri_b, factor):
+    # every entry keeps a space before it, however many digits it has
+    wide = _scale_peripheral(tri_b, factor)
+    text = serialize_triangulation(wide)
+    back = parse_triangulation(text)
+    assert back == wide
+    assert serialize_triangulation(back).split() == text.split()
 
 
 # ------------------------------------------------------------ diagnostics
@@ -339,3 +366,33 @@ def test_file_cut_inside_peripheral_row(text_a):
     err = _parse_error("\n".join(cut) + "\n")
     assert str(err) == (f"line {ROW_LINE}: unexpected end of input while "
                         f"reading tet {TET} peripheral row {ROW}")
+
+
+# ------------------------------------------------ validate, built directly
+
+def _tet0(tri, **changes):
+    tet = dataclasses.replace(tri.tets[0], **changes)
+    return dataclasses.replace(tri, tets=(tet,) + tri.tets[1:])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda t: dataclasses.replace(t, tet_count=13),
+     "tet_count 13 != 12 tetrahedra"),
+    (lambda t: dataclasses.replace(t, cusp_count=2), "cusp_count 2 != 1 cusps"),
+    (lambda t: dataclasses.replace(t, fake_cusp_count=1),
+     "second header count 1 is nonzero"),
+    (lambda t: _tet0(t, neighbors=(12,) + t.tets[0].neighbors[1:]),
+     "tet 0 face 0: neighbor 12 out of range"),
+    (lambda t: _tet0(t, gluings=((0, 0, 1, 2),) + t.tets[0].gluings[1:]),
+     "tet 0 face 0: gluing (0, 0, 1, 2) is not a permutation"),
+    (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1,) + (0,) * 15,
+                                    *t.tets[0].peripheral[2:])),
+     "tet 0: peripheral sheet row 1 is nonzero"),
+], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
+        "sheet_row"])
+def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
+    bad = corrupt(tri_a)
+    assert any(p.startswith(message) for p in validate(bad)), validate(bad)
+    with pytest.raises(CertifyError, match="validation") as info:
+        certify_hyperbolic(bad)
+    assert info.value.stage == "validation" and message in str(info.value)
