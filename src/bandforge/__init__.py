@@ -5,7 +5,14 @@ normal forms, signatures, lens-space bookkeeping) and a numerical layer
 (triangulation files, gluing equations, Newton solving, Krawczyk
 certification with ball arithmetic).  The command-line front end in
 `bandforge.cli` exposes both.
+
+Only the numpy-free modules are imported with the package.  The names
+from `gluing`, `dilog` and `krawczyk`, and those modules, are served by
+the module `__getattr__` (PEP 562): the first lookup imports the module,
+and numpy with it, and binds the name here.
 """
+
+import importlib
 
 from .tangle import (ConwayForm, Fraction, TwoBridge, check_conway,
                      conway_expand, cosmetic_band_partner, eval_conway,
@@ -17,18 +24,32 @@ from .surgery import (LensSpace, Slope, amphicheiral_pair_distance,
                       bhw_example_report, double_branched_cover,
                       lens_equivalent, lens_mirror, matignon_family,
                       normalize_lens, slope_distance)
-from .tri import (CuspInfo, Tetrahedron, Triangulation, TriParseError,
-                  combinatorial_isomorphic, parse_triangulation,
-                  serialize_triangulation, validate)
+from .tri import (CertifyError, CuspInfo, SolveError, Tetrahedron,
+                  Triangulation, TriParseError, combinatorial_isomorphic,
+                  parse_triangulation, serialize_triangulation, validate)
 from .fixtures import fixture_labels, fixture_text, load_fixture
-from .gluing import (DivergenceError, GluingRow, GluingSystem,
-                     HalfPlaneExitError, NewtonResult, SingularJacobianError,
-                     SolveError, build_equations, edge_classes, newton_solve,
-                     residual, select_square_rows)
-from .dilog import bloch_wigner, volume
 from .intervals import (ComplexInterval, EnclosureDomainError, RealInterval)
-from .krawczyk import (Certificate, CertifyError, KrawczykError,
-                       bloch_wigner_interval, certify_hyperbolic,
-                       interval_volume, krawczyk_test)
+
+_LAZY = {name: module for module, names in (
+    ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
+     "NewtonResult SingularJacobianError build_equations edge_classes "
+     "newton_solve residual select_square_rows"),
+    ("dilog", "bloch_wigner volume"),
+    ("krawczyk", "Certificate KrawczykError bloch_wigner_interval "
+     "certify_hyperbolic interval_volume krawczyk_test"))
+    for name in names.split()}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAZY.values():      # importing a submodule binds it here
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(__getattr__(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

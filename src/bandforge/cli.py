@@ -10,6 +10,8 @@ the exit code is 0 exactly when every assertion passes.  Hard failures
 get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
 --all-fixtures` reports every fixture and exits with the largest code.
+Only the `tri volume`, `tri solve` and `tri certify` handlers import the
+numeric modules, and numpy with them.
 
 The report carries a `timestamp` field; comparisons between runs must
 ignore it, everything else is deterministic.
@@ -23,9 +25,6 @@ import sys
 from datetime import datetime, timezone
 
 from . import fixtures
-from .dilog import volume as shape_volume
-from .gluing import SolveError, build_equations, newton_solve, residual
-from .krawczyk import RADIUS_LADDER, CertifyError, certify_hyperbolic
 from .surgery import (Slope, bhw_example_report, double_branched_cover,
                       lens_equivalent, lens_mirror, matignon_family,
                       normalize_lens, slope_distance)
@@ -34,7 +33,7 @@ from .tangle import (check_conway, conway_expand, cosmetic_band_partner,
                      is_unlinking_number_one, mirror_two_bridge,
                      normalize_two_bridge, signature_two_bridge,
                      two_bridge_equivalent, verify_chirally_cosmetic)
-from .tri import parse_triangulation
+from .tri import CertifyError, SolveError, parse_triangulation
 
 EXIT_ASSERTION = 1
 EXIT_PARSE = 2
@@ -141,6 +140,8 @@ def tri_parse(args):
 @command("tri", "volume")
 def tri_volume(args):
     """volume at the file shape hints"""
+    from .dilog import volume as shape_volume
+    from .gluing import build_equations, residual
     tri = _triangulation(args)
     sys_, hints = build_equations(tri), [t.shape_hint for t in tri.tets]
     vol = shape_volume(hints)
@@ -155,6 +156,8 @@ def tri_volume(args):
 @command("tri", "solve", TOL, arg("--max-iter", type=int, default=50))
 def tri_solve(args):
     """Newton-solve the gluing equations from the file hints"""
+    from .dilog import volume as shape_volume
+    from .gluing import build_equations, newton_solve
     tri = _triangulation(args)
     result = newton_solve(build_equations(tri),
                           [t.shape_hint for t in tri.tets],
@@ -170,6 +173,7 @@ def tri_solve(args):
 
 def _certify(tri, tag, args):
     """`tri`'s certificate as results under `tag`, and its assertions."""
+    from .krawczyk import RADIUS_LADDER, certify_hyperbolic
     radii = RADIUS_LADDER if args.radius is None else (args.radius,)
     cert = certify_hyperbolic(tri, radii=radii, tol=args.tol)
     lo, hi = cert.volume_enclosure.lo, cert.volume_enclosure.hi

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tri import _SIGN, Triangulation
+from .tri import _SIGN, SolveError, Triangulation
 
 __all__ = [
     "EdgeClass", "GluingRow", "GluingSystem", "NewtonResult",
@@ -72,10 +72,6 @@ _LOG_TERMS = ((1, 0, 0), (0, -1, 0), (-1, 1, 1))
 _TURNS = tuple((v, a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
                for v in range(4) for a in range(4) for b in range(4)
                if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
-
-
-class SolveError(RuntimeError):
-    pass
 
 
 class SingularJacobianError(SolveError):

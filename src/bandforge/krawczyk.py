@@ -33,10 +33,11 @@ import numpy as np
 from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
                     _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
-from .gluing import (GluingSystem, SolveError, augmented_rank, build_equations,
+from .gluing import (GluingSystem, augmented_rank, build_equations,
                      newton_solve, select_square_rows, wide_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
-from .tri import Triangulation, validate as validate_triangulation
+from .tri import (CertifyError, SolveError, Triangulation,
+                  validate as validate_triangulation)
 
 __all__ = ["Certificate", "KrawczykError", "CertifyError",
            "bloch_wigner_interval", "interval_volume",
@@ -45,12 +46,6 @@ __all__ = ["Certificate", "KrawczykError", "CertifyError",
 
 class KrawczykError(RuntimeError):
     pass
-
-
-class CertifyError(RuntimeError):
-    def __init__(self, stage, message):
-        self.stage = stage
-        super().__init__(f"[{stage}] {message}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +237,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     Krawczyk tests the rows Newton selected.  Tries the radii in order and
     returns the first valid certificate; every stage failure is wrapped in
     CertifyError with a stage tag; rows beyond floats fail `validation`.
+    A `krawczyk` failure lists each rung tried as `attempts`.
     """
     problems = validate_triangulation(tri)
     if problems:
@@ -255,12 +251,12 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
         result = newton_solve(sys, hints, tol=tol)
     except (SolveError, ValueError) as exc:
         raise CertifyError("newton", str(exc)) from None
-    outcomes = []
+    attempts = []
     for radius in radii:
         try:
             cert = krawczyk_test(sys, result.shapes, radius, result.rows)
         except KrawczykError as exc:
-            outcomes.append(f"{radius}: {exc}")
+            attempts.append((radius, str(exc)))
             continue
         if cert.valid:
             vol = point_volume(result.shapes)
@@ -269,7 +265,8 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
                     "volume", f"enclosure {cert.volume_enclosure} misses "
                     f"the floating-point volume {vol!r}")
             return cert
-        outcomes.append(f"{radius}: not contracted" if not cert.contracted
-                        else f"{radius}: Im not positive")
+        attempts.append((radius, "not contracted" if not cert.contracted
+                         else "Im not positive"))
     raise CertifyError("krawczyk", "no radius produced a valid certificate ("
-                       + "; ".join(outcomes) + ")")
+                       + "; ".join(f"{r}: {o}" for r, o in attempts) + ")",
+                       attempts)

@@ -211,53 +211,30 @@ def verify_chirally_cosmetic(cf) -> bool:
     return two_bridge_equivalent(partner, mirror_two_bridge(tb))
 
 
-def _even_continued_fraction(p: int, q: int) -> list:
-    """All-even continued fraction of p/q' under v = c - 1/w.
-
-    q' is the even representative of q mod p in (-p, p); each c is the
-    nearest even integer to the current value.  For p odd this greedy
-    choice never meets a tie, never produces c = 0, and terminates with
-    an even number of entries.
-    """
-    num = p
-    den = q if q % 2 == 0 else q - p
-    entries = []
+def _floor_sum(n: int, m: int, a: int) -> int:
+    """sum(a*i // m for i in range(n)) for n, m >= 1, a >= 0: a Euclid-style
+    reduction that takes whole parts, then swaps the axes (O(log m) steps)."""
+    total, b = 0, 0
     while True:
-        if den < 0:
-            num, den = -num, -den
-        # nearest even integer: 2 * round(num / (2 den)), exact in ints
-        c = 2 * ((num + den) // (2 * den))
-        entries.append(c)
-        # w = 1/(c - v): new value den / (c*den - num)
-        nden = c * den - num
-        if nden == 0:
-            break
-        num, den = den, nden
-    return entries
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
 
 
 def signature_two_bridge(tb: TwoBridge) -> int:
-    """Signature of the two-bridge knot S(p, q), p odd.
+    """Signature of the two-bridge knot S(p, q), p odd, in O(log p).
 
-    Expands p/q into an all-even continued fraction [c_1, ..., c_n] and
-    returns the signature of the tridiagonal form with diagonal c_i and
-    off-diagonal 1 (the symmetrized Seifert form of the associated plumbing).
-    The leading principal minors satisfy |d_i| > |d_{i-1}| since every
-    |c_i| >= 2, so no minor vanishes and Jacobi's sign-change count applies.
+    Murasugi: sigma = -sum_{i=1}^{p-1} (-1)^floor(iq/p), q made odd by
+    adding p.  As (-1)^f = 1 - 2(f - 2 floor(f/2)), that sum is
+    (p - 1) - 2(F(p) - 2F(2p)) with F(m) = sum_{i<p} floor(iq/m).
     """
     if tb.p % 2 == 0:
         raise ValueError(f"{tb}: signature needs p odd (a knot)")
-    cs = _even_continued_fraction(tb.p, tb.q)
-    if not (all(c != 0 and c % 2 == 0 for c in cs) and len(cs) % 2 == 0):
-        raise RuntimeError(f"{tb}: {cs} is not an even-length all-even expansion")
-    d_prev, d = 1, cs[0]
-    sig = 1 if d > 0 else -1
-    for c in cs[1:]:
-        d_prev, d = d, c * d - d_prev
-        sig += 1 if d_prev * d > 0 else -1
-    if abs(d) != tb.p or sig % 2:
-        raise RuntimeError(f"{tb}: final minor {d} or signature {sig} is inconsistent")
-    return sig
+    p, q = tb.p, tb.q if tb.q % 2 else tb.q + tb.p
+    return 2 * (_floor_sum(p, p, q) - 2 * _floor_sum(p, 2 * p, q)) - (p - 1)
 
 
 def four_move_signature_obstruction(a: TwoBridge, b: TwoBridge) -> bool:

@@ -3,12 +3,15 @@
 import dataclasses
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
-from bandforge import cli
+import bandforge
+from bandforge import cli, gluing, krawczyk
 from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
 from bandforge.tri import CuspInfo, serialize_triangulation
@@ -429,3 +432,85 @@ def test_readme_command_exits_zero(capsys, monkeypatch, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert err == "" and json.loads(out)["command"] == " ".join(argv[:2])
+
+
+# ------------------------------------------------------------ cold start
+
+# every public name `bandforge` exported before its numeric names went lazy
+EXPORTED = """
+    Certificate CertifyError ComplexInterval ConwayForm CuspInfo
+    DivergenceError EnclosureDomainError Fraction GluingRow GluingSystem
+    HalfPlaneExitError KrawczykError LensSpace NewtonResult RealInterval
+    SingularJacobianError Slope SolveError Tetrahedron TriParseError
+    Triangulation TwoBridge amphicheiral_pair_distance bhw_example_report
+    bloch_wigner bloch_wigner_interval build_equations certify_hyperbolic
+    check_conway combinatorial_isomorphic conway_expand cosmetic_band_partner
+    dilog double_branched_cover edge_classes eval_conway fixture_labels
+    fixture_text fixtures four_move_signature_obstruction gluing
+    interval_volume intervals is_unlinking_number_one krawczyk krawczyk_test
+    lens_equivalent lens_mirror load_fixture matignon_family mirror_two_bridge
+    newton_solve normalize_lens normalize_two_bridge parse_triangulation
+    residual select_square_rows serialize_triangulation signature_two_bridge
+    slope_distance surgery tangle tri two_bridge_equivalent
+    two_bridge_from_fraction validate verify_chirally_cosmetic volume
+""".split()
+
+
+def _fresh(code):
+    """The JSON that `code` prints last, run in a new interpreter."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("BANDFORGE_FIXTURE_DIR", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_integer_and_parse_commands_do_not_import_numpy():
+    codes, numpy = _fresh(
+        "import io, json, sys\n"
+        "from bandforge.cli import main\n"
+        "from bandforge.fixtures import fixture_text\n"
+        "codes = [main(['twobridge', 'signature', '5/1']),\n"
+        "         main(['surgery', 'bhw']),\n"
+        "         main(['tri', 'parse', '--fixture', 'A'])]\n"
+        "sys.stdin = io.StringIO(fixture_text('A')[:500])\n"
+        "codes.append(main(['tri', 'parse']))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+    assert codes == [0, 0, 0, 2] and not numpy
+
+
+def test_numeric_command_imports_numpy_when_run():
+    code, numpy = _fresh(
+        "import json, sys\n"
+        "from bandforge.cli import main\n"
+        "code = main(['tri', 'volume', '--fixture', 'A'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n")
+    assert code == 0 and numpy
+
+
+def test_package_exports_resolve_to_the_module_objects():
+    report = _fresh(
+        "import importlib, json, sys\n"
+        "import bandforge\n"
+        "listed = sorted(dir(bandforge))\n"
+        "try:\n"
+        "    bandforge.no_such_name\n"
+        "    unknown = None\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "numpy = 'numpy' in sys.modules\n"
+        f"names = {EXPORTED!r}\n"
+        "ns = {}\n"
+        "exec('from bandforge import ' + ', '.join(names), ns)\n"
+        "same = [n for n, m in bandforge._LAZY.items() if ns[n] is getattr(\n"
+        "    importlib.import_module('bandforge.' + m), n)]\n"
+        "print(json.dumps([listed, unknown, numpy, same]))\n")
+    listed, unknown, numpy, same = report
+    assert set(EXPORTED) <= set(listed) and not numpy
+    assert unknown == "module 'bandforge' has no attribute 'no_such_name'"
+    assert sorted(same) == sorted(bandforge._LAZY)
+    assert {getattr(bandforge, m) for m in bandforge._LAZY.values()} == {
+        gluing, krawczyk, sys.modules["bandforge.dilog"]}
+    assert bandforge.SolveError is gluing.SolveError is cli.SolveError
+    assert bandforge.CertifyError is krawczyk.CertifyError is cli.CertifyError

@@ -236,6 +236,24 @@ def test_certify_ladder_respects_explicit_radii(tri_a):
     assert err.value.stage == "krawczyk"
 
 
+def test_certify_error_lists_the_failed_rungs(tri_a):
+    radii = (0.5, 1e-20, 0.01)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(tri_a, radii=radii)
+    attempts = err.value.attempts
+    assert tuple(radius for radius, _ in attempts) == radii
+    assert attempts[0][1].endswith("reaches 0, 1 or a cut")
+    assert [outcome for _, outcome in attempts[1:]] == ["not contracted"] * 2
+    # the message spells the same rungs, as before the field existed
+    assert str(err.value) == ("[krawczyk] no radius produced a valid "
+                              "certificate (" + "; ".join(
+                                  f"{r}: {o}" for r, o in attempts) + ")")
+    bad = dataclasses.replace(tri_a, fake_cusp_count=1)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(bad)
+    assert err.value.stage == "validation" and err.value.attempts == ()
+
+
 def test_volume_outside_enclosure_is_certify_error(tri_a, monkeypatch):
     monkeypatch.setattr(krawczyk, "point_volume", lambda shapes: 1.0)
     with pytest.raises(CertifyError) as err:

@@ -240,7 +240,7 @@ def test_signature_torus_family():
 
 
 def test_signature_rejects_links():
-    # the all-even expansion needs p odd; two-component links are out of scope
+    # the formula is for knots (p odd); two-component links are out of scope
     with pytest.raises(ValueError):
         signature_two_bridge(TwoBridge(2, 1))
     with pytest.raises(ValueError):
@@ -268,8 +268,48 @@ def test_four_move_obstruction():
                                                TwoBridge(5, 1))
 
 
-def test_signature_guard_survives_stripped_asserts(monkeypatch):
-    # an odd-length expansion must raise, also under python -O
-    monkeypatch.setattr(tangle, "_even_continued_fraction", lambda p, q: [2, 2, 2])
-    with pytest.raises(RuntimeError):
-        tangle.signature_two_bridge(TwoBridge(7, 3))
+def _signature_by_expansion(tb):
+    """The former all-even continued fraction and Jacobi count, kept as
+    the reference: the expansion [c_1, ..., c_n] of p/q' (q' the even
+    representative of q in (-p, p)) under v = c - 1/w is the diagonal of a
+    tridiagonal form with off-diagonal 1, whose signature is counted from
+    the signs of its leading principal minors."""
+    num, den, cs = tb.p, tb.q if tb.q % 2 == 0 else tb.q - tb.p, []
+    while True:
+        if den < 0:
+            num, den = -num, -den
+        c = 2 * ((num + den) // (2 * den))      # the nearest even integer
+        cs.append(c)
+        if c * den == num:
+            break
+        num, den = den, c * den - num
+    assert all(c != 0 and c % 2 == 0 for c in cs) and len(cs) % 2 == 0
+    d_prev, d, sig = 1, cs[0], 1 if cs[0] > 0 else -1
+    for c in cs[1:]:
+        d_prev, d = d, c * d - d_prev
+        sig += 1 if d_prev * d > 0 else -1
+    assert abs(d) == tb.p
+    return sig
+
+
+def test_signature_matches_even_expansion():
+    pairs = [(p, q) for p in range(3, 400, 2) for q in range(1, p)
+             if math.gcd(p, q) == 1]
+    assert len(pairs) == 32364
+    for p, q in pairs:
+        tb = TwoBridge(p, q)
+        assert signature_two_bridge(tb) == _signature_by_expansion(tb), tb
+
+
+def test_signature_at_huge_p():
+    assert signature_two_bridge(TwoBridge(10 ** 30 + 1, 1)) == -10 ** 30
+    p = 10 ** 30 + 1
+    assert (signature_two_bridge(TwoBridge(p, 7))
+            == -signature_two_bridge(TwoBridge(p, p - 7)))
+    assert four_move_signature_obstruction(TwoBridge(p, 1), TwoBridge(p, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 3000))
+def test_floor_sum_matches_the_sum(n, m, a):
+    assert tangle._floor_sum(n, m, a) == sum(a * i // m for i in range(n))
