@@ -28,7 +28,8 @@ by the requirement that both shipped fixtures have residual < 1e-8 at
 their stored shape hints, and is frozen by the test suite.
 
 Every stage reads the system as one exact integer matrix,
-`GluingSystem.matrix` = [A | B | k - c], built once from the rows.
+`GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
+`jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ import numpy as np
 from .tri import _SIGN, SolveError, Triangulation
 
 __all__ = [
-    "EdgeClass", "GluingRow", "GluingSystem", "NewtonResult",
+    "GluingRow", "GluingSystem", "NewtonResult",
     "SolveError", "SingularJacobianError", "DivergenceError",
     "HalfPlaneExitError",
-    "edge_classes", "build_equations", "residual", "newton_solve",
+    "edge_classes", "build_equations", "residual", "jacobian", "newton_solve",
     "select_square_rows", "augmented_rank", "wide_rows",
 ]
 
@@ -87,13 +88,6 @@ class HalfPlaneExitError(SolveError):
 
 
 @dataclass(frozen=True)
-class EdgeClass:
-    """One identified edge: orbit of (tet, vertex pair, parameter type)."""
-
-    orbit: tuple
-
-
-@dataclass(frozen=True)
 class GluingRow:
     kind: str              # "edge" | "cusp_complete" | "cusp_filled"
     A: tuple               # int coefficients of log z_j
@@ -127,9 +121,10 @@ class GluingSystem:
 def edge_classes(tri: Triangulation) -> list:
     """Partition the 6T tetrahedron edges into identification classes.
 
-    Each class is the orbit of an edge under the face gluings, walked from
-    every not yet seen (tet, vertex pair) in sorted order, so the classes
-    come out ordered by least member and each edge is visited once.
+    Each class is the orbit of an edge under the face gluings, a sorted
+    tuple of (tet, vertex pair, parameter type), walked from every not yet
+    seen (tet, vertex pair) in sorted order, so the classes come out
+    ordered by least member and each edge is visited once.
     """
     seen, classes = set(), []
     for start in itertools.product(range(len(tri.tets)), sorted(PAIR_TYPE)):
@@ -150,8 +145,7 @@ def edge_classes(tri: Triangulation) -> list:
                         seen.add(img)
                         walk.append(img)
         members.sort()
-        classes.append(EdgeClass(tuple((t, e, PAIR_TYPE[e])
-                                       for t, e in members)))
+        classes.append(tuple((t, e, PAIR_TYPE[e]) for t, e in members))
     return classes
 
 
@@ -185,8 +179,8 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     """
     n = len(tri.tets)
     # (kind, [A | B | k], c, cusp, filling) per row
-    rows = [("edge", _fold(n, ((t, ptype, 1) for t, _e, ptype in cls.orbit)),
-             2, None, None) for cls in edge_classes(tri)]
+    rows = [("edge", _fold(n, ((t, ptype, 1) for t, _e, ptype in orbit)),
+             2, None, None) for orbit in edge_classes(tri)]
 
     # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
     terms = [([], []) for _ in tri.cusps]
@@ -263,16 +257,15 @@ def augmented_rank(sys: GluingSystem) -> int:
     return rank
 
 
-def log_jacobian(M, shapes):
-    """Jacobian of the rows M = [A | B | k - c] in log-shape coordinates
-    u = log z.
+def jacobian(M, dlog_z, dlog_w):
+    """A dlog_z + B dlog_w, column by column, for the rows M = [A | B | k - c].
 
-    Entry (r, j) is A_rj - B_rj z_j / (1 - z_j); dividing column j by z_j
-    gives the Jacobian in the shapes themselves.
+    dlog_z and dlog_w are the derivatives of log z_j and log(1 - z_j) in
+    the chosen coordinate: (1, -z / (1 - z)) in u = log z, (1 / z,
+    -1 / (1 - z)) in the shapes themselves.
     """
-    z = np.asarray(shapes, dtype=complex)
     n = M.shape[1] // 2
-    return M[:, :n] + M[:, n:2 * n] * (-z / (1 - z))[None, :]
+    return M[:, :n] * dlog_z + M[:, n:2 * n] * dlog_w
 
 
 def select_square_rows(sys: GluingSystem, shapes) -> list:
@@ -286,7 +279,8 @@ def select_square_rows(sys: GluingSystem, shapes) -> list:
     the zero equation.
     """
     n = sys.tet_count
-    resid = log_jacobian(sys.matrix.astype(float), shapes)
+    z = np.asarray(shapes, dtype=complex)
+    resid = jacobian(sys.matrix.astype(float), 1.0, -z / (1 - z))
     norms = np.linalg.norm(resid, axis=1)
     tol = 1e-9 * norms.max()
     cusp_idx = [i for i, r in enumerate(sys.rows) if r.kind != "edge"]
@@ -334,6 +328,9 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
     constant along such a path.  Stops when the selected rows' residual
     drops below tol, then checks the residual of the full system.
     """
+    if not (0 < tol < math.inf and max_iter >= 0):  # also rejects NaN
+        raise ValueError(f"need 0 < tol < inf and max_iter >= 0, got tol={tol}, "
+                         f"max_iter={max_iter}")
     z0 = np.asarray(initial, dtype=complex)
     if len(z0) != sys.tet_count:
         raise ValueError(f"expected {sys.tet_count} shapes, got {len(z0)}")
@@ -343,8 +340,7 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
     M = sys.matrix[rows].astype(float)
 
     u = np.log(z0)
-    iterations = 0
-    for _ in range(max_iter + 1):
+    for iterations in range(max_iter + 1):
         z = np.exp(u)
         w = np.log(1 - z)
         f = _rows_at(M, u, w)
@@ -362,14 +358,13 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
                                 iterations, full_max, tuple(rows))
         if iterations >= max_iter:
             break
-        jac = log_jacobian(M, z)
+        jac = jacobian(M, 1.0, -z / (1 - z))
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"Jacobian solve failed: {exc}") from None
         u = u - step
-        iterations += 1
         if np.any(u.imag <= 0) or np.any(u.imag >= math.pi):
             raise HalfPlaneExitError(
-                f"iterate {iterations} left the upper half-plane")
+                f"iterate {iterations + 1} left the upper half-plane")
     raise DivergenceError(f"no convergence to {tol:g} in {max_iter} iterations")

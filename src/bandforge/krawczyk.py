@@ -9,7 +9,8 @@ evaluated in midpoint-radius ("ball") arithmetic on numpy arrays, with
 the preconditioner Y a floating-point inverse of the midpoint Jacobian
 treated as an exact constant.  Rounding is bounded a priori, without
 touching the rounding mode (Rump, "Fast and parallel interval
-arithmetic", BIT 39, 1999): see `_ball` and `_operator`.  Strict inclusion,
+arithmetic", BIT 39, 1999): see `_ball` and `_operator`, which takes
+its midpoint Jacobian from `gluing.jacobian`.  Strict inclusion,
 |Re(K_c - z)| + K_rad < radius and the same for Im for every shape,
 proves that the subsystem has exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
-                    _recip, _up)
+from ._ball import (_ETA, _TINY, _U, _discs, _gamma, _log_rad, _mag, _recip,
+                    _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
-from .gluing import (GluingSystem, augmented_rank, build_equations,
+from .gluing import (GluingSystem, augmented_rank, build_equations, jacobian,
                      newton_solve, select_square_rows, wide_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import (CertifyError, SolveError, Triangulation,
@@ -122,12 +123,11 @@ def _operator(sys, z, radius, rows=None):
     if rows is None:
         rows = select_square_rows(sys, z)
     C = sys.matrix[list(rows)].astype(float)      # [A | B | k - c]
-    MA, MB = C[:, :n], C[:, n:2 * n]
     # J(X) = A/x - B/(1 - x); the centre J_c rounds three more times
     recip, rad = _recip(v, rv, lo, gap)
     rad = _up(rad + _up(_gamma(3) * _mag(recip)))
-    J_c = MA * recip[0] - MB * recip[1]
-    J_rad = _up(_up(np.abs(MA) * rad[0]) + _up(np.abs(MB) * rad[1]))
+    J_c = jacobian(C, recip[0], -recip[1])
+    J_rad = _up(_up(np.abs(C[:, :n]) * rad[0]) + _up(np.abs(C[:, n:-1]) * rad[1]))
     try:
         Y = np.linalg.inv(J_c)                 # an exact constant from here on
     except np.linalg.LinAlgError as exc:
@@ -156,14 +156,6 @@ def _operator(sys, z, radius, rows=None):
     if not (np.isfinite(K_c).all() and np.isfinite(K_rad).all()):
         raise KrawczykError("the Krawczyk operator is not finite")
     return rows, Y, (E_c, E_rad), (K_c, K_rad)
-
-
-def _boxes(c, rad):
-    """Outward-rounded ComplexInterval boxes c +- rad."""
-    ends = [a.tolist() for a in (_dn(c.real - rad), _up(c.real + rad),
-                                 _dn(c.imag - rad), _up(c.imag + rad))]
-    return [ComplexInterval(RealInterval(a, b), RealInterval(c, d))
-            for a, b, c, d in zip(*ends)]
 
 
 def krawczyk_test(sys: GluingSystem, approx, radius: float,
@@ -207,7 +199,8 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
             reach = [_up(_up(np.abs(part(K_c) - part(z))) + K_rad)
                      for part in (np.real, np.imag)]
             contracted = bool((np.maximum(*reach) < radius).all())
-            K, X = _boxes(K_c, K_rad), _boxes(z, radius)
+            K = [ComplexInterval.box(*kr) for kr in zip(K_c, K_rad)]
+            X = [ComplexInterval.box(v, radius) for v in z]
     except FloatingPointError as exc:
         raise KrawczykError(f"ball arithmetic overflowed: {exc}") from None
 
@@ -239,6 +232,8 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     CertifyError with a stage tag; rows beyond floats fail `validation`.
     A `krawczyk` failure lists each rung tried as `attempts`.
     """
+    if not 0 < tol < math.inf:  # before Newton, which would tag it `newton`
+        raise ValueError(f"need 0 < tol < inf, got tol={tol}")
     problems = validate_triangulation(tri)
     if problems:
         raise CertifyError("validation", "; ".join(problems))

@@ -20,16 +20,17 @@ name the cusp or tetrahedron instead.  Serialization
 reproduces the token stream exactly (token-level, not byte-level,
 round-trip identity).
 
-Only orientable manifolds are accepted.  `validate` holds the cusp
-rules: every cusp is a torus, and a filling of (0, 0) means the cusp is
-complete; anything else must be an integral coprime pair below 2^53 in
-modulus, as the format stores it as a real.  A shape hint of 0, 1 or a
-non-finite value is degenerate and rejected; negatively oriented hints
-are legal.
+Only orientable manifolds are accepted.  `validate` holds every value
+rule the parser enforces, the cusp rules among them: every cusp is a
+torus, and a filling of (0, 0) means the cusp is complete; anything else
+must be an integral coprime pair below 2^53 in modulus, as the format
+stores it as a real.  A shape hint of 0, 1 or a non-finite value is
+degenerate and rejected; negatively oriented hints are legal.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from math import gcd, isfinite
@@ -161,7 +162,7 @@ def parse_triangulation(text: str) -> Triangulation:
             f"unsupported orientability {orientability!r} "
             "(only oriented_manifold is accepted)", rd.last_line)
     cs_flag = rd.next("CS flag")
-    if cs_flag not in ("CS_known", "CS_unknown"):
+    if cs_flag not in dict(_CS_FORMS):
         raise TriParseError(f"unrecognized CS flag {cs_flag!r}", rd.last_line)
     cs_value = rd.next_float("CS value") if cs_flag == "CS_known" else None
     cusp_count = rd.next_int("cusp count")
@@ -202,7 +203,7 @@ def parse_triangulation(text: str) -> Triangulation:
         sre = rd.next_float(f"tet {t} shape re")
         sim = rd.next_float(f"tet {t} shape im")
         hint = complex(sre, sim)
-        if hint in (0, 1) or not (isfinite(sre) and isfinite(sim)):
+        if hint in (0, 1) or not cmath.isfinite(hint):
             raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
                                 "(0, 1 or not finite)", rd.last_line)
         tets.append(Tetrahedron(tuple(nbr), tuple(glu), vc, rows, hint))
@@ -223,6 +224,15 @@ def parse_triangulation(text: str) -> Triangulation:
 def validate(tri: Triangulation) -> list:
     """Invariant check; returns a list of diagnostics, empty when clean."""
     out = []
+    for what, token in (("name", tri.name), ("solution type", tri.solution_type)):
+        if token.split() != [token]:
+            out.append(f"{what} {token!r} is not one token free of whitespace")
+    if tri.orientability != "oriented_manifold":
+        out.append(f"unsupported orientability {tri.orientability!r}")
+    if (tri.cs_flag, tri.cs_value is None) not in _CS_FORMS:
+        out.append(f"CS flag {tri.cs_flag!r} with CS value {tri.cs_value!r}")
+    if not (tri.tets and tri.cusps):
+        out.append("a triangulation needs a tetrahedron and a cusp")
     if tri.tet_count != len(tri.tets):
         out.append(f"tet_count {tri.tet_count} != {len(tri.tets)} tetrahedra")
     if tri.cusp_count != len(tri.cusps):
@@ -259,6 +269,8 @@ def validate(tri: Triangulation) -> list:
             misshapen.add(t)
     n = len(tri.tets)
     for t, tet in enumerate(tri.tets):
+        if tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
+            out.append(f"tet {t}: shape hint {tet.shape_hint} is degenerate")
         if t in misshapen:
             continue
         for f in range(4):
@@ -305,19 +317,16 @@ _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
+# each CS flag, and whether it comes without a CS value
+_CS_FORMS = (("CS_known", False), ("CS_unknown", True))
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
     """Emit the format; round-trips through parse_triangulation token-exactly."""
-    lines = [tri.name]
-    lines.append(f"{tri.solution_type}  {tri.volume_hint:.8f}")
-    lines.append(tri.orientability)
-    if tri.cs_value is None:
-        lines.append(tri.cs_flag)
-    else:
-        lines.append(f"{tri.cs_flag}  {tri.cs_value:.16f}")
-    lines.append("")
-    lines.append(f"{tri.cusp_count} {tri.fake_cusp_count}")
+    cs = "" if tri.cs_value is None else f"  {tri.cs_value:.16f}"
+    lines = [tri.name, f"{tri.solution_type}  {tri.volume_hint:.8f}",
+             tri.orientability, tri.cs_flag + cs, "",
+             f"{tri.cusp_count} {tri.fake_cusp_count}"]
     for cusp in tri.cusps:
         lines.append(f"    {cusp.topology} {cusp.filling_m:16.12f} "
                      f"{cusp.filling_l:16.12f}")

@@ -85,6 +85,12 @@ def test_twobridge_commands(capsys):
     assert code == 0 and rep["results"]["four_move_obstructed"] is True
 
 
+def test_eval_of_a_fraction_without_a_link(capsys):
+    code, rep, _ = run_json(capsys, ["twobridge", "eval", "1"])
+    assert code == 0
+    assert rep["results"] == {"fraction": "1/1", "schubert": None}
+
+
 def test_twobridge_parse_errors(capsys):
     for argv in [["twobridge", "eval", "3,x"],
                  ["twobridge", "expand", "abc"],
@@ -384,6 +390,14 @@ def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
     (["tri", "certify", "FILE"], _wide_meridians_b, 2, "[validation]"),
     (["tri", "solve", "FILE"], _wide_meridians_b, 2, "2^53"),
     (["tri", "volume", "FILE"], _wide_meridians_b, 2, "2^53"),
+    *((["tri", "solve", "--fixture", "A", "--tol", tol], None, 2,
+       "need 0 < tol < inf") for tol in ("nan", "0", "-1", "inf")),
+    (["tri", "solve", "--fixture", "A", "--max-iter", "-3"], None, 2,
+     "max_iter >= 0"),
+    *((["tri", "certify", "--fixture", "A", "--tol", tol], None, 2,
+       "need 0 < tol < inf") for tol in ("0", "nan")),
+    (["tri", "solve", "--fixture", "A", "--max-iter", "0"], None, 3,
+     "no convergence"),
 ])
 def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     path = tmp_path / "case.tri"

@@ -254,6 +254,20 @@ def test_certify_error_lists_the_failed_rungs(tri_a):
     assert err.value.stage == "validation" and err.value.attempts == ()
 
 
+def test_certify_error_names_a_non_geometric_rung(tri_a, monkeypatch):
+    # no shipped input reaches it: a contracted box with Im <= 0 somewhere
+    def contracted_below(sys_, approx, radius, rows=None):
+        box = ComplexInterval.box(0.5 - 1j, radius)
+        return Certificate(sys_.name, True, False, (box,) * sys_.tet_count,
+                           interval_volume([box]), radius)
+    monkeypatch.setattr(krawczyk, "krawczyk_test", contracted_below)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(tri_a)
+    assert err.value.stage == "krawczyk"
+    assert err.value.attempts == tuple(
+        (radius, "Im not positive") for radius in RADIUS_LADDER)
+
+
 def test_volume_outside_enclosure_is_certify_error(tri_a, monkeypatch):
     monkeypatch.setattr(krawczyk, "point_volume", lambda shapes: 1.0)
     with pytest.raises(CertifyError) as err:

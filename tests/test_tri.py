@@ -298,7 +298,7 @@ def test_not_isomorphic_same_size(tri_a):
     # rewire two face pairings of A into a valid but combinatorially
     # different triangulation, witnessed by a changed edge-valence profile
     def valences(tri):
-        return sorted(len(c.orbit) for c in edge_classes(tri))
+        return sorted(map(len, edge_classes(tri)))
 
     base = valences(tri_a)
     pairs = []
@@ -388,11 +388,38 @@ def _tet0(tri, **changes):
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1,) + (0,) * 15,
                                     *t.tets[0].peripheral[2:])),
      "tet 0: peripheral sheet row 1 is nonzero"),
+    (lambda t: dataclasses.replace(t, cs_flag="CS_known"),
+     "CS flag 'CS_known' with CS value None"),
+    (lambda t: dataclasses.replace(t, cs_value=1.5),
+     "CS flag 'CS_unknown' with CS value 1.5"),
+    (lambda t: dataclasses.replace(t, cs_flag="CS_maybe"),
+     "CS flag 'CS_maybe' with CS value None"),
+    (lambda t: dataclasses.replace(t, orientability="nonorientable_manifold"),
+     "unsupported orientability 'nonorientable_manifold'"),
+    (lambda t: dataclasses.replace(t, name="fixture a"),
+     "name 'fixture a' is not one token"),
+    (lambda t: dataclasses.replace(t, name=""), "name '' is not one token"),
+    (lambda t: dataclasses.replace(t, solution_type="geometric solution"),
+     "solution type 'geometric solution' is not one token"),
+    (lambda t: dataclasses.replace(t, tets=(), tet_count=0),
+     "a triangulation needs a tetrahedron and a cusp"),
+    (lambda t: _tet0(t, shape_hint=0j), "tet 0: shape hint 0j is degenerate"),
+    (lambda t: _tet0(t, shape_hint=1 + 0j),
+     "tet 0: shape hint (1+0j) is degenerate"),
+    (lambda t: _tet0(t, shape_hint=complex(float("nan"), 1)),
+     "tet 0: shape hint (nan+1j) is degenerate"),
+    (lambda t: _tet0(t, shape_hint=complex(0.5, float("inf"))),
+     "tet 0: shape hint (0.5+infj) is degenerate"),
 ], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
-        "sheet_row"])
+        "sheet_row", "cs_known_no_value", "cs_unknown_value", "cs_flag",
+        "orientability", "name_space", "name_empty", "solution_type",
+        "no_tets", "hint_0", "hint_1", "hint_nan", "hint_inf"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     bad = corrupt(tri_a)
     assert any(p.startswith(message) for p in validate(bad)), validate(bad)
     with pytest.raises(CertifyError, match="validation") as info:
         certify_hyperbolic(bad)
     assert info.value.stage == "validation" and message in str(info.value)
+    # the parser refuses the same triangulation once it is written out
+    with pytest.raises(TriParseError):
+        parse_triangulation(serialize_triangulation(bad))
