@@ -73,6 +73,10 @@ _LOG_TERMS = ((1, 0, 0), (0, -1, 0), (-1, 1, 1))
 _TURNS = tuple((v, a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
                for v in range(4) for a in range(4) for b in range(4)
                if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
+# the faces off each edge, and the image of an edge under each gluing
+_OFF = {e: tuple(f for f in range(4) if f not in e) for e in PAIR_TYPE}
+_EDGE_IMAGE = {(s, e): tuple(sorted((s[e[0]], s[e[1]])))
+               for s in itertools.permutations(range(4)) for e in PAIR_TYPE}
 
 
 class SingularJacobianError(SolveError):
@@ -100,9 +104,13 @@ class GluingRow:
 
 @dataclass(frozen=True)
 class GluingSystem:
+    """Per cusp, `relations` lists the edge rows with an end there, once per
+    end; so weighted, a torus cusp's edge rows sum to zero (Neumann-Zagier:
+    each cusp triangle adds A = B = 0 and k = 1, two triangles per end)."""
     name: str
     tet_count: int
     rows: tuple
+    relations: tuple = ()
 
     @functools.cached_property
     def matrix(self):
@@ -131,21 +139,15 @@ def edge_classes(tri: Triangulation) -> list:
         if start in seen:
             continue
         seen.add(start)
-        walk, members = [start], []
-        while walk:
-            t, e = walk.pop()
-            members.append((t, e))
+        members = [start]
+        for t, e in members:            # members grows as the walk goes
             tet = tri.tets[t]
-            for f in range(4):
-                if f not in e:
-                    sigma = tet.gluings[f]
-                    img = (tet.neighbors[f],
-                           tuple(sorted((sigma[e[0]], sigma[e[1]]))))
-                    if img not in seen:
-                        seen.add(img)
-                        walk.append(img)
-        members.sort()
-        classes.append(tuple((t, e, PAIR_TYPE[e]) for t, e in members))
+            for f in _OFF[e]:
+                img = (tet.neighbors[f], _EDGE_IMAGE[tuple(tet.gluings[f]), e])
+                if img not in seen:
+                    seen.add(img)
+                    members.append(img)
+        classes.append(tuple((t, e, PAIR_TYPE[e]) for t, e in sorted(members)))
     return classes
 
 
@@ -178,9 +180,14 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     (only sheet 0 is read).  A row floats cannot hold raises ValueError.
     """
     n = len(tri.tets)
+    classes = edge_classes(tri)
     # (kind, [A | B | k], c, cusp, filling) per row
     rows = [("edge", _fold(n, ((t, ptype, 1) for t, _e, ptype in orbit)),
-             2, None, None) for orbit in edge_classes(tri)]
+             2, None, None) for orbit in classes]
+    relations = [[] for _ in tri.cusps]
+    for i, (t, e, _) in enumerate(orbit[0] for orbit in classes):
+        for v in e:             # the ends of edge i, read at one member
+            relations[tri.tets[t].vertex_cusp[v]].append(i)
 
     # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
     terms = [([], []) for _ in tri.cusps]
@@ -201,7 +208,7 @@ def build_equations(tri: Triangulation) -> GluingSystem:
                          2, cusp, (m, l)))
     sys = GluingSystem(tri.name, n, tuple(
         GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
-        for kind, r, c, cusp, filling in rows))
+        for kind, r, c, cusp, filling in rows), tuple(map(tuple, relations)))
     wide = wide_rows(sys.matrix)
     if wide.size:
         raise ValueError(f"{sys.rows[wide[0]].kind} row {wide[0]} has an entry "
@@ -231,19 +238,21 @@ def residual(sys: GluingSystem, shapes) -> list:
     return np.abs(f).tolist()
 
 
-def augmented_rank(sys: GluingSystem) -> int:
-    """Exact rank of the integer matrix [A | B | k - c] over all rows.
+def augmented_rank(M) -> int:
+    """Exact rank of the integer matrix M, such as `GluingSystem.matrix`.
 
     Fraction-free (Bareiss) elimination, so each division is exact: one
     numpy int64 update of the trailing block per pivot.  A block with an
     entry of modulus 2^30 or more first becomes Python ints (dtype object),
     so no product overflows; a matrix beyond int64 starts as object.
     """
-    m = sys.matrix.copy()
+    m = M.copy()
     rank, prev = 0, 1
     for col in range(m.shape[1]):
+        if rank == m.shape[0]:
+            break               # every row holds a pivot
         block = m[rank:, col:]
-        if m.dtype != object and block.size and (
+        if m.dtype != object and (
                 block.max() >= 2 ** 30 or block.min() <= -2 ** 30):
             m = m.astype(object)
         nz = np.flatnonzero(m[rank:, col])

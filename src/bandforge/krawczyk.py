@@ -15,9 +15,11 @@ its midpoint Jacobian from `gluing.jacobian`.  Strict inclusion,
 proves that the subsystem has exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
 that zero is a geometric solution and the manifold is hyperbolic.  The
-discarded rows are checked exactly: the integer matrix [A | B | k - c]
-over all rows must have rank n.  Contraction proves the n retained rows
-independent, so every discarded row is then a rational combination of
+discarded rows are checked exactly: M = [A | B | k - c] over all rows
+must have rank at most n.  The cusp relations W (`GluingSystem.relations`)
+bound it by rows - rank W once W M = 0 holds in integers; only where that
+bound is not n does Bareiss eliminate M.  Contraction proves the n kept
+rows independent, so every discarded row is a rational combination of
 them, and a zero of the square subsystem solves the full system.
 
 The certified volume is `dilog.interval_volume` over the final
@@ -158,6 +160,16 @@ def _operator(sys, z, radius, rows=None):
     return rows, Y, (E_c, E_rad), (K_c, K_rad)
 
 
+def _relation_bound(sys):
+    """rows - rank W >= rank M for M = sys.matrix, W = sys.relations, if W M = 0."""
+    R, rels = len(sys.rows), sys.relations
+    if not rels or not all(0 <= i < R for rel in rels for i in rel) or (
+            max(map(len, rels)) * int(abs(sys.matrix).max(initial=0)) >= 2 ** 63):
+        return None         # bad indices, or W M might overflow int64
+    W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R) for r in rels])
+    return None if (W @ sys.matrix).any() else R - augmented_rank(W.T)
+
+
 def krawczyk_test(sys: GluingSystem, approx, radius: float,
                   rows=None) -> Certificate:
     """Containment test on the box approx +- radius.
@@ -168,9 +180,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     are selected at approx when not given; any n rows are sound, as
     contraction proves them independent.  Raises KrawczykError when the
     box itself is unusable: a shape is not finite, the rows [A | B | k - c]
-    have an entry of modulus 2^53 or more or do not have rank n, the
-    midpoint Jacobian is not invertible, or the disc around a shape reaches
-    0, 1 or a branch cut of log.
+    have an entry of modulus 2^53 or more or (unless the cusp relations
+    bound it by n) a rank other than n, the midpoint Jacobian is not
+    invertible, or the disc around a shape reaches 0, 1 or a branch cut.
     """
     if not 0 < radius < math.inf:  # also rejects NaN
         raise ValueError("radius must be positive and finite")
@@ -187,7 +199,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     if wide_rows(sys.matrix).size:
         raise KrawczykError("[A | B | k - c] has an entry of modulus 2^53 "
                             "or more, which floats do not hold")
-    rank = augmented_rank(sys)
+    rank = n if _relation_bound(sys) == n else augmented_rank(sys.matrix)
     if rank != n:
         raise KrawczykError(f"rows [A | B | k - c] have rank {rank}, not {n}: "
                             "the kept rows do not imply the dropped ones")
@@ -232,8 +244,11 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     CertifyError with a stage tag; rows beyond floats fail `validation`.
     A `krawczyk` failure lists each rung tried as `attempts`.
     """
+    radii = tuple(radii)
     if not 0 < tol < math.inf:  # before Newton, which would tag it `newton`
         raise ValueError(f"need 0 < tol < inf, got tol={tol}")
+    if not (radii and all(0 < r < math.inf for r in radii)):
+        raise ValueError(f"radius must be positive and finite, got radii={radii}")
     problems = validate_triangulation(tri)
     if problems:
         raise CertifyError("validation", "; ".join(problems))

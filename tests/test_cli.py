@@ -319,6 +319,15 @@ def _zero_hint_a(path):
         dataclasses.replace(tri, tets=tuple(tets))))
 
 
+def _lower_hint_b(path):
+    """Fixture B with tet 0's hint moved to 0.5 - 0.5i, which Newton refuses."""
+    tri = load_fixture("B")
+    tets = list(tri.tets)
+    tets[0] = dataclasses.replace(tets[0], shape_hint=0.5 - 0.5j)
+    path.write_text(serialize_triangulation(
+        dataclasses.replace(tri, tets=tuple(tets))))
+
+
 def _huge_filling_a(path):
     """Fixture A filled at (1e300, 1): integral and coprime as read, but
     far beyond the integers a real holds exactly."""
@@ -398,6 +407,8 @@ def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
        "need 0 < tol < inf") for tol in ("0", "nan")),
     (["tri", "solve", "--fixture", "A", "--max-iter", "0"], None, 3,
      "no convergence"),
+    *((["tri", "certify", "FILE", "--radius", radius], _lower_hint_b, 2,
+       "radius must be positive") for radius in ("-1", "nan")),
 ])
 def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     path = tmp_path / "case.tri"

@@ -67,6 +67,23 @@ def test_matrix_is_the_read_only_rows(tri_b):
     assert big.matrix.dtype == object and big.matrix.tolist() == [[2 ** 64, 0, 1]]
 
 
+def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
+    # per cusp, the edge rows weighted by their ends there sum to the zero
+    # row, and the cusps' relations are independent, so [A | B | k - c]
+    # has rank at most rows - cusps = n
+    for tri in [tri_a, tri_b] + [_fill_b(tri_b, m, l) for m, l in B_SLOPES]:
+        sys_, n = build_equations(tri), len(tri.tets)
+        ends = sorted(i for rel in sys_.relations for i in rel)
+        assert ends == sorted(2 * list(range(n)))  # two ends per edge row
+        W = np.zeros((len(tri.cusps), len(sys_.rows)), dtype=np.int64)
+        for cusp, rel in enumerate(sys_.relations):
+            for i in rel:
+                W[cusp, i] += 1
+        assert not (W @ sys_.matrix).any()
+        assert _fraction_rank(W.tolist()) == len(tri.cusps)
+        assert len(sys_.rows) - len(tri.cusps) == n
+
+
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_wide_rows_bound_both_signs(dtype):
     top = 2 ** 53
@@ -287,10 +304,10 @@ def test_augmented_rank_matches_rational_elimination(tri_a, tri_b):
         sys_ = GluingSystem("random", n, tuple(
             GluingRow("edge", tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], 0)
             for r in rows))
-        assert augmented_rank(sys_) == _fraction_rank(rows), rows
+        assert augmented_rank(sys_.matrix) == _fraction_rank(rows), rows
     # the fixtures' dropped rows follow from the kept ones
     for tri in (tri_a, tri_b):
-        assert augmented_rank(build_equations(tri)) == len(tri.tets)
+        assert augmented_rank(build_equations(tri).matrix) == len(tri.tets)
 
 
 def _rank_system(rows, n):
@@ -316,14 +333,15 @@ def test_augmented_rank_beyond_int64_starts_as_object():
     # modulus does not, so it must not stay in int64 either: here
     # (-2^63)(-2) would wrap to 0 and hide the second pivot
     rows = [[-2 ** 63, 0, 0], [0, -2, 0]]
-    assert augmented_rank(_rank_system(rows, 1)) == _fraction_rank(rows) == 2
+    assert augmented_rank(_rank_system(rows, 1).matrix) == _fraction_rank(rows) == 2
     rng = random.Random(63)
     for big in (2 ** 63, -2 ** 63, 2 ** 64 + 1, -3 ** 50, 2 ** 62 + 7):
         for _ in range(30):
             n = rng.randint(1, 4)
             rows = _dependent_rows(
                 rng, n, lambda: rng.choice((0, 1, -2, 3, big)))
-            assert augmented_rank(_rank_system(rows, n)) == _fraction_rank(rows), rows
+            assert (augmented_rank(_rank_system(rows, n).matrix)
+                    == _fraction_rank(rows)), rows
 
 
 def test_augmented_rank_promotes_growing_minors():
@@ -335,7 +353,8 @@ def test_augmented_rank_promotes_growing_minors():
         rows = _dependent_rows(
             rng, n, lambda: rng.randint(-2 ** 20, 2 ** 20))
         assert max(abs(x) for r in rows for x in r) < 2 ** 30
-        assert augmented_rank(_rank_system(rows, n)) == _fraction_rank(rows), rows
+        assert (augmented_rank(_rank_system(rows, n).matrix)
+                == _fraction_rank(rows)), rows
 
 
 def test_augmented_rank_on_every_filling_of_b(tri_b):
@@ -343,4 +362,4 @@ def test_augmented_rank_on_every_filling_of_b(tri_b):
     for m, l in B_SLOPES:
         sys_ = build_equations(_fill_b(tri_b, m, l))
         matrix = [r.A + r.B + (r.k - r.c,) for r in sys_.rows]
-        assert augmented_rank(sys_) == _fraction_rank(matrix) == 26, (m, l)
+        assert augmented_rank(sys_.matrix) == _fraction_rank(matrix) == 26, (m, l)

@@ -228,6 +228,16 @@ def test_certify_rejects_unsupported_cusp(label, cusp, info):
     assert f"cusp {cusp}: " in str(err.value)
 
 
+@pytest.mark.parametrize("radii", [(), (-1.0,), (1e-8, math.nan), (math.inf,)])
+def test_certify_checks_the_ladder_first(tri_a, radii):
+    # before Newton, which refuses this hint and would be reported first
+    tets = list(tri_a.tets)
+    tets[0] = dataclasses.replace(tets[0], shape_hint=0.5 - 0.5j)
+    for tri in (tri_a, dataclasses.replace(tri_a, tets=tuple(tets))):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            certify_hyperbolic(tri, radii=radii)
+
+
 def test_certify_ladder_respects_explicit_radii(tri_a):
     cert = certify_hyperbolic(tri_a, radii=(1e-8,))
     assert cert.valid and cert.radius_used == 1e-8
@@ -295,7 +305,9 @@ def _append_row(sys_, c_shift):
 @pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
 def test_inconsistent_appended_row_is_never_valid(solved, request):
     sys_, result = request.getfixturevalue(solved)
-    # a copy of an edge row with c raised by 2 has no common solution
+    # a copy of an edge row with c raised by 2 has no common solution; the
+    # cusp relations bound the rank by n + 1 only, so elimination runs
+    assert krawczyk._relation_bound(_append_row(sys_, 2)) == sys_.tet_count + 1
     with pytest.raises(KrawczykError, match="rank"):
         krawczyk_test(_append_row(sys_, 2), result.shapes, 1e-8)
 
@@ -305,6 +317,95 @@ def test_redundant_appended_row_still_certifies(solved, request):
     sys_, result = request.getfixturevalue(solved)
     cert = krawczyk_test(_append_row(sys_, 0), result.shapes, 1e-8)
     assert cert.valid
+
+
+def _record_ranks(monkeypatch):
+    """The shape of every matrix krawczyk passes to augmented_rank."""
+    shapes = []
+
+    def recording(M):
+        shapes.append(M.shape)
+        return gluing.augmented_rank(M)
+
+    monkeypatch.setattr(krawczyk, "augmented_rank", recording)
+    return shapes
+
+
+def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
+    # the cusp relations settle the rank: only their transpose, one column
+    # per cusp, is eliminated
+    shapes = _record_ranks(monkeypatch)
+    certified = 0
+    for tri in [tri_a, tri_b] + [_filled(tri_b, m, l) for m, l in B_SLOPES]:
+        shapes.clear()
+        try:
+            certify_hyperbolic(tri)
+        except CertifyError as exc:
+            assert exc.stage == "newton" and not shapes
+            continue
+        certified += 1
+        cusps = len(tri.cusps)
+        assert shapes and set(shapes) == {(len(tri.tets) + cusps, cusps)}
+    assert certified == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
+
+
+@pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
+def test_system_without_relations_certifies_by_elimination(
+        solved, request, monkeypatch):
+    sys_, result = request.getfixturevalue(solved)
+    cert = krawczyk_test(sys_, result.shapes, 1e-8, result.rows)
+    shapes = _record_ranks(monkeypatch)
+    bare = krawczyk_test(dataclasses.replace(sys_, relations=()),
+                         result.shapes, 1e-8, result.rows)
+    assert shapes == [sys_.matrix.shape]
+    assert bare.valid and bare.to_dict() == cert.to_dict()
+
+
+def _bad_relations(sys_, case):
+    """`sys_` with its last cusp's relation spoiled."""
+    *rels, rel = sys_.relations
+    extra = {"repeated": rel[:1],       # W M is then that edge row, not 0
+             "past": (len(sys_.rows),), "negative": (-1,)}[case]
+    return dataclasses.replace(sys_, relations=(*rels, rel + extra))
+
+
+@pytest.mark.parametrize("case", ["repeated", "past", "negative"])
+@pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
+def test_bad_relations_fall_back_to_elimination(solved, case, request,
+                                                monkeypatch):
+    sys_, result = request.getfixturevalue(solved)
+    cert = krawczyk_test(sys_, result.shapes, 1e-8, result.rows)
+    bad = _bad_relations(sys_, case)
+    assert krawczyk._relation_bound(bad) is None
+    shapes = _record_ranks(monkeypatch)
+    assert krawczyk_test(bad, result.shapes, 1e-8,
+                         result.rows).to_dict() == cert.to_dict()
+    assert shapes == [sys_.matrix.shape]
+
+
+def _renumbered(tri, seed):
+    """`tri` with tetrahedron t renumbered perm[t], neighbours remapped."""
+    perm = list(range(len(tri.tets)))
+    random.Random(seed).shuffle(perm)
+    tets = [None] * len(perm)
+    for t, tet in enumerate(tri.tets):
+        tets[perm[t]] = dataclasses.replace(
+            tet, neighbors=tuple(perm[x] for x in tet.neighbors))
+    return dataclasses.replace(tri, tets=tuple(tets)), perm
+
+
+@pytest.mark.parametrize("label", ["A", "B"])
+def test_renumbered_tetrahedra_keep_the_bound(label):
+    tri = load_fixture(label)
+    cert = certify_hyperbolic(tri)
+    for seed in (1, 2, 3):
+        other, perm = _renumbered(tri, seed)
+        assert validate(other) == []
+        assert krawczyk._relation_bound(build_equations(other)) == len(tri.tets)
+        moved = certify_hyperbolic(other)
+        assert moved.valid
+        for t, enc in enumerate(cert.enclosures):
+            assert enc.intersect(moved.enclosures[perm[t]]) is not None, t
 
 
 # ------------------------------------------- rows that floats cannot hold
@@ -417,6 +518,10 @@ def test_ball_operator_holds_mpmath_values(solved, radius, request):
 
 # -------------------------------------------- filling sweep parity
 
+# the 128 primitive slopes of B's complete cusp 6: m ascending, then l
+B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
+            if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
+
 # slopes of fixture B's cusp 6 whose Newton solve fails from the file hints
 SEED_UNCERTIFIED = frozenset([
     (-3, 1), (-2, 1), (-1, 1), (-1, 2), (0, 1), (1, 0), (1, 1), (1, 2),
@@ -435,10 +540,8 @@ def _filled(tri, m, l):
 @pytest.fixture(scope="module")
 def sweep(tri_b):
     """Slope -> (filled B, its r = 1e-10 certificate or CertifyError)."""
-    slopes = [(m, l) for m in range(-10, 11) for l in range(11)
-              if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
     out = {}
-    for m, l in slopes:
+    for m, l in B_SLOPES:
         tri = _filled(tri_b, m, l)
         try:
             out[m, l] = tri, certify_hyperbolic(tri, radii=(1e-10,))

@@ -1,9 +1,13 @@
 """Source-level rules for the package."""
 
 import ast
+import fnmatch
 import pathlib
 
+import pytest
+
 import bandforge
+from bandforge import fixtures
 
 
 def test_no_assert_statements_in_the_package():
@@ -77,3 +81,16 @@ def test_every_private_name_is_used():
     used = set().union(*map(_references, trees.values()))
     assert [f"{name}:{n}" for name, tree in trees.items()
             for n in sorted(_private_definitions(tree)) if n not in used] == []
+
+
+def test_package_data_ships_every_fixture():
+    # an installed package reads its fixtures through importlib.resources,
+    # so each embedded file must match a package-data glob to be installed
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())[
+        "tool"]["setuptools"]["package-data"]["bandforge"]
+    package = pathlib.Path(bandforge.__file__).parent
+    for name in fixtures.EMBEDDED.values():
+        assert (package / "data" / name).is_file(), name
+        assert any(fnmatch.fnmatch(f"data/{name}", g) for g in globs), name
