@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -111,7 +112,7 @@ def _triangulation(args):
     if args.fixture is not None:
         text = fixtures.fixture_text(args.fixture)
     elif args.path is not None:
-        with open(args.path, "r", encoding="ascii") as fh:
+        with open(args.path, encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
@@ -344,8 +345,17 @@ def surgery_bhw(args):
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with `-` and a digit (`-3,2,3`, `-1/2`)
+    as a value, as every option is `-h` or `--long`; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="bandforge", description=(
+    ap = _Parser(prog="bandforge", description=(
         "two-bridge banding calculus and certified hyperbolicity checks"))
     groups = ap.add_subparsers(dest="group", required=True)
     subparsers = {}

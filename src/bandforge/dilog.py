@@ -19,8 +19,9 @@ cross-check that `certify_hyperbolic` runs against that enclosure.  Both
 share one range reduction (the identities D(z) = -D(1/z) = -D(1-z),
 chosen at the point or disc centre by `_moves`), one truncation rule (the
 term count from a bound on |w|, with a rigorous tail bound) and one
-exact table of the rationals B_k/(k+1)!, rounded to floats on first use,
-never at import.
+exact table of the rationals B_k/(k+1)!.  The table comes from integer
+tangent numbers on first use (about 1 ms), never at import, and is rounded
+to floats; the `Fraction` view is built only by `li2_series_coefficients`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import cmath
 import functools
 import itertools
 import math
-from fractions import Fraction as _Q
 
 import numpy as np
 
@@ -48,27 +48,36 @@ _TAIL_TOL = 2.0 ** -60   # truncation target for the series tail
 
 
 @functools.cache
-def li2_series_coefficients() -> tuple:
-    """Exact rationals B_k/(k+1)! for the w-series of Li2, built once.
+def _coefficient_pairs() -> tuple:
+    """(numerator, denominator) of each B_k/(k+1)!, k < _SERIES_LEN.
 
-    B_m comes from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0.
+    B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)) with the tangent numbers T_j
+    from the integer recurrence of Brent and Harvey (arXiv:1108.0286).
     """
-    bern, coeffs, fact = [], [], 1
-    for m in range(_SERIES_LEN):
-        acc, binom = _Q(0), 1
-        for j in range(m):
-            acc += binom * bern[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        bern.append(-acc / binom if m else _Q(1))
-        fact *= m + 1
-        coeffs.append(bern[m] / fact)
-    return tuple(coeffs)
+    n = _SERIES_LEN // 2
+    t = [0] + [math.factorial(k) for k in range(n - 1)]     # t[j] -> T_j
+    for k in range(2, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    pairs, fact = [(1, 1), (-1, 4)], 1      # B_0 = 1, B_1 = -1/2
+    for j in range(1, n):                   # B_2j, then B_2j+1 = 0
+        fact, four = fact * 2 * j * (2 * j + 1), 4 ** j
+        pairs += [((-1) ** (j - 1) * 2 * j * t[j], four * (four - 1) * fact),
+                  (0, 1)]
+    return tuple(pairs)
+
+
+@functools.cache
+def li2_series_coefficients() -> tuple:
+    """Exact rationals B_k/(k+1)! for the w-series of Li2, built once."""
+    from fractions import Fraction
+    return tuple(Fraction(a, b) for a, b in _coefficient_pairs())
 
 
 @functools.cache
 def _coefficient_table() -> tuple:
-    """The exact table rounded to floats."""
-    return tuple(float(c) for c in li2_series_coefficients())
+    """The exact table rounded to floats: int / int rounds correctly."""
+    return tuple(a / b for a, b in _coefficient_pairs())
 
 
 def _series_terms(rho: float):

@@ -35,7 +35,8 @@ def fixture_text(label: str) -> str:
     if d and os.path.basename(label) == label and label not in (".", ".."):
         for cand in (os.path.join(d, label), os.path.join(d, label + ".tri")):
             if os.path.isfile(cand):
-                with open(cand) as f:
+                with open(cand, encoding="utf-8",
+                          errors="surrogateescape") as f:
                     return f.read()
     key = label.upper()
     if key in EMBEDDED:

@@ -1,6 +1,6 @@
 """Reader and writer for the plain-text ideal triangulation format.
 
-The format is whitespace-tokenized with a fixed field order:
+The format is ASCII, whitespace-tokenized, with a fixed field order:
 
     name
     solution_type  volume_hint
@@ -150,6 +150,11 @@ class _TokenReader:
 
 def parse_triangulation(text: str) -> Triangulation:
     """Parse and validate; raises TriParseError with line context on failure."""
+    if not text.isascii():      # the format is ASCII, whatever the source
+        lineno, line = next((i, s) for i, s in enumerate(
+            text.splitlines(keepends=True), start=1) if not s.isascii())
+        char = next(c for c in line if not c.isascii())
+        raise TriParseError(f"non-ASCII character {char!r}", lineno)
     rd = _TokenReader(text)
     if not rd.tokens:
         raise TriParseError("missing header")

@@ -14,7 +14,8 @@ import bandforge
 from bandforge import cli, gluing, krawczyk
 from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
-from bandforge.tri import CuspInfo, serialize_triangulation
+from bandforge.tri import (CuspInfo, TriParseError, parse_triangulation,
+                           serialize_triangulation)
 
 
 def run(capsys, argv):
@@ -141,6 +142,18 @@ def test_surgery_bhw(capsys):
     assert all(a["pass"] for a in rep["assertions"])
 
 
+@pytest.mark.parametrize("argv, results", [
+    (["twobridge", "cosmetic", "-3,2,3"],
+     {"conway": [-3, 2, 3], "partner": [-3, -2, 3], "chirally_cosmetic": True}),
+    (["surgery", "distance", "-1/2", "1/0"],
+     {"left": "1/-2", "right": "1/0", "distance": 2}),
+])
+def test_value_with_a_negative_lead_is_not_an_option(capsys, argv, results):
+    for words in (argv, [*argv[:2], "--", *argv[2:]]):
+        code, rep, err = run_json(capsys, words)
+        assert code == 0 and err == "" and rep["results"] == results
+
+
 def test_surgery_parse_error(capsys):
     code, _, err = run(capsys, ["surgery", "distance", "19/1", "0/0"])
     assert code == 2 and "error:" in err
@@ -205,6 +218,29 @@ def test_tri_stdin(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------- failures
+
+
+def test_non_ascii_file_fails_alike_from_every_source(capsys, monkeypatch,
+                                                       tmp_path):
+    lines = fixture_text("A").splitlines(keepends=True)
+    text = lines[0].rstrip("\n") + "\u03a9\n" + "".join(lines[1:])
+    (tmp_path / "uni.tri").write_text(text, encoding="utf-8")
+    message = "line 1: non-ASCII character '\u03a9'"
+    with pytest.raises(TriParseError) as info:
+        parse_triangulation(text)
+    assert str(info.value) == message
+    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(tmp_path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    for source in ([str(tmp_path / "uni.tri")], [], ["--fixture", "uni"]):
+        code, out, err = run(capsys, ["tri", "parse", *source])
+        assert (code, out, err) == (2, "", f"error: {message}\n"), source
+    # a byte that is not UTF-8 is named too, not reported by the codec
+    (tmp_path / "uni.tri").write_bytes(
+        fixture_text("A").encode().replace(b"\n", b"\xe9\n", 1))
+    for source in ([str(tmp_path / "uni.tri")], ["--fixture", "uni"]):
+        code, out, err = run(capsys, ["tri", "parse", *source])
+        assert (code, err) == (2, "error: line 1: non-ASCII character "
+                                  "'\\udce9'\n"), source
 
 
 def test_empty_stdin_is_parse_error(capsys, monkeypatch):
@@ -448,7 +484,7 @@ def _readme_commands():
 
 
 def test_readme_lists_the_commands():
-    assert len(_readme_commands()) == 18
+    assert len(_readme_commands()) == 19
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)

@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import bandforge
-from bandforge.dilog import (bloch_wigner, bloch_wigner_interval,
-                             li2_series_coefficients, volume)
+from bandforge.dilog import (_SERIES_LEN, _coefficient_table, bloch_wigner,
+                             bloch_wigner_interval, li2_series_coefficients,
+                             volume)
 from bandforge.intervals import ComplexInterval, EnclosureDomainError
 
 mpmath = pytest.importorskip("mpmath")
@@ -37,6 +39,33 @@ def test_series_coefficients_are_bernoulli():
     # odd Bernoulli numbers beyond B_1 vanish
     assert all(c == 0 for c in coeffs[3::2])
     assert len(coeffs) >= 100
+
+
+def reference_coefficients():
+    """B_k/(k+1)!, k < _SERIES_LEN, from the defining recurrence of B_m:
+    sum_{j=0}^{m} C(m+1, j) B_j = 0, in exact rationals."""
+    bern, coeffs, fact = [], [], 1
+    for m in range(_SERIES_LEN):
+        acc, binom = Fraction(0), 1
+        for j in range(m):
+            acc += binom * bern[j]
+            binom = binom * (m + 1 - j) // (j + 1)
+        bern.append(-acc / binom if m else Fraction(1))
+        fact *= m + 1
+        coeffs.append(bern[m] / fact)
+    return tuple(coeffs)
+
+
+def test_tangent_number_table_matches_the_bernoulli_recurrence():
+    reference = reference_coefficients()
+    exact = li2_series_coefficients()
+    assert len(exact) == len(reference) == _SERIES_LEN
+    for k, (got, want) in enumerate(zip(exact, reference)):
+        assert type(got) is Fraction and got == want, k
+    floats = _coefficient_table()
+    assert all(type(x) is float for x in floats)
+    # bit for bit, so 0.0 and -0.0 differ
+    assert [x.hex() for x in floats] == [float(c).hex() for c in reference]
 
 
 def test_regular_ideal_tetrahedron():
@@ -161,3 +190,20 @@ def test_cli_import_builds_no_coefficient_table():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_numeric_command_builds_only_the_float_table():
+    src = os.path.dirname(os.path.dirname(bandforge.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from bandforge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['tri', 'volume', '--fixture', 'A'])\n"
+            "from bandforge.dilog import _coefficient_table as t\n"
+            "from bandforge.dilog import li2_series_coefficients as f\n"
+            "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules,\n"
+            "      f.cache_info().currsize, t.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("BANDFORGE_FIXTURE_DIR", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False", "False", "0", "1"]

@@ -368,6 +368,25 @@ def test_file_cut_inside_peripheral_row(text_a):
                         f"reading tet {TET} peripheral row {ROW}")
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@pytest.mark.parametrize("lineno, edit, char", [
+    (1, lambda line: line + "\u03a9", "\u03a9"),
+    # int() reads these digits, so "\u0661\u0662" would pass as 12 tetrahedra
+    (9, lambda line: line.translate(ARABIC_INDIC), "\u0661"),
+    # a separator that splitlines() drops, so only its line can name it
+    (ROW_LINE, lambda line: line + "\u2028", "\u2028"),
+], ids=["name", "digits", "separator"])
+def test_non_ascii_text_names_its_first_line(text_a, lineno, edit, char):
+    lines = text_a.splitlines()
+    text = _edit_line(text_a, lineno, edit(lines[lineno - 1]))
+    err = _parse_error(text + "\u00e9\n")
+    assert err.line == lineno
+    assert str(err) == f"line {lineno}: non-ASCII character {char!r}"
+
+
 # ------------------------------------------------ validate, built directly
 
 def _tet0(tri, **changes):
