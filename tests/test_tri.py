@@ -1,7 +1,9 @@
 """Parsing, validation, serialization, and isomorphism of .tri files."""
 
 import dataclasses
+import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -358,6 +360,31 @@ def test_corrupt_peripheral_entry_is_named(text_a, col):
     err = _parse_error(_edit_line(text_a, ROW_LINE, " ".join(tokens)))
     assert str(err) == (f"line {ROW_LINE}: expected integer for tet {TET} "
                         f"peripheral row {ROW}, got 'x{col}'")
+
+
+# SHA-256 of (message, line) for every variant of A with one token replaced
+# by "x", A cut after each token, and A with one trailing token (None for a
+# variant that parses): any change to the reader's errors moves it
+ERROR_DIGEST = "d09266b8d5bf1bea7c83f9a305d44b96ab09b668ad4b654206d341a0f9b02e30"
+
+
+def _error_variants(text):
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    yield from (text[:a] + "x" + text[b:] for a, b in spans)
+    yield from (text[:b] for _, b in spans)
+    yield text + "x\n"
+
+
+def test_reader_errors_match_the_pinned_digest(text_a):
+    digest = hashlib.sha256()
+    for text in _error_variants(text_a):
+        try:
+            parse_triangulation(text)
+            outcome = None
+        except TriParseError as err:
+            outcome = (str(err), err.line)
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == ERROR_DIGEST
 
 
 def test_file_cut_inside_peripheral_row(text_a):
