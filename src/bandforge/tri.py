@@ -14,17 +14,23 @@ The format is ASCII, whitespace-tokenized, with a fixed field order:
     integers (curves meridian/longitude x sheets 0/1, columns vertex*4 +
     face), and the shape hint as two reals.
 
-Exactly 4 + 4 + 4 + 64 + 2 tokens per tetrahedron.  Parsing is strict and
-every token diagnostic carries the offending line number; `validate`'s
-name the cusp or tetrahedron instead.  Serialization
-reproduces the token stream exactly (token-level, not byte-level,
-round-trip identity).
+Exactly 4 + 4 + 4 + 64 + 2 tokens per tetrahedron, read as one record:
+one slice of the tokens, one conversion of its 72 integers, and the
+record's checks at once.  Parsing is strict: a number holds no `_`
+(which `int` and `float` would take as a digit separator), and every
+token diagnostic carries the offending line number, worked out only when
+the error is raised (a failed record is walked token by token to find
+its first error); `validate`'s name the cusp or tetrahedron instead.
+Serialization writes each tetrahedron with one template in SnapPea's
+field widths and reproduces the token stream exactly (token-level, not
+byte-level, round-trip identity).
 
 Only orientable manifolds are accepted.  `validate` holds every value
 rule the parser enforces, the cusp rules among them: every cusp is a
 torus, and a filling of (0, 0) means the cusp is complete; anything else
 must be an integral coprime pair below 2^53 in modulus, as the format
-stores it as a real.  A shape hint of 0, 1 or a non-finite value is
+stores it as a real.  The volume hint, and the CS value when there is
+one, must be finite.  A shape hint of 0, 1 or a non-finite value is
 degenerate and rejected; negatively oriented hints are legal.
 """
 
@@ -103,32 +109,36 @@ class Triangulation:
 
 class _TokenReader:
     def __init__(self, text):
-        self.tokens, self.lines = [], []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            toks = line.split()
-            self.tokens += toks
-            self.lines += [lineno] * len(toks)
-        self.pos = 0
+        self.text, self.tokens, self.pos = text, text.split(), 0
+
+    def line(self, index):
+        """The 1-based line of token index, worked out only for an error."""
+        for lineno, line in enumerate(self.text.splitlines(), start=1):
+            index -= len(line.split())
+            if index < 0:
+                return lineno
 
     @property
     def last_line(self):
-        return self.lines[self.pos - 1]
+        return self.line(self.pos - 1)
 
     def next(self, what):
         if self.pos >= len(self.tokens):
-            last = self.lines[-1] if self.lines else None
-            raise TriParseError(f"unexpected end of input while reading {what}", last)
+            raise TriParseError(f"unexpected end of input while reading {what}",
+                                self.line(len(self.tokens) - 1))
         self.pos += 1
         return self.tokens[self.pos - 1]
 
     def next_number(self, what, kind):
         tok = self.next(what)
         try:
-            return kind(tok)
+            if "_" not in tok:  # int and float take PEP 515 separators
+                return kind(tok)
         except ValueError:
-            name = "integer" if kind is int else "real"
-            raise TriParseError(f"expected {name} for {what}, got {tok!r}",
-                                self.last_line) from None
+            pass
+        name = "integer" if kind is int else "real"
+        raise TriParseError(f"expected {name} for {what}, got {tok!r}",
+                            self.last_line)
 
     def next_int(self, what):
         return self.next_number(what, int)
@@ -136,16 +146,47 @@ class _TokenReader:
     def next_float(self, what):
         return self.next_number(what, float)
 
-    def next_ints(self, count, what):
-        """The next count integers, converted in one pass."""
-        try:
-            vals = tuple(map(int, self.tokens[self.pos:self.pos + count]))
-        except ValueError:
-            vals = ()
-        if len(vals) < count:  # token by token, to raise the first error
-            return tuple(self.next_int(what) for _ in range(count))
-        self.pos += count
-        return vals
+    def next_tet(self, t, tet_count):
+        """Tetrahedron t, read as one record of 78 tokens.
+
+        A record that fails is walked token by token, only to raise its
+        first error with its line; that walk never returns a tetrahedron.
+        """
+        rec = self.tokens[self.pos:self.pos + 78]
+        if len(rec) == 78 and "_" not in "".join(rec):
+            try:
+                ints = tuple(map(int, rec[:4] + rec[8:76]))
+                hint = complex(float(rec[76]), float(rec[77]))
+            except ValueError:
+                ints = ()
+            glu = tuple(map(_PERMUTATION.get, rec[4:8]))
+            nbr = ints[:4]
+            if (ints and None not in glu and 0 <= min(nbr)
+                    and max(nbr) < tet_count and hint not in (0, 1)
+                    and cmath.isfinite(hint)):
+                self.pos += 78
+                return Tetrahedron(nbr, glu, ints[4:8], (
+                    ints[8:24], ints[24:40], ints[40:56], ints[56:72]), hint)
+        for f in range(4):
+            v = self.next_int(f"tet {t} neighbor {f}")
+            if not 0 <= v < tet_count:
+                raise TriParseError(
+                    f"tet {t} face {f}: neighbor index {v} out of range "
+                    f"[0, {tet_count})", self.last_line)
+        for f in range(4):
+            tok = self.next(f"tet {t} gluing {f}")
+            if tok not in _PERMUTATION:
+                raise TriParseError(f"malformed gluing permutation {tok!r}",
+                                    self.last_line)
+        for v in range(4):
+            self.next_int(f"tet {t} vertex {v} cusp")
+        for r in range(64):
+            self.next_int(f"tet {t} peripheral row {r // 16}")
+        hint = complex(self.next_float(f"tet {t} shape re"),
+                       self.next_float(f"tet {t} shape im"))
+        # every other way the record can fail raised above
+        raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
+                            "(0, 1 or not finite)", self.last_line)
 
 
 def parse_triangulation(text: str) -> Triangulation:
@@ -185,37 +226,11 @@ def parse_triangulation(text: str) -> Triangulation:
     tet_count = rd.next_int("tetrahedron count")
     if tet_count < 1:
         raise TriParseError("tetrahedron count must be positive", rd.last_line)
-    tets = []
-    for t in range(tet_count):
-        nbr = []
-        for f in range(4):
-            v = rd.next_int(f"tet {t} neighbor {f}")
-            if not 0 <= v < tet_count:
-                raise TriParseError(
-                    f"tet {t} face {f}: neighbor index {v} out of range "
-                    f"[0, {tet_count})", rd.last_line)
-            nbr.append(v)
-        glu = []
-        for f in range(4):
-            tok = rd.next(f"tet {t} gluing {f}")
-            if tok not in _PERMUTATION:
-                raise TriParseError(f"malformed gluing permutation {tok!r}",
-                                    rd.last_line)
-            glu.append(_PERMUTATION[tok])
-        vc = tuple(rd.next_int(f"tet {t} vertex {v} cusp") for v in range(4))
-        rows = tuple(rd.next_ints(16, f"tet {t} peripheral row {r}")
-                     for r in range(4))
-        sre = rd.next_float(f"tet {t} shape re")
-        sim = rd.next_float(f"tet {t} shape im")
-        hint = complex(sre, sim)
-        if hint in (0, 1) or not cmath.isfinite(hint):
-            raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
-                                "(0, 1 or not finite)", rd.last_line)
-        tets.append(Tetrahedron(tuple(nbr), tuple(glu), vc, rows, hint))
+    tets = [rd.next_tet(t, tet_count) for t in range(tet_count)]
     if rd.pos != len(rd.tokens):
         raise TriParseError(
             f"trailing tokens after tetrahedron {tet_count - 1} "
-            f"({len(rd.tokens) - rd.pos} extra)", rd.lines[rd.pos])
+            f"({len(rd.tokens) - rd.pos} extra)", rd.line(rd.pos))
 
     tri = Triangulation(name, solution_type, volume_hint, orientability,
                         cs_flag, cs_value, cusp_count, fake_cusp_count,
@@ -236,6 +251,10 @@ def validate(tri: Triangulation) -> list:
         out.append(f"unsupported orientability {tri.orientability!r}")
     if (tri.cs_flag, tri.cs_value is None) not in _CS_FORMS:
         out.append(f"CS flag {tri.cs_flag!r} with CS value {tri.cs_value!r}")
+    for what, value in (("volume hint", tri.volume_hint),
+                        ("CS value", tri.cs_value)):
+        if value is not None and not isfinite(value):
+            out.append(f"{what} {value} is not finite")
     if not (tri.tets and tri.cusps):
         out.append("a triangulation needs a tetrahedron and a cusp")
     if tri.tet_count != len(tri.tets):
@@ -324,6 +343,10 @@ _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
 # each CS flag, and whether it comes without a CS value
 _CS_FORMS = (("CS_known", False), ("CS_unknown", True))
+# one tetrahedron as written, SnapPea's field widths; a space before each
+# peripheral entry keeps wide ones apart
+_TET_FORMAT = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
+                        + [" %2d" * 16] * 4 + ["%16.12f %16.12f\n"])
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
@@ -335,18 +358,11 @@ def serialize_triangulation(tri: Triangulation) -> str:
     for cusp in tri.cusps:
         lines.append(f"    {cusp.topology} {cusp.filling_m:16.12f} "
                      f"{cusp.filling_l:16.12f}")
-    lines.append("")
-    lines.append(str(tri.tet_count))
-    for i, tet in enumerate(tri.tets):
-        if i:
-            lines.append("")
-        lines.append("".join(f"{v:4d} " for v in tet.neighbors))
-        lines.append(" " + " ".join("".join(str(d) for d in g) for g in tet.gluings))
-        lines.append("".join(f"{c:4d} " for c in tet.vertex_cusp))
-        # a space before each entry keeps wide ones apart
-        lines += [(" %2d" * 16) % tuple(row) for row in tet.peripheral]
-        lines.append(f"{tet.shape_hint.real:16.12f} {tet.shape_hint.imag:16.12f}")
-    return "\n".join(lines) + "\n"
+    lines += ["", str(tri.tet_count)]
+    return "\n".join(lines) + "\n" + "\n".join(_TET_FORMAT % (
+        *tet.neighbors, *itertools.chain(*tet.gluings), *tet.vertex_cusp,
+        *itertools.chain(*tet.peripheral), tet.shape_hint.real,
+        tet.shape_hint.imag) for tet in tri.tets)
 
 
 def combinatorial_isomorphic(a: Triangulation, b: Triangulation) -> bool:

@@ -471,6 +471,31 @@ def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
     assert out == "" and err.startswith("error: line ") and "degenerate" in err
 
 
+def _strict_json(out):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("volume, message", [
+    ("10.01776364", None),
+    ("nan", "volume hint nan is not finite"),
+    ("inf", "volume hint inf is not finite"),
+    ("-inf", "volume hint -inf is not finite"),
+    ("1_0.5", "expected real for volume hint, got '1_0.5'"),
+], ids=["finite", "nan", "inf", "-inf", "separator"])
+def test_tri_parse_prints_only_strict_json(capsys, tmp_path, volume, message):
+    # json.dumps writes a non-finite float as NaN or Infinity, not JSON
+    path = tmp_path / "volume.tri"
+    path.write_text(fixture_text("A").replace("10.01776364", volume, 1))
+    code, out, err = run(capsys, ["tri", "parse", str(path)])
+    if message is None:
+        assert code == 0
+        assert _strict_json(out)["results"]["volume_header"] == float(volume)
+    else:
+        assert (code, out) == (2, "") and message in err
+
+
 # ------------------------------------------------------ documented commands
 
 

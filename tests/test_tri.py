@@ -395,6 +395,21 @@ def test_file_cut_inside_peripheral_row(text_a):
                         f"reading tet {TET} peripheral row {ROW}")
 
 
+@pytest.mark.parametrize("lineno, index, token, what", [
+    (2, 1, "1_0.01776364", "real for volume hint"),
+    (10, 0, "0_9", "integer for tet 0 neighbor 0"),
+    (13, 3, "0_5", "integer for tet 0 peripheral row 0"),
+    (17, 0, "0.331_423656275", "real for tet 0 shape re"),
+], ids=["header real", "neighbor", "peripheral", "shape hint"])
+def test_digit_separator_is_a_parse_error(text_a, lineno, index, token, what):
+    # int and float read "0_9" as 9; the format has no digit separators
+    tokens = text_a.splitlines()[lineno - 1].split()
+    assert float(token) == float(tokens[index])
+    tokens[index] = token
+    err = _parse_error(_edit_line(text_a, lineno, " ".join(tokens)))
+    assert str(err) == f"line {lineno}: expected {what}, got {token!r}"
+
+
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                              "\u0665\u0666\u0667\u0668\u0669")
 
@@ -449,6 +464,11 @@ def _tet0(tri, **changes):
      "solution type 'geometric solution' is not one token"),
     (lambda t: dataclasses.replace(t, tets=(), tet_count=0),
      "a triangulation needs a tetrahedron and a cusp"),
+    (lambda t: dataclasses.replace(t, volume_hint=float("nan")),
+     "volume hint nan is not finite"),
+    (lambda t: dataclasses.replace(t, cs_flag="CS_known",
+                                   cs_value=float("-inf")),
+     "CS value -inf is not finite"),
     (lambda t: _tet0(t, shape_hint=0j), "tet 0: shape hint 0j is degenerate"),
     (lambda t: _tet0(t, shape_hint=1 + 0j),
      "tet 0: shape hint (1+0j) is degenerate"),
@@ -459,7 +479,7 @@ def _tet0(tri, **changes):
 ], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
         "sheet_row", "cs_known_no_value", "cs_unknown_value", "cs_flag",
         "orientability", "name_space", "name_empty", "solution_type",
-        "no_tets", "hint_0", "hint_1", "hint_nan", "hint_inf"])
+        "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     bad = corrupt(tri_a)
     assert any(p.startswith(message) for p in validate(bad)), validate(bad)
