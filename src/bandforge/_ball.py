@@ -8,7 +8,11 @@ non-negative bounds with m roundings on its longest chain, scaled by
 a priori, in round-to-nearest, without touching the rounding mode (Rump,
 "Fast and parallel interval arithmetic", BIT 39, 1999).  The Krawczyk
 operator (`krawczyk._operator`) and the Bloch-Wigner kernel
-(`dilog._ball_bloch_wigner`) share these rules.
+(`dilog._ball_bloch_wigner`) share these rules.  A product of bounds
+(`krawczyk._matmul_up`) raises its radius operand to at least _TINY, still
+a bound, as _up(0) = 2^-1074 where the Jacobian is structurally zero and
+subnormal operands slow a matmul about 60 times; a floor in _up, on every
+rounding, would cost what it saves.
 """
 
 from __future__ import annotations

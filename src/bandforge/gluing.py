@@ -65,14 +65,15 @@ PAIR_TYPE = {
 # fails the fixture residual oracle.
 _LOG_TERMS = ((1, 0, 0), (0, -1, 0), (-1, 1, 1))
 
-# (v, a, b, ptype) for each ordered face pair (a, b) around vertex v with
-# positive turning: a peripheral strand entering a cusp triangle through the
-# side in face a and leaving through face b wraps the corner at the edge
+# _TURNS[v]: (a, b, ptype) for each ordered face pair (a, b) around vertex v
+# with positive turning: a peripheral strand entering a cusp triangle through
+# the side in face a and leaving through face b wraps the corner at the edge
 # {v, w}, w = 6 - v - a - b, of parameter type ptype.  For a positively
 # oriented tetrahedron the turn is counterclockwise iff (v, w, a, b) is odd.
-_TURNS = tuple((v, a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
-               for v in range(4) for a in range(4) for b in range(4)
-               if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
+_TURNS = tuple(tuple((a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
+                     for a in range(4) for b in range(4)
+                     if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
+               for v in range(4))
 # the faces off each edge, and the image of an edge under each gluing
 _OFF = {e: tuple(f for f in range(4) if f not in e) for e in PAIR_TYPE}
 _EDGE_IMAGE = {(s, e): tuple(sorted((s[e[0]], s[e[1]])))
@@ -193,10 +194,12 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     terms = [([], []) for _ in tri.cusps]
     for t, tet in enumerate(tri.tets):
         for curve, row in enumerate(tet.peripheral[::2]):
-            for v, a, b, ptype in _TURNS:
-                mult = _flow(row[4 * v + a], row[4 * v + b])
-                if mult:
-                    terms[tet.vertex_cusp[v]][curve].append((t, ptype, mult))
+            for v, turns in enumerate(_TURNS):
+                corner = row[4 * v:4 * v + 4]
+                for a, b, ptype in turns if any(corner) else ():
+                    mult = _flow(corner[a], corner[b])
+                    if mult:
+                        terms[tet.vertex_cusp[v]][curve].append((t, ptype, mult))
 
     for cusp, info in enumerate(tri.cusps):
         mer, lon = (_fold(n, curve) for curve in terms[cusp])
@@ -241,28 +244,25 @@ def residual(sys: GluingSystem, shapes) -> list:
 def augmented_rank(M) -> int:
     """Exact rank of the integer matrix M, such as `GluingSystem.matrix`.
 
-    Fraction-free (Bareiss) elimination, so each division is exact: one
-    numpy int64 update of the trailing block per pivot.  A block with an
-    entry of modulus 2^30 or more first becomes Python ints (dtype object),
-    so no product overflows; a matrix beyond int64 starts as object.
+    Fraction-free elimination over Python ints, so no product overflows:
+    a row with entry a != 0 under the pivot p becomes p row - a pivot row,
+    over its content; other rows are skipped.  A primitive row is the
+    Bareiss row up to a factor, so entries stay bounded by minors of M.
     """
-    m = M.copy()
-    rank, prev = 0, 1
-    for col in range(m.shape[1]):
-        if rank == m.shape[0]:
-            break               # every row holds a pivot
-        block = m[rank:, col:]
-        if m.dtype != object and (
-                block.max() >= 2 ** 30 or block.min() <= -2 ** 30):
-            m = m.astype(object)
-        nz = np.flatnonzero(m[rank:, col])
-        if not nz.size:
+    m, rank = M.tolist(), 0
+    for col in range(M.shape[1]):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
             continue
-        m[[rank, rank + nz[0]]] = m[[rank + nz[0], rank]]
-        p = int(m[rank, col])
-        m[rank + 1:, col:] = (p * m[rank + 1:, col:]
-                              - m[rank + 1:, col, None] * m[rank, col:]) // prev
-        prev, rank = p, rank + 1
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank][col:]
+        for r in m[rank + 1:]:
+            a = r[col]
+            if a:
+                row = [top[0] * x - a * y for x, y in zip(r[col:], top)]
+                g = math.gcd(*row)
+                r[col:] = [x // g for x in row] if g > 1 else row
+        rank += 1
     return rank
 
 

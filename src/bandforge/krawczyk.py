@@ -17,10 +17,12 @@ outward-rounded box of K(X) & X has strictly positive imaginary part,
 that zero is a geometric solution and the manifold is hyperbolic.  The
 discarded rows are checked exactly: M = [A | B | k - c] over all rows
 must have rank at most n.  The cusp relations W (`GluingSystem.relations`)
-bound it by rows - rank W once W M = 0 holds in integers; only where that
-bound is not n does Bareiss eliminate M.  Contraction proves the n kept
-rows independent, so every discarded row is a rational combination of
-them, and a zero of the square subsystem solves the full system.
+bound it by rows - rank W, eliminating W's rows (one per cusp), once
+W M = 0 holds in integers; only where that bound is not n is M
+eliminated.  Contraction proves the n kept rows independent, so every
+discarded row is a rational combination of them, and a zero of the
+square subsystem solves the full system.  K(X) & X is formed as arrays
+of endpoints; only the n final enclosures become `ComplexInterval`s.
 
 The certified volume is `dilog.interval_volume` over the final
 enclosures; this module holds no part of the dilogarithm series.
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ball import (_ETA, _TINY, _U, _discs, _gamma, _log_rad, _mag, _recip,
-                    _up)
+from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
+                    _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, augmented_rank, build_equations, jacobian,
                      newton_solve, select_square_rows, wide_rows)
@@ -82,10 +84,11 @@ def _matmul_up(P, Q):
     """Upper bound on P @ Q for non-negative P, Q, in any summation order.
 
     A length-m sum of products loses at most gamma_m relatively and m eta/2
-    to underflow: P @ Q <= (fl(P @ Q) + m eta)(1 + 2 gamma_m).
+    to underflow: P @ Q <= (fl(P @ Q) + m eta)(1 + 2 gamma_m).  Q is raised
+    to at least _TINY first, so no subnormal operand enters (see `_ball`).
     """
     m = P.shape[-1]
-    return _up(_up(P @ Q + m * _ETA) * (1.0 + 2.0 * _gamma(m)))
+    return _up(_up(P @ np.maximum(Q, _TINY) + m * _ETA) * (1.0 + 2.0 * _gamma(m)))
 
 
 def _ball_matmul(A, Bc, Brad):
@@ -167,7 +170,7 @@ def _relation_bound(sys):
             max(map(len, rels)) * int(abs(sys.matrix).max(initial=0)) >= 2 ** 63):
         return None         # bad indices, or W M might overflow int64
     W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R) for r in rels])
-    return None if (W @ sys.matrix).any() else R - augmented_rank(W.T)
+    return None if (W @ sys.matrix).any() else R - augmented_rank(W)
 
 
 def krawczyk_test(sys: GluingSystem, approx, radius: float,
@@ -211,15 +214,18 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
             reach = [_up(_up(np.abs(part(K_c) - part(z))) + K_rad)
                      for part in (np.real, np.imag)]
             contracted = bool((np.maximum(*reach) < radius).all())
-            K = [ComplexInterval.box(*kr) for kr in zip(K_c, K_rad)]
-            X = [ComplexInterval.box(v, radius) for v in z]
+            # re.lo, re.hi, im.lo, im.hi of c +- r, as ComplexInterval.box
+            K, X = (np.stack([_dn(c.real - r), _up(c.real + r), _dn(c.imag - r),
+                              _up(c.imag + r)]) for c, r in ((K_c, K_rad), (z, radius)))
     except FloatingPointError as exc:
         raise KrawczykError(f"ball arithmetic overflowed: {exc}") from None
 
     # an empty K & X leaves contracted False; X then stands as the enclosure
-    inters = [k.intersect(x) for k, x in zip(K, X)]
-    enclosures = X if None in inters else inters
-    all_imag_positive = all(e.im.lo > 0.0 for e in enclosures)
+    lo, hi = np.maximum(K[0::2], X[0::2]), np.minimum(K[1::2], X[1::2])
+    ends = X if (lo > hi).any() else np.stack([lo[0], hi[0], lo[1], hi[1]])
+    all_imag_positive = bool((ends[2] > 0.0).all())
+    enclosures = tuple(ComplexInterval(RealInterval(a, b), RealInterval(c, d))
+                       for a, b, c, d in ends.T.tolist())
 
     try:
         vol = interval_volume(enclosures)
@@ -229,7 +235,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
         vol = RealInterval(-math.inf, math.inf)
 
     return Certificate(sys.name, contracted, all_imag_positive,
-                       tuple(enclosures), vol, float(radius))
+                       enclosures, vol, float(radius))
 
 
 RADIUS_LADDER = (1e-10, 1e-8, 1e-6)

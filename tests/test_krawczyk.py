@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
                                 certify_hyperbolic, interval_volume,
                                 krawczyk_test)
-from bandforge.tri import CuspInfo, validate
+from bandforge.tri import CuspInfo, SolveError, validate
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -332,8 +333,8 @@ def _record_ranks(monkeypatch):
 
 
 def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
-    # the cusp relations settle the rank: only their transpose, one column
-    # per cusp, is eliminated
+    # the cusp relations settle the rank: only W, one row per cusp, is
+    # eliminated
     shapes = _record_ranks(monkeypatch)
     certified = 0
     for tri in [tri_a, tri_b] + [_filled(tri_b, m, l) for m, l in B_SLOPES]:
@@ -345,7 +346,7 @@ def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
             continue
         certified += 1
         cusps = len(tri.cusps)
-        assert shapes and set(shapes) == {(len(tri.tets) + cusps, cusps)}
+        assert shapes and set(shapes) == {(cusps, len(tri.tets) + cusps)}
     assert certified == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
 
 
@@ -516,6 +517,70 @@ def test_ball_operator_holds_mpmath_values(solved, radius, request):
                 assert inside(k, K_c[i], K_rad[i]), i
 
 
+# ------------------------------------------ floored products, exactly
+
+
+def _mod_up(z):
+    """An upper bound on |z| as a Fraction, within 2^-1100 of it."""
+    s = 2 ** 1100      # turns every float, subnormals included, into an int
+    re, im = int(Fraction(z.real) * s), int(Fraction(z.imag) * s)
+    return Fraction(math.isqrt(re * re + im * im) + 1, s)
+
+
+def _float_pool(rng):
+    """Zeros, the smallest subnormal, _TINY and floats from 2^-600 to 2^60."""
+    return (0.0, 5e-324, krawczyk._TINY,
+            rng.random() * 2.0 ** rng.randint(-600, 60))
+
+
+def _matrix(rng, shape, value):
+    return np.array([value() for _ in range(math.prod(shape))]).reshape(shape)
+
+
+def test_floored_matmul_bounds_the_exact_product():
+    rng = random.Random(500)
+    for _ in range(150):
+        k, m = rng.randint(1, 4), rng.randint(1, 7)
+        shape = rng.choice([(m,), (m, rng.randint(1, 4))])
+        P, Q = (_matrix(rng, s, lambda: rng.choice(_float_pool(rng)))
+                for s in ((k, m), shape))
+        up = krawczyk._matmul_up(P, Q)
+        for i in np.ndindex(up.shape):
+            exact = sum(Fraction(P[i[0], j]) * Fraction(Q[(j, *i[1:])])
+                        for j in range(m))
+            assert Fraction(up[i]) >= exact, (P, Q, i)
+
+
+def test_ball_matmul_radius_bounds_the_exact_error():
+    # |A| Brad + |fl(A Bc) - A Bc| <= rad, the modulus compared squared
+    rng = random.Random(501)
+
+    def complex_entry():
+        return complex(*(rng.choice((-1, 1)) * rng.choice(_float_pool(rng))
+                         for _ in range(2)))
+
+    for _ in range(150):
+        k, m = rng.randint(1, 4), rng.randint(1, 7)
+        shape = rng.choice([(m,), (m, rng.randint(1, 4))])
+        A = _matrix(rng, (k, m), complex_entry)
+        Bc = _matrix(rng, shape, complex_entry)
+        Brad = _matrix(rng, shape, lambda: rng.choice(_float_pool(rng)))
+        centre, rad = krawczyk._ball_matmul(A, Bc, Brad)
+        for i in np.ndindex(rad.shape):
+            b = [(j, *i[1:]) for j in range(m)]
+            slack = Fraction(rad[i]) - sum(
+                _mod_up(A[i[0], j]) * Fraction(Brad[b[j]]) for j in range(m))
+            re = Fraction(centre[i].real) - sum(
+                Fraction(A[i[0], j].real) * Fraction(Bc[b[j]].real)
+                - Fraction(A[i[0], j].imag) * Fraction(Bc[b[j]].imag)
+                for j in range(m))
+            im = Fraction(centre[i].imag) - sum(
+                Fraction(A[i[0], j].real) * Fraction(Bc[b[j]].imag)
+                + Fraction(A[i[0], j].imag) * Fraction(Bc[b[j]].real)
+                for j in range(m))
+            assert slack >= 0 and re * re + im * im <= slack * slack, (A, Bc, i)
+
+
 # -------------------------------------------- filling sweep parity
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
@@ -563,6 +628,52 @@ def test_filling_sweep_verdicts(tri_b, sweep):
                               [t.shape_hint for t in tri.tets]).shapes
         assert cert.volume_enclosure.contains(point_volume(shapes)), (m, l)
         assert cert.volume_enclosure.hi < cusped.lo, (m, l)
+
+
+# ---------------------------------------- enclosures from K & X arrays
+
+
+def _object_enclosures(sys_, z, radius, rows):
+    """K & X built box by box from `_operator`, or X when one part is empty."""
+    _, _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(z), radius, rows)
+    X = [ComplexInterval.box(v, radius) for v in z]
+    inters = [ComplexInterval.box(k, r).intersect(x)
+              for k, r, x in zip(K_c, K_rad, X)]
+    return X if None in inters else inters
+
+
+def _ends(boxes):
+    return [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes]
+
+
+def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
+    checked = 0
+    for tri in [tri_a, tri_b] + [_filled(tri_b, m, l) for m, l in B_SLOPES]:
+        sys_ = build_equations(tri)
+        try:
+            result = newton_solve(sys_, [t.shape_hint for t in tri.tets])
+        except SolveError:
+            continue
+        cert = krawczyk_test(sys_, result.shapes, 1e-10, result.rows)
+        expected = _object_enclosures(sys_, result.shapes, 1e-10, result.rows)
+        assert cert.valid and _ends(cert.enclosures) == _ends(expected)
+        checked += 1
+    assert checked == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
+
+
+def test_x_stands_where_k_misses_it(solved_b):
+    sys_, result = solved_b
+    radius = 1e-8
+    moved = list(result.shapes)
+    moved[0] += 100 * radius
+    _, _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(moved), radius,
+                                               result.rows)
+    X = [ComplexInterval.box(v, radius) for v in moved]
+    assert ComplexInterval.box(K_c[0], K_rad[0]).intersect(X[0]) is None
+    cert = krawczyk_test(sys_, moved, radius, result.rows)
+    assert not cert.contracted and not cert.valid
+    assert _ends(cert.enclosures) == _ends(X)
+    assert _ends(_object_enclosures(sys_, moved, radius, result.rows)) == _ends(X)
 
 
 # ------------------------------------------------ ball volume vs mpmath
