@@ -6,10 +6,10 @@ normal forms, signatures, lens-space bookkeeping) and a numerical layer
 certification with ball arithmetic).  The command-line front end in
 `bandforge.cli` exposes both.
 
-Only the numpy-free modules are imported with the package.  The names
-from `gluing`, `dilog` and `krawczyk`, and those modules, are served by
-the module `__getattr__` (PEP 562): the first lookup imports the module,
-and numpy with it, and binds the name here.
+The names from `gluing`, `dilog` and `krawczyk`, and those modules, stay
+lazy so that `import bandforge` stays light: the module `__getattr__`
+(PEP 562) imports the module on the first lookup and binds the name here.
+`krawczyk` imports numpy; `gluing` and `dilog` only where a function needs it.
 """
 
 import importlib

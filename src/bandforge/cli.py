@@ -11,7 +11,7 @@ get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
 --all-fixtures` reports every fixture and exits with the largest code.
 Only the `tri volume`, `tri solve` and `tri certify` handlers import the
-numeric modules, and numpy with them.
+numeric modules, and only `tri solve` and `tri certify` load numpy.
 
 The report carries a `timestamp` field; comparisons between runs must
 ignore it, everything else is deterministic.

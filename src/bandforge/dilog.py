@@ -14,14 +14,15 @@ which converges geometrically with ratio |w| / (2*pi).  The certified
 volume (`interval_volume`, `bloch_wigner_interval`) is one vectorized
 numpy kernel, `_ball_bloch_wigner`: D at every disc centre in ball
 arithmetic (rounding rules in `_ball`), plus a mean-value term over the
-disc.  The float D (`bloch_wigner`, `volume`) is the independent
-cross-check that `certify_hyperbolic` runs against that enclosure.  Both
-share one range reduction (the identities D(z) = -D(1/z) = -D(1-z),
-chosen at the point or disc centre by `_moves`), one truncation rule (the
-term count from a bound on |w|, with a rigorous tail bound) and one
-exact table of the rationals B_k/(k+1)!.  The table comes from integer
-tangent numbers on first use (about 1 ms), never at import, and is rounded
-to floats; the `Fraction` view is built only by `li2_series_coefficients`.
+disc; only it and `interval_volume` import numpy and `_ball`.  The float
+D (`bloch_wigner`, `volume`), plain Python, is the independent cross-check
+that `certify_hyperbolic` runs against that enclosure.  Both share one
+range reduction (the identities D(z) = -D(1/z) = -D(1-z), chosen at the
+point or disc centre by `_moves`), one truncation rule (the term count
+from a bound on |w|, with a rigorous tail bound) and one exact table of
+the rationals B_k/(k+1)!.  The table comes from integer tangent numbers
+on first use (about 1 ms), never at import, and is rounded to floats; the
+`Fraction` view is built only by `li2_series_coefficients`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ import functools
 import itertools
 import math
 
-import numpy as np
-
-from ._ball import _TINY, _discs, _dn, _gamma, _log_rad, _mag, _recip, _up
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .intervals import _dn as _dn_float, _up as _up_float
 
@@ -160,6 +158,8 @@ def _ball_bloch_wigner(c, rho):
     reaches 0 or 1 raises EnclosureDomainError.  Runs under
     np.errstate(over=, invalid=, divide="raise").
     """
+    import numpy as np
+    from ._ball import _TINY, _discs, _gamma, _log_rad, _mag, _recip, _up
     plans = [_moves(z, EnclosureDomainError) for z in c.tolist()]
     sign = np.ones(len(c))
     for step in itertools.count():
@@ -218,6 +218,8 @@ def interval_volume(enclosures) -> RealInterval:
     Each box reaches the kernel as a disc: its centre, and its
     half-diagonal rounded up.
     """
+    import numpy as np
+    from ._ball import _dn, _gamma, _mag, _up
     ends = np.array([(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures],
                     float).reshape(-1, 4).T
     try:

@@ -27,20 +27,21 @@ contributions are assembled with the fixed orientation convention below
 by the requirement that both shipped fixtures have residual < 1e-8 at
 their stored shape hints, and is frozen by the test suite.
 
-Every stage reads the system as one exact integer matrix,
+The numeric stages read the system as one exact integer matrix,
 `GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
 `jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
+The rows, `wide_rows` (the 2^53 rule) and `residual` are plain Python;
+`matrix`, `select_square_rows` and `newton_solve` import numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .tri import _SIGN, SolveError, Triangulation
 
@@ -117,6 +118,7 @@ class GluingSystem:
     def matrix(self):
         """[A | B | k - c], one read-only row per equation row: int64, or
         Python ints (dtype object) when an entry does not fit."""
+        import numpy as np
         m = [(*r.A, *r.B, r.k - r.c) for r in self.rows]
         try:
             m = np.array(m, dtype=np.int64)
@@ -212,17 +214,17 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     sys = GluingSystem(tri.name, n, tuple(
         GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
         for kind, r, c, cusp, filling in rows), tuple(map(tuple, relations)))
-    wide = wide_rows(sys.matrix)
-    if wide.size:
+    wide = wide_rows([(*r.A, *r.B, r.k - r.c) for r in sys.rows])
+    if wide:
         raise ValueError(f"{sys.rows[wide[0]].kind} row {wide[0]} has an entry "
                          "of modulus 2^53 or more, which floats do not hold")
     return sys
 
 
-def wide_rows(M):
-    """Rows of M with an entry of modulus 2^53 or more, which floats round;
-    both bounds are compared, as |-2^63| overflows int64."""
-    return np.flatnonzero(((M >= 2 ** 53) | (M <= -2 ** 53)).any(axis=1))
+def wide_rows(M) -> list:
+    """Rows of M, integer rows such as `GluingSystem.matrix` or its
+    `tolist()`, with an entry of modulus 2^53 or more, which floats round."""
+    return [i for i, r in enumerate(M) if max(r) >= 2 ** 53 or min(r) <= -2 ** 53]
 
 
 def _rows_at(M, u, w):
@@ -233,12 +235,15 @@ def _rows_at(M, u, w):
 
 def residual(sys: GluingSystem, shapes) -> list:
     """Per-row defect |sum A log z + sum B log(1-z) + (k - c) i pi|."""
-    z = np.asarray(shapes, dtype=complex)
-    bad = np.flatnonzero((z == 0) | (z == 1))
-    if bad.size:
+    z = [complex(v) for v in shapes]
+    bad = [j for j, v in enumerate(z) if v in (0, 1)]
+    if bad:
         raise ValueError(f"shape {bad[0]} = {z[bad[0]]} is degenerate")
-    f = _rows_at(sys.matrix.astype(float), np.log(z), np.log(1 - z))
-    return np.abs(f).tolist()
+    if len(z) != sys.tet_count:
+        raise ValueError(f"expected {sys.tet_count} shapes, got {len(z)}")
+    logs = [*map(cmath.log, z), *(cmath.log(1 - v) for v in z)]
+    return [abs(sum(a * x for a, x in zip((*r.A, *r.B), logs) if a)
+                + 1j * math.pi * (r.k - r.c)) for r in sys.rows]
 
 
 def augmented_rank(M) -> int:
@@ -287,6 +292,7 @@ def select_square_rows(sys: GluingSystem, shapes) -> list:
     full edge block is rank deficient: the rows of each fixture sum to
     the zero equation.
     """
+    import numpy as np
     n = sys.tet_count
     z = np.asarray(shapes, dtype=complex)
     resid = jacobian(sys.matrix.astype(float), 1.0, -z / (1 - z))
@@ -340,6 +346,7 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
     if not (0 < tol < math.inf and max_iter >= 0):  # also rejects NaN
         raise ValueError(f"need 0 < tol < inf and max_iter >= 0, got tol={tol}, "
                          f"max_iter={max_iter}")
+    import numpy as np
     z0 = np.asarray(initial, dtype=complex)
     if len(z0) != sys.tet_count:
         raise ValueError(f"expected {sys.tet_count} shapes, got {len(z0)}")
@@ -357,8 +364,8 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
         if not np.isfinite(res):
             raise DivergenceError("iteration produced a non-finite residual")
         if res < tol:
-            full = residual(sys, list(z))
-            full_max = float(max(full))
+            full = _rows_at(sys.matrix.astype(float), np.log(z), np.log(1 - z))
+            full_max = float(np.max(np.abs(full)))
             if full_max > max(tol, 10 * res + 1e-13):
                 raise DivergenceError(
                     f"square subsystem converged (residual {res:.3e}) but the "

@@ -199,7 +199,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
                          f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
-    if wide_rows(sys.matrix).size:
+    if wide_rows(sys.matrix.tolist()):        # Python ints compare faster
         raise KrawczykError("[A | B | k - c] has an entry of modulus 2^53 "
                             "or more, which floats do not hold")
     rank = n if _relation_bound(sys) == n else augmented_rank(sys.matrix)

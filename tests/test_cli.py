@@ -562,15 +562,17 @@ def test_integer_and_parse_commands_do_not_import_numpy():
         "         main(['tri', 'parse', '--fixture', 'A'])]\n"
         "sys.stdin = io.StringIO(fixture_text('A')[:500])\n"
         "codes.append(main(['tri', 'parse']))\n"
+        "codes += [main(['tri', 'volume', '--fixture', f]) for f in 'AB']\n"
         "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
-    assert codes == [0, 0, 0, 2] and not numpy
+    assert codes == [0, 0, 0, 2, 0, 0] and not numpy
 
 
 def test_numeric_command_imports_numpy_when_run():
+    # the positive control of the test above
     code, numpy = _fresh(
         "import json, sys\n"
         "from bandforge.cli import main\n"
-        "code = main(['tri', 'volume', '--fixture', 'A'])\n"
+        "code = main(['tri', 'solve', '--fixture', 'A'])\n"
         "print(json.dumps([code, 'numpy' in sys.modules]))\n")
     assert code == 0 and numpy
 

@@ -14,7 +14,7 @@ from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
                               augmented_rank, build_equations, edge_classes,
                               newton_solve, residual, select_square_rows,
-                              wide_rows)
+                              wide_rows, _rows_at)
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
 B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
@@ -89,7 +89,7 @@ def test_wide_rows_bound_both_signs(dtype):
     top = 2 ** 53
     M = np.array([[top - 1, 1 - top], [0, top], [-top, 0], [1, -2 ** 63]],
                  dtype=dtype)
-    assert wide_rows(M).tolist() == [1, 2, 3]
+    assert wide_rows(M) == wide_rows(M.tolist()) == [1, 2, 3]
 
 
 def test_row_inventory_a(tri_a):
@@ -150,7 +150,8 @@ def test_residual_detects_wrong_shapes(tri_a):
 
 
 def test_residual_matches_a_row_loop(tri_a, tri_b):
-    # the residual is one numpy product; a row-by-row cmath sum is the reference
+    # the residual sums each row in cmath; an independent row loop over the
+    # GluingRow fields is the reference
     for tri in (tri_a, tri_b):
         sys_ = build_equations(tri)
         shapes = [z * cmath.exp(0.01j) for z in (t.shape_hint for t in tri.tets)]
@@ -161,6 +162,28 @@ def test_residual_matches_a_row_loop(tri_a, tri_b):
                    + sum(b * w for b, w in zip(row.B, ws))
                    + complex(0, (row.k - row.c) * math.pi))
             assert r == pytest.approx(abs(ref), rel=1e-12, abs=1e-13)
+
+
+def test_residual_matches_the_float_matrix_product(tri_a, tri_b):
+    # the numpy product over the full float matrix, which Newton's full-system
+    # check still uses, agrees with the cmath residual row by row
+    for tri in [tri_a, tri_b] + [_fill_b(tri_b, m, l) for m, l in B_SLOPES]:
+        sys_ = build_equations(tri)
+        z = np.array([h * cmath.exp(0.01j) for h in (t.shape_hint for t in tri.tets)])
+        ref = np.abs(_rows_at(sys_.matrix.astype(float), np.log(z), np.log(1 - z)))
+        assert residual(sys_, z.tolist()) == pytest.approx(ref.tolist(),
+                                                           rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("shapes, message", [
+    ([0j] + [0.5 + 0.5j] * 11, "shape 0 = 0j is degenerate"),
+    ([0.5 + 0.5j] * 3 + [1] + [0.5 + 0.5j] * 8, r"shape 3 = \(1\+0j\) is degenerate"),
+    ([0.5 + 0.5j] * 11, "expected 12 shapes, got 11"),
+    ([0.5 + 0.5j] * 13, "expected 12 shapes, got 13")],
+    ids=["zero", "one", "short", "long"])
+def test_residual_rejects_degenerate_and_miscounted_shapes(tri_a, shapes, message):
+    with pytest.raises(ValueError, match=message):
+        residual(build_equations(tri_a), shapes)
 
 
 # ------------------------------------------------------------ selection

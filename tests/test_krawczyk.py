@@ -559,12 +559,8 @@ def test_ball_matmul_radius_bounds_the_exact_error():
         return complex(*(rng.choice((-1, 1)) * rng.choice(_float_pool(rng))
                          for _ in range(2)))
 
-    for _ in range(150):
-        k, m = rng.randint(1, 4), rng.randint(1, 7)
-        shape = rng.choice([(m,), (m, rng.randint(1, 4))])
-        A = _matrix(rng, (k, m), complex_entry)
-        Bc = _matrix(rng, shape, complex_entry)
-        Brad = _matrix(rng, shape, lambda: rng.choice(_float_pool(rng)))
+    def check(A, Bc, Brad):
+        m = A.shape[-1]
         centre, rad = krawczyk._ball_matmul(A, Bc, Brad)
         for i in np.ndindex(rad.shape):
             b = [(j, *i[1:]) for j in range(m)]
@@ -579,6 +575,18 @@ def test_ball_matmul_radius_bounds_the_exact_error():
                 + Fraction(A[i[0], j].imag) * Fraction(Bc[b[j]].real)
                 for j in range(m))
             assert slack >= 0 and re * re + im * im <= slack * slack, (A, Bc, i)
+
+    for _ in range(150):
+        k, m = rng.randint(1, 4), rng.randint(1, 7)
+        shape = rng.choice([(m,), (m, rng.randint(1, 4))])
+        check(_matrix(rng, (k, m), complex_entry), _matrix(rng, shape, complex_entry),
+              _matrix(rng, shape, lambda: rng.choice(_float_pool(rng))))
+    # the 2 m eta term: each real product of a * b (about 2^-1074) rounds by
+    # nearly eta / 2 and the m equal terms add up, so the centre is off by
+    # about 1.37 m eta, beyond the m eta of `_matmul_up`, while |A| _TINY
+    # (|A| about 2^-578.6, |Bc| about 2^-495.4) underflows to 0
+    a, b = complex(-29, 30) * 2.0 ** -584, complex(33, -35) * 2.0 ** -501
+    check(np.full((1, 8), a), np.full(8, b), np.zeros(8))
 
 
 # -------------------------------------------- filling sweep parity
