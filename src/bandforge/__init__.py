@@ -6,31 +6,28 @@ normal forms, signatures, lens-space bookkeeping) and a numerical layer
 certification with ball arithmetic).  The command-line front end in
 `bandforge.cli` exposes both.
 
-The names from `gluing`, `dilog` and `krawczyk`, and those modules, stay
-lazy so that `import bandforge` stays light: the module `__getattr__`
-(PEP 562) imports the module on the first lookup and binds the name here.
-`krawczyk` imports numpy; `gluing` and `dilog` only where a function needs it.
+`import bandforge` imports no submodule: every exported name, and every
+submodule but `cli`, is served from `_LAZY` by the module `__getattr__`
+(PEP 562), which imports the module on first use and binds the name
+here.  `SolveError` and `CertifyError` live here, so `cli` maps errors to
+exit codes without loading `tri`, which re-exports them.
 """
 
 import importlib
 
-from .tangle import (ConwayForm, Fraction, TwoBridge, check_conway,
-                     conway_expand, cosmetic_band_partner, eval_conway,
-                     four_move_signature_obstruction, is_unlinking_number_one,
-                     mirror_two_bridge, normalize_two_bridge,
-                     signature_two_bridge, two_bridge_equivalent,
-                     two_bridge_from_fraction, verify_chirally_cosmetic)
-from .surgery import (LensSpace, Slope, amphicheiral_pair_distance,
-                      bhw_example_report, double_branched_cover,
-                      lens_equivalent, lens_mirror, matignon_family,
-                      normalize_lens, slope_distance)
-from .tri import (CertifyError, CuspInfo, SolveError, Tetrahedron,
-                  Triangulation, TriParseError, combinatorial_isomorphic,
-                  parse_triangulation, serialize_triangulation, validate)
-from .fixtures import fixture_labels, fixture_text, load_fixture
-from .intervals import (ComplexInterval, EnclosureDomainError, RealInterval)
-
 _LAZY = {name: module for module, names in (
+    ("tangle", "ConwayForm Fraction TwoBridge check_conway conway_expand "
+     "cosmetic_band_partner eval_conway four_move_signature_obstruction "
+     "is_unlinking_number_one mirror_two_bridge normalize_two_bridge "
+     "signature_two_bridge two_bridge_equivalent two_bridge_from_fraction "
+     "verify_chirally_cosmetic"),
+    ("surgery", "LensSpace Slope amphicheiral_pair_distance "
+     "bhw_example_report double_branched_cover lens_equivalent lens_mirror "
+     "matignon_family normalize_lens slope_distance"),
+    ("tri", "CuspInfo Tetrahedron Triangulation TriParseError validate "
+     "combinatorial_isomorphic parse_triangulation serialize_triangulation"),
+    ("fixtures", "fixture_labels fixture_text load_fixture"),
+    ("intervals", "ComplexInterval EnclosureDomainError RealInterval"),
     ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
      "NewtonResult SingularJacobianError build_equations edge_classes "
      "newton_solve residual select_square_rows"),
@@ -40,6 +37,18 @@ _LAZY = {name: module for module, names in (
     for name in names.split()}
 
 __version__ = "0.1.0"
+
+
+class SolveError(RuntimeError):
+    """Newton failure; defined here, as CertifyError is, free of numpy."""
+
+
+class CertifyError(RuntimeError):
+    """A staged failure; .attempts holds each failed rung (radius, outcome)."""
+
+    def __init__(self, stage, message, attempts=()):
+        self.stage, self.attempts = stage, tuple(attempts)
+        super().__init__(f"[{stage}] {message}")
 
 
 def __getattr__(name):

@@ -10,8 +10,9 @@ the exit code is 0 exactly when every assertion passes.  Hard failures
 get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
 --all-fixtures` reports every fixture and exits with the largest code.
-Only the `tri volume`, `tri solve` and `tri certify` handlers import the
-numeric modules, and only `tri solve` and `tri certify` load numpy.
+Each command loads only what it runs: the `twobridge` and `surgery` ones
+`tangle`, `surgery` and `fixtures`; `tri` once a triangulation is read; the
+numeric modules in `tri volume`, `solve` and `certify`; numpy in the last two.
 
 The report carries a `timestamp` field; comparisons between runs must
 ignore it, everything else is deterministic.
@@ -25,7 +26,7 @@ import re
 import sys
 from datetime import datetime, timezone
 
-from . import fixtures
+from . import CertifyError, SolveError, fixtures
 from .surgery import (Slope, bhw_example_report, double_branched_cover,
                       lens_equivalent, lens_mirror, matignon_family,
                       normalize_lens, slope_distance)
@@ -34,7 +35,6 @@ from .tangle import (check_conway, conway_expand, cosmetic_band_partner,
                      is_unlinking_number_one, mirror_two_bridge,
                      normalize_two_bridge, signature_two_bridge,
                      two_bridge_equivalent, verify_chirally_cosmetic)
-from .tri import CertifyError, SolveError, parse_triangulation
 
 EXIT_ASSERTION = 1
 EXIT_PARSE = 2
@@ -116,6 +116,7 @@ def _triangulation(args):
             text = fh.read()
     else:
         text = sys.stdin.read()
+    from .tri import parse_triangulation
     return parse_triangulation(text)
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import os
 from importlib import resources
 
-from .tri import Triangulation, parse_triangulation
-
 EMBEDDED = {"A": "fixture_a.tri", "B": "fixture_b.tri"}
 
 _ENV_VAR = "BANDFORGE_FIXTURE_DIR"
@@ -45,7 +43,8 @@ def fixture_text(label: str) -> str:
         f"unknown fixture {label!r}: use A, B, or a file in ${_ENV_VAR}")
 
 
-def load_fixture(label: str) -> Triangulation:
+def load_fixture(label: str):
+    from .tri import parse_triangulation
     return parse_triangulation(fixture_text(label))
 
 

@@ -9,17 +9,13 @@ q' = -q or q*q' = -1 (mod p).  The mirror of L(p, q) is L(p, p - q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .tangle import TwoBridge, is_unlinking_number_one, normalize_two_bridge
+from .tangle import (TwoBridge, _Pair, is_unlinking_number_one,
+                     normalize_two_bridge)
 
 
-@dataclass(frozen=True)
-class Slope:
-    p: int
-    q: int
-
+class Slope(_Pair):
     def __post_init__(self):
         if (self.p, self.q) == (0, 0):
             raise ValueError("slope 0/0 is not a curve")
@@ -27,18 +23,13 @@ class Slope:
             raise ValueError(f"slope {self.p}/{self.q} not coprime")
         # canonical projective representative: p > 0, or p = 0 and q > 0
         if self.p < 0 or (self.p == 0 and self.q < 0):
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
+            self.__dict__.update(p=-self.p, q=-self.q)
 
     def __str__(self):
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    p: int
-    q: int
-
+class LensSpace(_Pair):
     def __post_init__(self):
         if self.p < 0:
             raise ValueError(f"L({self.p},{self.q}): p must be nonnegative")

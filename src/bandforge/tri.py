@@ -41,6 +41,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, isfinite
 
+from . import CertifyError, SolveError
+
 __all__ = [
     "TriParseError", "SolveError", "CertifyError", "CuspInfo", "Tetrahedron",
     "Triangulation", "parse_triangulation", "serialize_triangulation",
@@ -56,18 +58,6 @@ class TriParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class SolveError(RuntimeError):
-    """Newton failure; defined here, as CertifyError is, free of numpy."""
-
-
-class CertifyError(RuntimeError):
-    """A staged failure; .attempts holds each failed rung (radius, outcome)."""
-
-    def __init__(self, stage, message, attempts=()):
-        self.stage, self.attempts = stage, tuple(attempts)
-        super().__init__(f"[{stage}] {message}")
 
 
 @dataclass(frozen=True)

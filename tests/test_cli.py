@@ -567,6 +567,39 @@ def test_integer_and_parse_commands_do_not_import_numpy():
     assert codes == [0, 0, 0, 2, 0, 0] and not numpy
 
 
+HEAVY = ("dataclasses", "inspect", "bandforge.tri", "bandforge.intervals",
+         "numpy")
+
+
+def test_integer_commands_load_neither_dataclasses_nor_tri():
+    argvs = [argv for argv in _readme_commands()
+             if argv[0] in ("twobridge", "surgery")]
+    assert ["surgery", "bhw"] in argvs and len(argvs) == 15
+    codes, loaded, bare = _fresh(
+        "import contextlib, io, json, sys\n"
+        "import bandforge\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('bandforge.'))\n"
+        "from bandforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        f"print(json.dumps([codes, [m for m in {HEAVY!r}\n"
+        "                           if m in sys.modules], bare]))\n")
+    assert codes == [0] * len(argvs)
+    assert loaded == [] and bare == []
+
+
+def test_tri_parse_loads_tri_and_dataclasses():
+    # the positive control of the test above
+    code, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from bandforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['tri', 'parse', '--fixture', 'A'])\n"
+        f"print(json.dumps([code, [m for m in {HEAVY!r}\n"
+        "                          if m in sys.modules]]))\n")
+    assert code == 0 and loaded == ["dataclasses", "inspect", "bandforge.tri"]
+
+
 def test_numeric_command_imports_numpy_when_run():
     # the positive control of the test above
     code, numpy = _fresh(
@@ -598,7 +631,10 @@ def test_package_exports_resolve_to_the_module_objects():
     assert set(EXPORTED) <= set(listed) and not numpy
     assert unknown == "module 'bandforge' has no attribute 'no_such_name'"
     assert sorted(same) == sorted(bandforge._LAZY)
+    # every submodule but `cli` (and the private `_ball`) is lazy
     assert {getattr(bandforge, m) for m in bandforge._LAZY.values()} == {
-        gluing, krawczyk, sys.modules["bandforge.dilog"]}
+        sys.modules[f"bandforge.{m}"] for m in (
+            "tangle surgery tri fixtures intervals gluing dilog krawczyk"
+            .split())}
     assert bandforge.SolveError is gluing.SolveError is cli.SolveError
     assert bandforge.CertifyError is krawczyk.CertifyError is cli.CertifyError
