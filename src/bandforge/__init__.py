@@ -6,11 +6,10 @@ normal forms, signatures, lens-space bookkeeping) and a numerical layer
 certification with ball arithmetic).  The command-line front end in
 `bandforge.cli` exposes both.
 
-`import bandforge` imports no submodule: every exported name, and every
-submodule but `cli`, is served from `_LAZY` by the module `__getattr__`
-(PEP 562), which imports the module on first use and binds the name
-here.  `SolveError` and `CertifyError` live here, so `cli` maps errors to
-exit codes without loading `tri`, which re-exports them.
+`import bandforge` imports no submodule: the module `__getattr__` (PEP 562)
+imports each name in `_LAZY`, and each submodule but `cli`, on first use;
+`__all__` keeps a star import off the numeric `gluing`, `dilog`, `krawczyk`.
+`SolveError` and `CertifyError` live here, so `cli` need not load `tri`.
 """
 
 import importlib
@@ -35,6 +34,9 @@ _LAZY = {name: module for module, names in (
     ("krawczyk", "Certificate KrawczykError bloch_wigner_interval "
      "certify_hyperbolic interval_volume krawczyk_test"))
     for name in names.split()}
+_STAR = ("tangle", "surgery", "tri", "fixtures", "intervals")
+__all__ = ["CertifyError", "SolveError", *_STAR,
+           *(name for name, module in _LAZY.items() if module in _STAR)]
 
 __version__ = "0.1.0"
 

@@ -12,10 +12,7 @@ path separator or is ".." is never joined onto the directory.  External
 files shadow the embedded labels on name collision.
 """
 
-from __future__ import annotations
-
 import os
-from importlib import resources
 
 EMBEDDED = {"A": "fixture_a.tri", "B": "fixture_b.tri"}
 
@@ -38,6 +35,7 @@ def fixture_text(label: str) -> str:
                     return f.read()
     key = label.upper()
     if key in EMBEDDED:
+        from importlib import resources
         return (resources.files("bandforge") / "data" / EMBEDDED[key]).read_text()
     raise ValueError(
         f"unknown fixture {label!r}: use A, B, or a file in ${_ENV_VAR}")

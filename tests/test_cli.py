@@ -575,17 +575,23 @@ def test_integer_commands_load_neither_dataclasses_nor_tri():
     argvs = [argv for argv in _readme_commands()
              if argv[0] in ("twobridge", "surgery")]
     assert ["surgery", "bhw"] in argvs and len(argvs) == 15
-    codes, loaded, bare = _fresh(
-        "import contextlib, io, json, sys\n"
+    codes, loaded, bare, resources = _fresh(
+        "import sys\n"
+        "startup = set(sys.modules)\n"
+        "import contextlib, io, json\n"
         "import bandforge\n"
         "bare = sorted(m for m in sys.modules if m.startswith('bandforge.'))\n"
         "from bandforge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(argv) for argv in {argvs!r}]\n"
         f"print(json.dumps([codes, [m for m in {HEAVY!r}\n"
-        "                           if m in sys.modules], bare]))\n")
+        "                           if m in sys.modules], bare,\n"
+        "                   'importlib.resources' in set(sys.modules) - startup]))\n")
     assert codes == [0] * len(argvs)
     assert loaded == [] and bare == []
+    # from CPython 3.12 on `importlib.resources` imports `inspect`; some site
+    # hooks load it at startup, so only an import by the commands counts
+    assert not resources
 
 
 def test_tri_parse_loads_tri_and_dataclasses():
@@ -638,3 +644,16 @@ def test_package_exports_resolve_to_the_module_objects():
             .split())}
     assert bandforge.SolveError is gluing.SolveError is cli.SolveError
     assert bandforge.CertifyError is krawczyk.CertifyError is cli.CertifyError
+
+
+def test_star_import_binds_every_export_outside_the_numeric_modules():
+    names, numpy = _fresh(
+        "import json, sys\n"
+        "ns = {}\n"
+        "exec('from bandforge import *', ns)\n"
+        "print(json.dumps([sorted(ns), 'numpy' in sys.modules]))\n")
+    numeric = ("gluing", "dilog", "krawczyk")
+    assert set(names) - {"__builtins__"} == {
+        n for n in EXPORTED
+        if n not in numeric and bandforge._LAZY.get(n) not in numeric}
+    assert not numpy
