@@ -30,8 +30,9 @@ their stored shape hints, and is frozen by the test suite.
 The numeric stages read the system as one exact integer matrix,
 `GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
 `jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
-The rows, `wide_rows` (the 2^53 rule) and `residual` are plain Python;
-`matrix`, `select_square_rows` and `newton_solve` import numpy.
+The rows, the 2^53 rule (`GluingSystem.wide`, evaluated once per system)
+and `residual` are plain Python; `matrix`, `select_square_rows` and
+`newton_solve` import numpy.
 """
 
 from __future__ import annotations
@@ -75,10 +76,12 @@ _TURNS = tuple(tuple((a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
                      for a in range(4) for b in range(4)
                      if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
                for v in range(4))
-# the faces off each edge, and the image of an edge under each gluing
-_OFF = {e: tuple(f for f in range(4) if f not in e) for e in PAIR_TYPE}
-_EDGE_IMAGE = {(s, e): tuple(sorted((s[e[0]], s[e[1]])))
-               for s in itertools.permutations(range(4)) for e in PAIR_TYPE}
+# edge j of a tetrahedron is the j-th vertex pair in sorted order; the two
+# faces that hold it, and for each gluing the edge j goes to
+_PAIRS = sorted(PAIR_TYPE)
+_FACES = tuple(tuple(f for f in range(4) if f not in e) for e in _PAIRS)
+_EDGE_MOVE = {s: tuple(_PAIRS.index(tuple(sorted((s[a], s[b])))) for a, b in _PAIRS)
+              for s in itertools.permutations(range(4))}
 
 
 class SingularJacobianError(SolveError):
@@ -128,39 +131,39 @@ class GluingSystem:
         m.flags.writeable = False
         return m
 
+    @functools.cached_property
+    def wide(self):
+        """`wide_rows` of [A | B | k - c]: the rows floats would round."""
+        return tuple(wide_rows([(*r.A, *r.B, r.k - r.c) for r in self.rows]))
+
 
 def edge_classes(tri: Triangulation) -> list:
     """Partition the 6T tetrahedron edges into identification classes.
 
     Each class is the orbit of an edge under the face gluings, a sorted
-    tuple of (tet, vertex pair, parameter type), walked from every not yet
-    seen (tet, vertex pair) in sorted order, so the classes come out
-    ordered by least member and each edge is visited once.
+    tuple of (tet, vertex pair, parameter type).  The walk runs on the
+    edge ids 6 t + j, from every id not yet seen in increasing order, so
+    the classes come out ordered by least member and each edge is visited
+    once; crossing a face is one `_EDGE_MOVE` lookup.
     """
-    seen, classes = set(), []
-    for start in itertools.product(range(len(tri.tets)), sorted(PAIR_TYPE)):
-        if start in seen:
+    tets = tri.tets
+    labels = [(t, e, PAIR_TYPE[e]) for t in range(len(tets)) for e in _PAIRS]
+    seen, classes = [False] * len(labels), []
+    for start in range(len(labels)):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = True
         members = [start]
-        for t, e in members:            # members grows as the walk goes
-            tet = tri.tets[t]
-            for f in _OFF[e]:
-                img = (tet.neighbors[f], _EDGE_IMAGE[tuple(tet.gluings[f]), e])
-                if img not in seen:
-                    seen.add(img)
-                    members.append(img)
-        classes.append(tuple((t, e, PAIR_TYPE[e]) for t, e in sorted(members)))
+        for i in members:               # members grows as the walk goes
+            t, j = divmod(i, 6)
+            tet = tets[t]
+            for f in _FACES[j]:
+                k = 6 * tet.neighbors[f] + _EDGE_MOVE[tuple(tet.gluings[f])][j]
+                if not seen[k]:
+                    seen[k] = True
+                    members.append(k)
+        classes.append(tuple(map(labels.__getitem__, sorted(members))))
     return classes
-
-
-def _flow(x, y):
-    """Net strands passing from the side counted by x to the side counted by y."""
-    if x > 0 and y < 0:
-        return min(x, -y)
-    if x < 0 and y > 0:
-        return -min(-x, y)
-    return 0
 
 
 def _fold(n, terms):
@@ -199,7 +202,9 @@ def build_equations(tri: Triangulation) -> GluingSystem:
             for v, turns in enumerate(_TURNS):
                 corner = row[4 * v:4 * v + 4]
                 for a, b, ptype in turns if any(corner) else ():
-                    mult = _flow(corner[a], corner[b])
+                    x, y = corner[a], corner[b]  # net strands from a to b
+                    mult = (min(x, -y) if x > 0 > y
+                            else -min(-x, y) if y > 0 > x else 0)
                     if mult:
                         terms[tet.vertex_cusp[v]][curve].append((t, ptype, mult))
 
@@ -214,10 +219,9 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     sys = GluingSystem(tri.name, n, tuple(
         GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
         for kind, r, c, cusp, filling in rows), tuple(map(tuple, relations)))
-    wide = wide_rows([(*r.A, *r.B, r.k - r.c) for r in sys.rows])
-    if wide:
-        raise ValueError(f"{sys.rows[wide[0]].kind} row {wide[0]} has an entry "
-                         "of modulus 2^53 or more, which floats do not hold")
+    if sys.wide:
+        raise ValueError(f"{sys.rows[sys.wide[0]].kind} row {sys.wide[0]} has an "
+                         "entry of modulus 2^53 or more, which floats do not hold")
     return sys
 
 

@@ -39,7 +39,7 @@ from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
                     _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, augmented_rank, build_equations, jacobian,
-                     newton_solve, select_square_rows, wide_rows)
+                     newton_solve, select_square_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import (CertifyError, SolveError, Triangulation,
                   validate as validate_triangulation)
@@ -199,7 +199,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
                          f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
-    if wide_rows(sys.matrix.tolist()):        # Python ints compare faster
+    if sys.wide:
         raise KrawczykError("[A | B | k - c] has an entry of modulus 2^53 "
                             "or more, which floats do not hold")
     rank = n if _relation_bound(sys) == n else augmented_rank(sys.matrix)

@@ -15,15 +15,17 @@ The format is ASCII, whitespace-tokenized, with a fixed field order:
     face), and the shape hint as two reals.
 
 Exactly 4 + 4 + 4 + 64 + 2 tokens per tetrahedron, read as one record:
-one slice of the tokens, one conversion of its 72 integers, and the
-record's checks at once.  Parsing is strict: a number holds no `_`
+one slice of the tokens, its 72 integers read from a table of -99..99
+(`int` converts a record with a token outside it), and the record's
+checks at once.  Parsing is strict: a number holds no `_`
 (which `int` and `float` would take as a digit separator), and every
 token diagnostic carries the offending line number, worked out only when
 the error is raised (a failed record is walked token by token to find
 its first error); `validate`'s name the cusp or tetrahedron instead.
 Serialization writes each tetrahedron with one template in SnapPea's
-field widths and reproduces the token stream exactly (token-level, not
-byte-level, round-trip identity).
+field widths, its gluings and peripheral entries read from tables of
+their written cells (formatted when outside them), and reproduces the
+token stream exactly (token-level, not byte-level, round-trip identity).
 
 Only orientable manifolds are accepted.  `validate` holds every value
 rule the parser enforces, the cusp rules among them: every cusp is a
@@ -119,7 +121,7 @@ class _TokenReader:
         self.pos += 1
         return self.tokens[self.pos - 1]
 
-    def next_number(self, what, kind):
+    def next_number(self, what, kind=int):
         tok = self.next(what)
         try:
             if "_" not in tok:  # int and float take PEP 515 separators
@@ -130,12 +132,6 @@ class _TokenReader:
         raise TriParseError(f"expected {name} for {what}, got {tok!r}",
                             self.last_line)
 
-    def next_int(self, what):
-        return self.next_number(what, int)
-
-    def next_float(self, what):
-        return self.next_number(what, float)
-
     def next_tet(self, t, tet_count):
         """Tetrahedron t, read as one record of 78 tokens.
 
@@ -144,8 +140,12 @@ class _TokenReader:
         """
         rec = self.tokens[self.pos:self.pos + 78]
         if len(rec) == 78 and "_" not in "".join(rec):
+            nums = rec[:4] + rec[8:76]
             try:
-                ints = tuple(map(int, rec[:4] + rec[8:76]))
+                try:
+                    ints = tuple(map(_SMALL.__getitem__, nums))
+                except KeyError:        # a token outside the table
+                    ints = tuple(map(int, nums))
                 hint = complex(float(rec[76]), float(rec[77]))
             except ValueError:
                 ints = ()
@@ -158,7 +158,7 @@ class _TokenReader:
                 return Tetrahedron(nbr, glu, ints[4:8], (
                     ints[8:24], ints[24:40], ints[40:56], ints[56:72]), hint)
         for f in range(4):
-            v = self.next_int(f"tet {t} neighbor {f}")
+            v = self.next_number(f"tet {t} neighbor {f}")
             if not 0 <= v < tet_count:
                 raise TriParseError(
                     f"tet {t} face {f}: neighbor index {v} out of range "
@@ -169,11 +169,11 @@ class _TokenReader:
                 raise TriParseError(f"malformed gluing permutation {tok!r}",
                                     self.last_line)
         for v in range(4):
-            self.next_int(f"tet {t} vertex {v} cusp")
+            self.next_number(f"tet {t} vertex {v} cusp")
         for r in range(64):
-            self.next_int(f"tet {t} peripheral row {r // 16}")
-        hint = complex(self.next_float(f"tet {t} shape re"),
-                       self.next_float(f"tet {t} shape im"))
+            self.next_number(f"tet {t} peripheral row {r // 16}")
+        hint = complex(self.next_number(f"tet {t} shape re", float),
+                       self.next_number(f"tet {t} shape im", float))
         # every other way the record can fail raised above
         raise TriParseError(f"tet {t}: shape hint {hint} is degenerate "
                             "(0, 1 or not finite)", self.last_line)
@@ -191,7 +191,7 @@ def parse_triangulation(text: str) -> Triangulation:
         raise TriParseError("missing header")
     name = rd.next("name")
     solution_type = rd.next("solution type")
-    volume_hint = rd.next_float("volume hint")
+    volume_hint = rd.next_number("volume hint", float)
     orientability = rd.next("orientability")
     if orientability != "oriented_manifold":
         raise TriParseError(
@@ -200,20 +200,20 @@ def parse_triangulation(text: str) -> Triangulation:
     cs_flag = rd.next("CS flag")
     if cs_flag not in dict(_CS_FORMS):
         raise TriParseError(f"unrecognized CS flag {cs_flag!r}", rd.last_line)
-    cs_value = rd.next_float("CS value") if cs_flag == "CS_known" else None
-    cusp_count = rd.next_int("cusp count")
+    cs_value = rd.next_number("CS value", float) if cs_flag == "CS_known" else None
+    cusp_count = rd.next_number("cusp count")
     if cusp_count < 1:
         raise TriParseError("cusp count must be positive", rd.last_line)
-    fake_cusp_count = rd.next_int("second cusp count")
+    fake_cusp_count = rd.next_number("second cusp count")
 
     cusps = []
     for c in range(cusp_count):
         topo = rd.next(f"cusp {c} topology")
-        m = rd.next_float(f"cusp {c} filling m")
-        l = rd.next_float(f"cusp {c} filling l")
+        m = rd.next_number(f"cusp {c} filling m", float)
+        l = rd.next_number(f"cusp {c} filling l", float)
         cusps.append(CuspInfo(topo, m + 0.0, l + 0.0))  # normalize -0.0
 
-    tet_count = rd.next_int("tetrahedron count")
+    tet_count = rd.next_number("tetrahedron count")
     if tet_count < 1:
         raise TriParseError("tetrahedron count must be positive", rd.last_line)
     tets = [rd.next_tet(t, tet_count) for t in range(tet_count)]
@@ -237,6 +237,8 @@ def validate(tri: Triangulation) -> list:
     for what, token in (("name", tri.name), ("solution type", tri.solution_type)):
         if token.split() != [token]:
             out.append(f"{what} {token!r} is not one token free of whitespace")
+        elif not token.isascii():       # the writer's text must parse
+            out.append(f"{what} {token!r} is not ASCII")
     if tri.orientability != "oriented_manifold":
         out.append(f"unsupported orientability {tri.orientability!r}")
     if (tri.cs_flag, tri.cs_value is None) not in _CS_FORMS:
@@ -320,23 +322,23 @@ def validate(tri: Triangulation) -> list:
     return out
 
 
-def _compose(a, b):
-    # (a o b)[i] = a[b[i]]
-    return tuple(a[b[i]] for i in range(4))
-
-
 # every permutation of {0, 1, 2, 3}: its sign (-1 for an odd number of
 # inversions), its inverse, and the digit string that spells it in the file
 _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
+# -99..99 by its decimal string, and as a written peripheral entry; each
+# permutation as a written gluing
+_SMALL = {str(i): i for i in range(-99, 100)}
+_ENTRY = {i: " %2d" % i for i in _SMALL.values()}
+_GLUING = {p: " " + s for s, p in _PERMUTATION.items()}
 # each CS flag, and whether it comes without a CS value
 _CS_FORMS = (("CS_known", False), ("CS_unknown", True))
-# one tetrahedron as written, SnapPea's field widths; a space before each
-# peripheral entry keeps wide ones apart
-_TET_FORMAT = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
-                        + [" %2d" * 16] * 4 + ["%16.12f %16.12f\n"])
+# one tetrahedron as written, SnapPea's field widths, the gluings and
+# peripheral entries as cells; a space before each entry keeps wide ones apart
+_TET_FORMAT = "\n".join(["%4d " * 4, "%s" * 4, "%4d " * 4]
+                        + ["%s" * 16] * 4 + ["%16.12f %16.12f\n"])
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
@@ -349,10 +351,18 @@ def serialize_triangulation(tri: Triangulation) -> str:
         lines.append(f"    {cusp.topology} {cusp.filling_m:16.12f} "
                      f"{cusp.filling_l:16.12f}")
     lines += ["", str(tri.tet_count)]
-    return "\n".join(lines) + "\n" + "\n".join(_TET_FORMAT % (
-        *tet.neighbors, *itertools.chain(*tet.gluings), *tet.vertex_cusp,
-        *itertools.chain(*tet.peripheral), tet.shape_hint.real,
-        tet.shape_hint.imag) for tet in tri.tets)
+    return "\n".join(lines) + "\n" + "\n".join(map(_tet_text, tri.tets))
+
+
+def _tet_text(tet):
+    try:
+        cells = (*map(_GLUING.__getitem__, tet.gluings), *tet.vertex_cusp,
+                 *map(_ENTRY.__getitem__, itertools.chain(*tet.peripheral)))
+    except (KeyError, TypeError):   # a value outside the tables, or a list
+        cells = (*(" %d%d%d%d" % tuple(g) for g in tet.gluings), *tet.vertex_cusp,
+                 *(" %2d" % x for x in itertools.chain(*tet.peripheral)))
+    return _TET_FORMAT % (*tet.neighbors, *cells, tet.shape_hint.real,
+                          tet.shape_hint.imag)
 
 
 def combinatorial_isomorphic(a: Triangulation, b: Triangulation) -> bool:
@@ -384,7 +394,7 @@ def _extends(a, b, t0, sigma0, n):
             tau = a.tets[t].gluings[f]
             bt2 = b.tets[bt].neighbors[sigma[f]]
             tau_b = b.tets[bt].gluings[sigma[f]]
-            sigma2 = _compose(_compose(tau_b, sigma), _INVERSE[tau])
+            sigma2 = tuple(tau_b[sigma[v]] for v in _INVERSE[tau])
             if t2 in mapping:
                 if mapping[t2] != (bt2, sigma2):
                     return False

@@ -445,6 +445,18 @@ def test_krawczyk_refuses_rows_beyond_floats(entry):
         krawczyk_test(sys_, [0.5 + 0.8j], 1e-8)
 
 
+def test_the_2_53_rule_runs_once_per_system(tri_b, monkeypatch):
+    # build_equations evaluates GluingSystem.wide; certifying reads it
+    calls = []
+    monkeypatch.setattr(gluing, "wide_rows",
+                        lambda M, scan=gluing.wide_rows: calls.append(1) or scan(M))
+    sys_ = build_equations(tri_b)
+    assert calls == [1] and sys_.wide == ()
+    result = newton_solve(sys_, [t.shape_hint for t in tri_b.tets])
+    assert krawczyk_test(sys_, result.shapes, 1e-10, result.rows).valid
+    assert calls == [1]
+
+
 # ------------------------------------------------ ball operator domain
 
 

@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 import re
 
 import pytest
 
-from bandforge.gluing import edge_classes
+from bandforge.gluing import PAIR_TYPE, edge_classes
 from bandforge.krawczyk import CertifyError, certify_hyperbolic
 from bandforge.tri import (TriParseError, Triangulation, Tetrahedron,
                            combinatorial_isomorphic, parse_triangulation,
@@ -100,6 +101,73 @@ def test_wide_peripheral_entries_round_trip(tri_b, factor):
     back = parse_triangulation(text)
     assert back == wide
     assert serialize_triangulation(back).split() == text.split()
+
+
+# each tetrahedron as the writer formatted it before its cells came from
+# tables: % on every entry, the reference for the tables and their fallback
+_REFERENCE_TET = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
+                           + [" %2d" * 16] * 4 + ["%16.12f %16.12f\n"])
+
+
+def _reference_text(tri):
+    head = serialize_triangulation(dataclasses.replace(tri, tets=()))
+    return head + "\n".join(_REFERENCE_TET % (
+        *t.neighbors, *itertools.chain(*t.gluings), *t.vertex_cusp,
+        *itertools.chain(*t.peripheral), t.shape_hint.real, t.shape_hint.imag)
+        for t in tri.tets)
+
+
+def _set_entries(tri, *values):
+    """Tet 0 with its sheet-0 meridian row opening with the given values."""
+    rows = tri.tets[0].peripheral
+    return _tet0(tri, peripheral=((*values, *rows[0][len(values):]), *rows[1:]))
+
+
+def _as_lists(tri):
+    return dataclasses.replace(tri, tets=tuple(dataclasses.replace(
+        t, gluings=tuple(map(list, t.gluings))) for t in tri.tets))
+
+
+@pytest.mark.parametrize("edit, as_parsed", [
+    (lambda t: t, None),
+    (lambda t: _set_entries(t, 99, -99), None),     # the ends of the table
+    (lambda t: _set_entries(t, 100, -100), None),   # just outside it
+    (lambda t: _set_entries(t, 10 ** 400, -7), None),
+    (lambda t: _scale_peripheral(t, 37), None),     # tets in and out of it
+    (_as_lists, lambda t: t),                       # gluings built as lists
+    (lambda t: _set_entries(_as_lists(t), 100), lambda t: _set_entries(t, 100)),
+], ids=["fixture", "table_ends", "hundreds", "huge", "scaled", "list_gluings",
+        "list_gluings_hundred"])
+def test_writer_tables_agree_with_formatting(tri_a, tri_b, edit, as_parsed):
+    for tri in (tri_a, tri_b):
+        built = edit(tri)
+        text = serialize_triangulation(built)
+        assert text == _reference_text(built)
+        back = parse_triangulation(text)
+        assert back == (as_parsed or edit)(tri)
+        assert serialize_triangulation(back) == text
+
+
+@pytest.mark.parametrize("spell", [
+    lambda v: f"{v:+03d}", lambda v: f"{v:04d}",
+    lambda v: f"-{v}" if v == 0 else str(v),
+], ids=["signed_padded", "padded", "minus_zero"])
+def test_reader_reads_spellings_outside_its_table(text_a, tri_a, spell):
+    # every integer token of tet 2 of A, spelled as int() reads it but the
+    # table of -99..99 does not hold it, one at a time and all at once
+    tokens = text_a.split()
+    start = len(tokens) - 78 * (tri_a.tet_count - 2)    # where tet 2 opens
+    ints = [start + i for i in range(78) if not 4 <= i < 8 and i < 76]
+    assert [int(tokens[i]) for i in ints] == [
+        *tri_a.tets[2].neighbors, *tri_a.tets[2].vertex_cusp,
+        *itertools.chain(*tri_a.tets[2].peripheral)]
+    spans = [m.span() for m in re.finditer(r"\S+", text_a)]
+    for chosen in [[i] for i in ints[::7]] + [ints]:
+        text = text_a
+        for i in reversed(chosen):
+            a, b = spans[i]
+            text = text[:a] + spell(int(tokens[i])) + text[b:]
+        assert parse_triangulation(text) == tri_a
 
 
 # ------------------------------------------------------------ diagnostics
@@ -250,6 +318,73 @@ def test_isomorphic_after_vertex_relabeling(tri_a):
             tu.shape_hint))
     assert validate(twisted) == []
     assert combinatorial_isomorphic(tri_a, twisted)
+
+
+def _relabel_vertices(tri, rhos):
+    """Relabel the vertices of tet t by rhos[t] (vertex v becomes rhos[t][v])."""
+    tets = []
+    for t, tet in enumerate(tri.tets):
+        old = [rhos[t].index(v) for v in range(4)]      # old label of v
+        tets.append(Tetrahedron(
+            tuple(tet.neighbors[old[f]] for f in range(4)),
+            tuple(tuple(rhos[tet.neighbors[old[f]]][tet.gluings[old[f]][old[v]]]
+                        for v in range(4)) for f in range(4)),
+            tuple(tet.vertex_cusp[old[v]] for v in range(4)),
+            tuple(tuple(row[4 * old[v] + old[f]] for v in range(4)
+                        for f in range(4)) for row in tet.peripheral),
+            tet.shape_hint))
+    return dataclasses.replace(tri, tets=tuple(tets))
+
+
+def _reference_edge_classes(tri):
+    """The orbit walk over (tet, vertex pair) tuples that `edge_classes`
+    ran before it walked integer edge ids."""
+    image = {(s, e): tuple(sorted((s[e[0]], s[e[1]])))
+             for s in itertools.permutations(range(4)) for e in PAIR_TYPE}
+    seen, classes = set(), []
+    for start in itertools.product(range(len(tri.tets)), sorted(PAIR_TYPE)):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        for t, e in members:
+            tet = tri.tets[t]
+            for f in set(range(4)) - set(e):
+                img = (tet.neighbors[f], image[tuple(tet.gluings[f]), e])
+                if img not in seen:
+                    seen.add(img)
+                    members.append(img)
+        classes.append(tuple((t, e, PAIR_TYPE[e]) for t, e in sorted(members)))
+    return classes
+
+
+def test_edge_classes_match_the_reference_walk(tri_a, tri_b):
+    rng = random.Random(19)
+    perms = list(itertools.permutations(range(4)))
+    cases = [(tri_a, tri_a), (tri_b, tri_b), (tri_a, _as_lists(tri_a))]
+    for tri in (tri_a, tri_b):
+        for _ in range(3):
+            moved = _relabel(tri, rng.sample(range(tri.tet_count), tri.tet_count))
+            cases.append((tri, _relabel_vertices(
+                moved, [rng.choice(perms) for _ in tri.tets])))
+    used = set()
+    for tri, relabeled in cases:
+        used.update(map(tuple, itertools.chain(*(t.gluings for t in relabeled.tets))))
+        classes = edge_classes(relabeled)
+        assert classes == _reference_edge_classes(relabeled)
+        assert sorted(map(len, classes)) == sorted(map(len, edge_classes(tri)))
+    assert len(used) == 24      # the walk met every gluing permutation
+
+
+def test_vertex_relabeling_keeps_the_triangulation(tri_a):
+    # the helper above is sound: an even relabeling of every tetrahedron
+    # validates and is isomorphic to A
+    even = [p for p in itertools.permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    rng = random.Random(5)
+    relabeled = _relabel_vertices(tri_a, [rng.choice(even) for _ in tri_a.tets])
+    assert validate(relabeled) == []
+    assert combinatorial_isomorphic(tri_a, relabeled)
 
 
 def test_not_isomorphic_different_sizes(tri_a, tri_b):
@@ -462,6 +597,10 @@ def _tet0(tri, **changes):
     (lambda t: dataclasses.replace(t, name=""), "name '' is not one token"),
     (lambda t: dataclasses.replace(t, solution_type="geometric solution"),
      "solution type 'geometric solution' is not one token"),
+    # one token, but the parser refuses the text it is written to
+    (lambda t: dataclasses.replace(t, name="\u03a9"), "name '\u03a9' is not ASCII"),
+    (lambda t: dataclasses.replace(t, solution_type="g\u00e9om\u00e9trique"),
+     "solution type 'g\u00e9om\u00e9trique' is not ASCII"),
     (lambda t: dataclasses.replace(t, tets=(), tet_count=0),
      "a triangulation needs a tetrahedron and a cusp"),
     (lambda t: dataclasses.replace(t, volume_hint=float("nan")),
@@ -479,6 +618,7 @@ def _tet0(tri, **changes):
 ], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
         "sheet_row", "cs_known_no_value", "cs_unknown_value", "cs_flag",
         "orientability", "name_space", "name_empty", "solution_type",
+        "name_non_ascii", "solution_type_non_ascii",
         "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     bad = corrupt(tri_a)
