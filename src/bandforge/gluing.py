@@ -30,9 +30,10 @@ their stored shape hints, and is frozen by the test suite.
 The numeric stages read the system as one exact integer matrix,
 `GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
 `jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
-The rows, the 2^53 rule (`GluingSystem.wide`, evaluated once per system)
-and `residual` are plain Python; `matrix`, `select_square_rows` and
-`newton_solve` import numpy.
+A `GluingSystem` refuses rows floats do not hold (the 2^53 rule), and its
+`rank_bound` proves once that the dropped rows follow from the kept ones.
+The rows, the 2^53 rule and `residual` are plain Python; `matrix`,
+`rank_bound`, `select_square_rows` and `newton_solve` import numpy.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ __all__ = [
     "SolveError", "SingularJacobianError", "DivergenceError",
     "HalfPlaneExitError",
     "edge_classes", "build_equations", "residual", "jacobian", "newton_solve",
-    "select_square_rows", "augmented_rank", "wide_rows",
+    "select_square_rows", "augmented_rank",
 ]
 
 # parameter type of an unordered vertex pair: 0 -> z, 1 -> z', 2 -> z''
@@ -109,32 +110,52 @@ class GluingRow:
 
 @dataclass(frozen=True)
 class GluingSystem:
-    """Per cusp, `relations` lists the edge rows with an end there, once per
-    end; so weighted, a torus cusp's edge rows sum to zero (Neumann-Zagier:
-    each cusp triangle adds A = B = 0 and k = 1, two triangles per end)."""
+    """Rows floats hold: an entry of [A | B | k - c] whose type is not int (a
+    float, a bool) or of modulus 2^53 or more raises ValueError.  Per cusp,
+    `relations` lists the edge rows with an end there, once per end; so
+    weighted, a torus cusp's edge rows sum to zero (Neumann-Zagier: each
+    cusp triangle adds A = B = 0 and k = 1, two triangles per end)."""
     name: str
     tet_count: int
     rows: tuple
     relations: tuple = ()
 
+    def __post_init__(self):
+        # a set of the types, a set of the values; walk only to name a bad one
+        rows = [(*r.A, *r.B, r.k - r.c) for r in self.rows]
+        entries = [*itertools.chain.from_iterable(rows)]
+        if {*map(type, entries)} <= {int} and max(
+                map(abs, {*entries}), default=0) < 2 ** 53:
+            return
+        i, x = next((i, x) for i, row in enumerate(rows) for x in row
+                    if type(x) is not int or abs(x) >= 2 ** 53)
+        raise ValueError(f"{self.rows[i].kind} row {i} has " + (
+            f"the entry {x!r}, which is not an int" if type(x) is not int
+            else "an entry of modulus 2^53 or more, which floats do not hold"))
+
     @functools.cached_property
     def matrix(self):
-        """[A | B | k - c], one read-only row per equation row: int64, or
-        Python ints (dtype object) when an entry does not fit."""
+        """[A | B | k - c] as int64, one read-only row per equation row."""
         import numpy as np
-        m = [(*r.A, *r.B, r.k - r.c) for r in self.rows]
-        try:
-            m = np.array(m, dtype=np.int64)
-        except OverflowError:
-            m = np.array(m, dtype=object)
+        m = np.array([(*r.A, *r.B, r.k - r.c) for r in self.rows], dtype=np.int64)
         m = m.reshape(len(self.rows), 2 * self.tet_count + 1)
         m.flags.writeable = False
         return m
 
     @functools.cached_property
-    def wide(self):
-        """`wide_rows` of [A | B | k - c]: the rows floats would round."""
-        return tuple(wide_rows([(*r.A, *r.B, r.k - r.c) for r in self.rows]))
+    def rank_bound(self):
+        """n if the cusp relations W prove rank `matrix` <= n, else its exact
+        rank.  Once W M = 0, rank M <= rows - rank W; W M cannot overflow
+        int64, as M's entries are below 2^53 and no cusp lists 2^10 ends."""
+        import numpy as np
+        R, rels, n = len(self.rows), self.relations, self.tet_count
+        if rels and max(map(len, rels)) < 2 ** 10 and all(
+                0 <= i < R for rel in rels for i in rel):
+            W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R)
+                          for r in rels])
+            if not (W @ self.matrix).any() and R - augmented_rank(W) == n:
+                return n
+        return augmented_rank(self.matrix)
 
 
 def edge_classes(tri: Triangulation) -> list:
@@ -216,19 +237,9 @@ def build_equations(tri: Triangulation) -> GluingSystem:
             m, l = info.filling_ints()
             rows.append(("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
                          2, cusp, (m, l)))
-    sys = GluingSystem(tri.name, n, tuple(
+    return GluingSystem(tri.name, n, tuple(
         GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
         for kind, r, c, cusp, filling in rows), tuple(map(tuple, relations)))
-    if sys.wide:
-        raise ValueError(f"{sys.rows[sys.wide[0]].kind} row {sys.wide[0]} has an "
-                         "entry of modulus 2^53 or more, which floats do not hold")
-    return sys
-
-
-def wide_rows(M) -> list:
-    """Rows of M, integer rows such as `GluingSystem.matrix` or its
-    `tolist()`, with an entry of modulus 2^53 or more, which floats round."""
-    return [i for i, r in enumerate(M) if max(r) >= 2 ** 53 or min(r) <= -2 ** 53]
 
 
 def _rows_at(M, u, w):

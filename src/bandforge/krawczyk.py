@@ -16,10 +16,8 @@ proves that the subsystem has exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
 that zero is a geometric solution and the manifold is hyperbolic.  The
 discarded rows are checked exactly: M = [A | B | k - c] over all rows
-must have rank at most n.  The cusp relations W (`GluingSystem.relations`)
-bound it by rows - rank W, eliminating W's rows (one per cusp), once
-W M = 0 holds in integers; only where that bound is not n is M
-eliminated.  Contraction proves the n kept rows independent, so every
+must have rank at most n, which `GluingSystem.rank_bound` proves once
+per system.  Contraction proves the n kept rows independent, so every
 discarded row is a rational combination of them, and a zero of the
 square subsystem solves the full system.  K(X) & X is formed as arrays
 of endpoints; only the n final enclosures become `ComplexInterval`s.
@@ -38,8 +36,8 @@ import numpy as np
 from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
                     _recip, _up)
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
-from .gluing import (GluingSystem, augmented_rank, build_equations, jacobian,
-                     newton_solve, select_square_rows)
+from .gluing import (GluingSystem, build_equations, jacobian, newton_solve,
+                     select_square_rows)
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import (CertifyError, SolveError, Triangulation,
                   validate as validate_triangulation)
@@ -163,16 +161,6 @@ def _operator(sys, z, radius, rows=None):
     return rows, Y, (E_c, E_rad), (K_c, K_rad)
 
 
-def _relation_bound(sys):
-    """rows - rank W >= rank M for M = sys.matrix, W = sys.relations, if W M = 0."""
-    R, rels = len(sys.rows), sys.relations
-    if not rels or not all(0 <= i < R for rel in rels for i in rel) or (
-            max(map(len, rels)) * int(abs(sys.matrix).max(initial=0)) >= 2 ** 63):
-        return None         # bad indices, or W M might overflow int64
-    W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R) for r in rels])
-    return None if (W @ sys.matrix).any() else R - augmented_rank(W)
-
-
 def krawczyk_test(sys: GluingSystem, approx, radius: float,
                   rows=None) -> Certificate:
     """Containment test on the box approx +- radius.
@@ -182,10 +170,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     contracted = False.  `rows`, the n rows to test (`NewtonResult.rows`),
     are selected at approx when not given; any n rows are sound, as
     contraction proves them independent.  Raises KrawczykError when the
-    box itself is unusable: a shape is not finite, the rows [A | B | k - c]
-    have an entry of modulus 2^53 or more or (unless the cusp relations
-    bound it by n) a rank other than n, the midpoint Jacobian is not
-    invertible, or the disc around a shape reaches 0, 1 or a branch cut.
+    box itself is unusable: a shape is not finite, `sys.rank_bound` is
+    not n, the midpoint Jacobian is not invertible, or the disc around a
+    shape reaches 0, 1 or a branch cut.
     """
     if not 0 < radius < math.inf:  # also rejects NaN
         raise ValueError("radius must be positive and finite")
@@ -199,13 +186,9 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
                          f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
-    if sys.wide:
-        raise KrawczykError("[A | B | k - c] has an entry of modulus 2^53 "
-                            "or more, which floats do not hold")
-    rank = n if _relation_bound(sys) == n else augmented_rank(sys.matrix)
-    if rank != n:
-        raise KrawczykError(f"rows [A | B | k - c] have rank {rank}, not {n}: "
-                            "the kept rows do not imply the dropped ones")
+    if sys.rank_bound != n:
+        raise KrawczykError(f"rows [A | B | k - c] have rank {sys.rank_bound}, "
+                            f"not {n}: the kept rows do not imply the dropped ones")
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):

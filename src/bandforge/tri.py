@@ -271,8 +271,8 @@ def validate(tri: Triangulation) -> list:
                        "representable (|m| and |l| must be below 2^53)")
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
-    # a tetrahedron of the wrong shape gets no other check, and no face
-    # pairing is checked against it
+    # a tetrahedron of the wrong shape, or with an entry that is not an int,
+    # gets no other check, and no face pairing is checked against it
     misshapen = set()
     for t, tet in enumerate(tri.tets):
         rows = tuple(map(len, tet.peripheral))
@@ -283,14 +283,22 @@ def validate(tri: Triangulation) -> list:
                        f"vertex cusps and peripheral rows of {rows} entries; "
                        "expected 4, 4, 4 and 4 rows of 16")
             misshapen.add(t)
+        elif {*map(type, itertools.chain(tet.neighbors, tet.vertex_cusp,
+                                         *tet.gluings, *tet.peripheral))} != {int}:
+            out += [f"tet {t}: {what} {i} is {x!r}, not an int" for what, xs in (
+                ("neighbor", tet.neighbors),
+                ("gluing entry", itertools.chain(*tet.gluings)),
+                ("vertex cusp", tet.vertex_cusp),
+                ("peripheral entry", itertools.chain(*tet.peripheral)))
+                for i, x in enumerate(xs) if type(x) is not int]
+            misshapen.add(t)
     n = len(tri.tets)
     for t, tet in enumerate(tri.tets):
         if tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
             out.append(f"tet {t}: shape hint {tet.shape_hint} is degenerate")
         if t in misshapen:
             continue
-        for f in range(4):
-            t2 = tet.neighbors[f]
+        for f, t2 in enumerate(tet.neighbors):
             if not 0 <= t2 < n:
                 out.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
@@ -303,15 +311,12 @@ def validate(tri: Triangulation) -> list:
             if sign != -1:
                 out.append(f"tet {t} face {f}: gluing {sigma} is an even "
                            "permutation (orientation not coherent)")
-            if t2 in misshapen:
-                continue
-            back = tri.tets[t2]
-            f2 = sigma[f]
-            if back.neighbors[f2] != t or tuple(back.gluings[f2]) != _INVERSE[sigma]:
+            back, f2 = tri.tets[t2], sigma[f]
+            if t2 not in misshapen and (back.neighbors[f2] != t or
+                                        tuple(back.gluings[f2]) != _INVERSE[sigma]):
                 out.append(f"tet {t} face {f}: face pairing with tet {t2} "
                            f"face {f2} is not involutive")
-        for v in range(4):
-            c = tet.vertex_cusp[v]
+        for v, c in enumerate(tet.vertex_cusp):
             if not 0 <= c < len(tri.cusps):
                 out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
                            f"[0, {len(tri.cusps)})")

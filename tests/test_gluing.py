@@ -14,7 +14,7 @@ from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
                               augmented_rank, build_equations, edge_classes,
                               newton_solve, residual, select_square_rows,
-                              wide_rows, _rows_at)
+                              _rows_at)
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
 B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
@@ -63,8 +63,9 @@ def test_matrix_is_the_read_only_rows(tri_b):
     assert M.tolist() == [[*r.A, *r.B, r.k - r.c] for r in sys_.rows]
     with pytest.raises(ValueError):
         M[0, 0] = 1
-    big = GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
-    assert big.matrix.dtype == object and big.matrix.tolist() == [[2 ** 64, 0, 1]]
+    # a row int64 cannot hold is refused at construction, so no other dtype
+    with pytest.raises(ValueError, match="modulus 2\\^53"):
+        GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
 
 
 def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
@@ -84,12 +85,37 @@ def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
         assert len(sys_.rows) - len(tri.cusps) == n
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
-def test_wide_rows_bound_both_signs(dtype):
-    top = 2 ** 53
-    M = np.array([[top - 1, 1 - top], [0, top], [-top, 0], [1, -2 ** 63]],
-                 dtype=dtype)
-    assert wide_rows(M) == wide_rows(M.tolist()) == [1, 2, 3]
+def test_rank_bound_never_trusts_a_wrapped_product():
+    # W M = 2^12 * 2^52 = 2^64 wraps to 0 in int64 and would prove rank 1;
+    # a cusp listing 2^10 ends or more makes M itself be eliminated
+    rows = (GluingRow("edge", (2 ** 52,), (0,), 0, 0),
+            GluingRow("edge", (0,), (1,), 0, 0))
+    assert GluingSystem("wrap", 1, rows, ((0,) * 2 ** 12,)).rank_bound == 2
+
+
+NOT_INT = "the entry .*, which is not an int"
+WIDE = "an entry of modulus 2\\^53 or more, which floats do not hold"
+
+
+@pytest.mark.parametrize("field, entry, refusal", [
+    ("A", 2 ** 53 - 1, None), ("B", 1 - 2 ** 53, None), ("k", 2 ** 53 - 1, None),
+    ("A", 0.5, NOT_INT), ("A", True, NOT_INT), ("B", 2.0, NOT_INT),
+    ("A", np.int64(1), NOT_INT), ("k", 0.5, NOT_INT),
+    ("A", 2 ** 53, WIDE), ("B", -2 ** 53, WIDE), ("A", -2 ** 63, WIDE),
+    ("B", 10 ** 400, WIDE), ("k", -2 ** 53, WIDE)],
+    ids=["A_top", "B_bottom", "k_top", "half", "bool", "float", "numpy", "k_half",
+         "A_2_53", "B_minus_2_53", "minus_2_63", "10_400", "k_minus_2_53"])
+def test_construction_refuses_entries_floats_do_not_hold(field, entry, refusal):
+    # the entry goes into row 1 of [A | B | k - c], after a clean row 0
+    clean = GluingRow("edge", (1, -1), (0, 2), 1, 2)
+    bad = (dataclasses.replace(clean, k=entry, c=0) if field == "k"
+           else dataclasses.replace(clean, **{field: (0, entry)}))
+    if refusal is None:
+        sys_ = GluingSystem("edge", 2, (clean, bad))
+        assert sys_.matrix.tolist()[1] == [*bad.A, *bad.B, bad.k - bad.c]
+        return
+    with pytest.raises(ValueError, match=f"^edge row 1 has {refusal}$"):
+        GluingSystem("edge", 2, (clean, bad))
 
 
 def test_row_inventory_a(tri_a):
@@ -354,16 +380,17 @@ def _dependent_rows(rng, n, entry):
 def test_augmented_rank_beyond_int64_starts_as_object():
     # entries of 2^63 and more do not fit int64; -2^63 fits, but its
     # modulus does not, so it must not stay in int64 either: here
-    # (-2^63)(-2) would wrap to 0 and hide the second pivot
+    # (-2^63)(-2) would wrap to 0 and hide the second pivot.  No
+    # GluingSystem holds such rows, so the matrices are built directly.
     rows = [[-2 ** 63, 0, 0], [0, -2, 0]]
-    assert augmented_rank(_rank_system(rows, 1).matrix) == _fraction_rank(rows) == 2
+    assert augmented_rank(np.array(rows, dtype=object)) == _fraction_rank(rows) == 2
     rng = random.Random(63)
     for big in (2 ** 63, -2 ** 63, 2 ** 64 + 1, -3 ** 50, 2 ** 62 + 7):
         for _ in range(30):
             n = rng.randint(1, 4)
             rows = _dependent_rows(
                 rng, n, lambda: rng.choice((0, 1, -2, 3, big)))
-            assert (augmented_rank(_rank_system(rows, n).matrix)
+            assert (augmented_rank(np.array(rows, dtype=object))
                     == _fraction_rank(rows)), rows
 
 

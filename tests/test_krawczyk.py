@@ -308,7 +308,7 @@ def test_inconsistent_appended_row_is_never_valid(solved, request):
     sys_, result = request.getfixturevalue(solved)
     # a copy of an edge row with c raised by 2 has no common solution; the
     # cusp relations bound the rank by n + 1 only, so elimination runs
-    assert krawczyk._relation_bound(_append_row(sys_, 2)) == sys_.tet_count + 1
+    assert _append_row(sys_, 2).rank_bound == sys_.tet_count + 1
     with pytest.raises(KrawczykError, match="rank"):
         krawczyk_test(_append_row(sys_, 2), result.shapes, 1e-8)
 
@@ -321,14 +321,15 @@ def test_redundant_appended_row_still_certifies(solved, request):
 
 
 def _record_ranks(monkeypatch):
-    """The shape of every matrix krawczyk passes to augmented_rank."""
-    shapes = []
+    """The shape of every matrix `GluingSystem.rank_bound` passes to
+    augmented_rank."""
+    shapes, rank = [], gluing.augmented_rank
 
     def recording(M):
         shapes.append(M.shape)
-        return gluing.augmented_rank(M)
+        return rank(M)
 
-    monkeypatch.setattr(krawczyk, "augmented_rank", recording)
+    monkeypatch.setattr(gluing, "augmented_rank", recording)
     return shapes
 
 
@@ -346,8 +347,17 @@ def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
             continue
         certified += 1
         cusps = len(tri.cusps)
-        assert shapes and set(shapes) == {(cusps, len(tri.tets) + cusps)}
+        assert shapes == [(cusps, len(tri.tets) + cusps)]
     assert certified == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
+
+
+def test_relations_are_eliminated_once_per_system(tri_b, monkeypatch):
+    # the rungs 1e-16 and 1e-15 do not certify and 1e-10 does; the rank
+    # proof is the system's, so W is eliminated on the first rung only
+    shapes = _record_ranks(monkeypatch)
+    cert = certify_hyperbolic(tri_b, radii=(1e-16, 1e-15, 1e-10))
+    assert cert.valid and cert.radius_used == 1e-10
+    assert shapes == [(len(tri_b.cusps), len(tri_b.tets) + len(tri_b.cusps))]
 
 
 @pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
@@ -377,11 +387,10 @@ def test_bad_relations_fall_back_to_elimination(solved, case, request,
     sys_, result = request.getfixturevalue(solved)
     cert = krawczyk_test(sys_, result.shapes, 1e-8, result.rows)
     bad = _bad_relations(sys_, case)
-    assert krawczyk._relation_bound(bad) is None
     shapes = _record_ranks(monkeypatch)
     assert krawczyk_test(bad, result.shapes, 1e-8,
                          result.rows).to_dict() == cert.to_dict()
-    assert shapes == [sys_.matrix.shape]
+    assert shapes == [sys_.matrix.shape] and bad.rank_bound == sys_.tet_count
 
 
 def _renumbered(tri, seed):
@@ -396,13 +405,16 @@ def _renumbered(tri, seed):
 
 
 @pytest.mark.parametrize("label", ["A", "B"])
-def test_renumbered_tetrahedra_keep_the_bound(label):
+def test_renumbered_tetrahedra_keep_the_bound(label, monkeypatch):
     tri = load_fixture(label)
     cert = certify_hyperbolic(tri)
+    shapes = _record_ranks(monkeypatch)
     for seed in (1, 2, 3):
         other, perm = _renumbered(tri, seed)
         assert validate(other) == []
-        assert krawczyk._relation_bound(build_equations(other)) == len(tri.tets)
+        shapes.clear()      # the relations settle the rank: only W is eliminated
+        assert build_equations(other).rank_bound == len(tri.tets)
+        assert shapes == [(len(tri.cusps), len(tri.tets) + len(tri.cusps))]
         moved = certify_hyperbolic(other)
         assert moved.valid
         for t, enc in enumerate(cert.enclosures):
@@ -436,25 +448,28 @@ def test_rows_beyond_floats_fail_validation(case, row):
     assert err.value.stage == "validation" and row in str(err.value)
 
 
-@pytest.mark.parametrize("entry", [2 ** 53, -2 ** 53, -2 ** 63, 10 ** 400])
-def test_krawczyk_refuses_rows_beyond_floats(entry):
-    # a system built directly skips build_equations' check
-    sys_ = gluing.GluingSystem("wide", 1, (gluing.GluingRow(
-        "edge", (entry,), (0,), 0, 0),))
-    with pytest.raises(KrawczykError, match="2\\^53"):
-        krawczyk_test(sys_, [0.5 + 0.8j], 1e-8)
-
-
 def test_the_2_53_rule_runs_once_per_system(tri_b, monkeypatch):
-    # build_equations evaluates GluingSystem.wide; certifying reads it
-    calls = []
-    monkeypatch.setattr(gluing, "wide_rows",
-                        lambda M, scan=gluing.wide_rows: calls.append(1) or scan(M))
-    sys_ = build_equations(tri_b)
-    assert calls == [1] and sys_.wide == ()
-    result = newton_solve(sys_, [t.shape_hint for t in tri_b.tets])
-    assert krawczyk_test(sys_, result.shapes, 1e-10, result.rows).valid
+    # the rule is GluingSystem's construction check, and a certify run
+    # builds one system
+    calls, check = [], gluing.GluingSystem.__post_init__
+    monkeypatch.setattr(gluing.GluingSystem, "__post_init__",
+                        lambda sys_: calls.append(1) or check(sys_))
+    assert certify_hyperbolic(tri_b).valid
     assert calls == [1]
+
+
+def test_half_scaled_peripheral_rows_fail_validation(tri_a):
+    # tet 0's peripheral rows times 0.5: the int64 matrix once truncated
+    # the entry 3.5 of cusp_filled row 12 to 3, and A certified anyway
+    tet = tri_a.tets[0]
+    half = dataclasses.replace(tri_a, tets=(dataclasses.replace(tet, peripheral=tuple(
+        tuple(0.5 * x for x in row) for row in tet.peripheral)),) + tri_a.tets[1:])
+    assert "tet 0: peripheral entry 1 is -2.5, not an int" in validate(half)
+    with pytest.raises(ValueError, match="cusp_filled row 12 has the entry"):
+        build_equations(half)
+    with pytest.raises(CertifyError) as err:
+        certify_hyperbolic(half)
+    assert err.value.stage == "validation"
 
 
 # ------------------------------------------------ ball operator domain

@@ -615,11 +615,22 @@ def _tet0(tri, **changes):
      "tet 0: shape hint (nan+1j) is degenerate"),
     (lambda t: _tet0(t, shape_hint=complex(0.5, float("inf"))),
      "tet 0: shape hint (0.5+infj) is degenerate"),
+    # entries that are not ints, each written as an int the parser refuses
+    (lambda t: _tet0(t, neighbors=(0.5,) + t.tets[0].neighbors[1:]),
+     "tet 0: neighbor 0 is 0.5, not an int"),
+    (lambda t: _tet0(t, gluings=((0.0, 2, 1, 3),) + t.tets[0].gluings[1:]),
+     "tet 0: gluing entry 0 is 0.0, not an int"),
+    (lambda t: _tet0(t, vertex_cusp=(1.0, 0, 0, 0)),
+     "tet 0: vertex cusp 0 is 1.0, not an int"),
+    (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1.5,) + (0,) * 15,
+                                    *t.tets[0].peripheral[2:])),
+     "tet 0: peripheral entry 16 is 1.5, not an int"),
 ], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
         "sheet_row", "cs_known_no_value", "cs_unknown_value", "cs_flag",
         "orientability", "name_space", "name_empty", "solution_type",
         "name_non_ascii", "solution_type_non_ascii",
-        "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf"])
+        "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf",
+        "neighbor_float", "gluing_float", "vertex_cusp_float", "peripheral_float"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     bad = corrupt(tri_a)
     assert any(p.startswith(message) for p in validate(bad)), validate(bad)
@@ -629,3 +640,37 @@ def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     # the parser refuses the same triangulation once it is written out
     with pytest.raises(TriParseError):
         parse_triangulation(serialize_triangulation(bad))
+
+
+def _as(kind, tet, fields):
+    """`tet` with every entry of the named fields converted by `kind`."""
+    def conv(value):
+        return kind(value) if isinstance(value, int) else tuple(map(conv, value))
+    return dataclasses.replace(tet, **{f: conv(getattr(tet, f)) for f in fields})
+
+
+@pytest.mark.parametrize("kind", [float, bool, str])
+@pytest.mark.parametrize("fields", [("neighbors",), ("gluings",), ("vertex_cusp",),
+                                    ("peripheral",),
+                                    ("neighbors", "gluings", "vertex_cusp", "peripheral")])
+def test_entries_that_are_not_ints_are_diagnostics(tri_a, kind, fields):
+    # built in code, equal in value or not: tri.tets[7.0] and relations[0.0]
+    # once raised TypeError out of validate and build_equations
+    bad = dataclasses.replace(tri_a, tets=(_as(kind, tri_a.tets[0], fields),)
+                              + tri_a.tets[1:])
+    # field, diagnostic name, and the field's entries in order
+    tet = bad.tets[0]
+    entries = [("neighbors", "neighbor", tet.neighbors),
+               ("gluings", "gluing entry", itertools.chain(*tet.gluings)),
+               ("vertex_cusp", "vertex cusp", tet.vertex_cusp),
+               ("peripheral", "peripheral entry", itertools.chain(*tet.peripheral))]
+    expected = [f"tet 0: {name} {i} is {x!r}, not an int"
+                for field, name, xs in entries if field in fields
+                for i, x in enumerate(xs)]
+    problems = validate(bad)
+    assert [p for p in problems if p.startswith("tet 0:")] == expected
+    # the other tetrahedra check no face pairing against tet 0
+    assert all(p.startswith("tet 0:") for p in problems), problems
+    with pytest.raises(CertifyError) as info:
+        certify_hyperbolic(bad)
+    assert info.value.stage == "validation"
