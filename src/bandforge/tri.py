@@ -4,10 +4,10 @@ The format is ASCII, whitespace-tokenized, with a fixed field order:
 
     name
     solution_type  volume_hint
-    orientability
-    CS_flag [cs_value]
-    cusp_count fake_cusp_count
-    one line per cusp:  topology  filling_m  filling_l
+    oriented_manifold
+    CS_known cs_value  |  CS_unknown
+    cusp_count 0
+    one line per cusp:  torus  filling_m  filling_l
     tet_count
     per tetrahedron: 4 neighbor indices, 4 gluing permutations as digit
     strings, 4 vertex cusp indices, 4 rows of 16 peripheral-curve
@@ -27,13 +27,15 @@ field widths, its gluings and peripheral entries read from tables of
 their written cells (formatted when outside them), and reproduces the
 token stream exactly (token-level, not byte-level, round-trip identity).
 
-Only orientable manifolds are accepted.  `validate` holds every value
-rule the parser enforces, the cusp rules among them: every cusp is a
-torus, and a filling of (0, 0) means the cusp is complete; anything else
-must be an integral coprime pair below 2^53 in modulus, as the format
-stores it as a real.  The volume hint, and the CS value when there is
-one, must be finite.  A shape hint of 0, 1 or a non-finite value is
-degenerate and rejected; negatively oriented hints are legal.
+The reader refuses a header constant other than those above; the writer
+writes them.  So a `Triangulation` holds only what a file varies, with a
+CS value of None for `CS_unknown`.  `validate` holds every other rule the
+parser enforces: a filling of (0, 0) means the cusp is complete; anything
+else must be an integral coprime pair below 2^53 in modulus, as the
+format stores it as a real.  The volume hint, and the CS value when there
+is one, must be finite.  A shape hint of 0, 1 or a non-finite value is
+degenerate and rejected; negatively oriented hints are legal.  The writer
+refuses an entry that is not an int.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class TriParseError(ValueError):
 
 @dataclass(frozen=True)
 class CuspInfo:
-    topology: str          # "torus" (the only accepted value)
+    """A torus cusp: complete at (0, 0), else filled along (m, l)."""
     filling_m: float
     filling_l: float
 
@@ -89,14 +91,11 @@ class Triangulation:
     name: str
     solution_type: str
     volume_hint: float
-    orientability: str
-    cs_flag: str
-    cs_value: float | None
-    cusp_count: int
-    fake_cusp_count: int
+    cs_value: float | None     # None for CS_unknown
     cusps: tuple
-    tet_count: int
     tets: tuple
+    tet_count = property(lambda self: len(self.tets))
+    cusp_count = property(lambda self: len(self.cusps))
 
 
 class _TokenReader:
@@ -198,20 +197,20 @@ def parse_triangulation(text: str) -> Triangulation:
             f"unsupported orientability {orientability!r} "
             "(only oriented_manifold is accepted)", rd.last_line)
     cs_flag = rd.next("CS flag")
-    if cs_flag not in dict(_CS_FORMS):
+    if cs_flag not in ("CS_known", "CS_unknown"):
         raise TriParseError(f"unrecognized CS flag {cs_flag!r}", rd.last_line)
     cs_value = rd.next_number("CS value", float) if cs_flag == "CS_known" else None
     cusp_count = rd.next_number("cusp count")
     if cusp_count < 1:
         raise TriParseError("cusp count must be positive", rd.last_line)
-    fake_cusp_count = rd.next_number("second cusp count")
+    second = rd.next_number("second cusp count")
 
-    cusps = []
+    cusps, topologies = [], []
     for c in range(cusp_count):
-        topo = rd.next(f"cusp {c} topology")
+        topologies.append(rd.next(f"cusp {c} topology"))
         m = rd.next_number(f"cusp {c} filling m", float)
         l = rd.next_number(f"cusp {c} filling l", float)
-        cusps.append(CuspInfo(topo, m + 0.0, l + 0.0))  # normalize -0.0
+        cusps.append(CuspInfo(m + 0.0, l + 0.0))  # normalize -0.0
 
     tet_count = rd.next_number("tetrahedron count")
     if tet_count < 1:
@@ -222,10 +221,10 @@ def parse_triangulation(text: str) -> Triangulation:
             f"trailing tokens after tetrahedron {tet_count - 1} "
             f"({len(rd.tokens) - rd.pos} extra)", rd.line(rd.pos))
 
-    tri = Triangulation(name, solution_type, volume_hint, orientability,
-                        cs_flag, cs_value, cusp_count, fake_cusp_count,
-                        tuple(cusps), tet_count, tuple(tets))
-    problems = validate(tri)
+    tri = Triangulation(name, solution_type, volume_hint, cs_value,
+                        tuple(cusps), tuple(tets))
+    refused = second or topologies.count("torus") != cusp_count
+    problems = _problems(tri, second, topologies) if refused else validate(tri)
     if problems:
         raise TriParseError("; ".join(problems))
     return tri
@@ -233,33 +232,31 @@ def parse_triangulation(text: str) -> Triangulation:
 
 def validate(tri: Triangulation) -> list:
     """Invariant check; returns a list of diagnostics, empty when clean."""
+    return _problems(tri, 0, ())
+
+
+def _problems(tri, second, topologies):
+    # validate's diagnostics, and in their places the reader's on the values
+    # no Triangulation holds: the second count and the cusp topologies
     out = []
     for what, token in (("name", tri.name), ("solution type", tri.solution_type)):
         if token.split() != [token]:
             out.append(f"{what} {token!r} is not one token free of whitespace")
         elif not token.isascii():       # the writer's text must parse
             out.append(f"{what} {token!r} is not ASCII")
-    if tri.orientability != "oriented_manifold":
-        out.append(f"unsupported orientability {tri.orientability!r}")
-    if (tri.cs_flag, tri.cs_value is None) not in _CS_FORMS:
-        out.append(f"CS flag {tri.cs_flag!r} with CS value {tri.cs_value!r}")
     for what, value in (("volume hint", tri.volume_hint),
                         ("CS value", tri.cs_value)):
         if value is not None and not isfinite(value):
             out.append(f"{what} {value} is not finite")
     if not (tri.tets and tri.cusps):
         out.append("a triangulation needs a tetrahedron and a cusp")
-    if tri.tet_count != len(tri.tets):
-        out.append(f"tet_count {tri.tet_count} != {len(tri.tets)} tetrahedra")
-    if tri.cusp_count != len(tri.cusps):
-        out.append(f"cusp_count {tri.cusp_count} != {len(tri.cusps)} cusps")
-    if tri.fake_cusp_count != 0:
-        out.append(f"second header count {tri.fake_cusp_count} is nonzero "
+    if second:
+        out.append(f"second header count {second} is nonzero "
                    "(uninterpreted; only 0 is supported)")
     for c, cusp in enumerate(tri.cusps):
         m, l = cusp.filling_m, cusp.filling_l
-        if cusp.topology != "torus":
-            out.append(f"cusp {c}: topology {cusp.topology!r} is not supported "
+        if topologies and topologies[c] != "torus":
+            out.append(f"cusp {c}: topology {topologies[c]!r} is not supported "
                        "(only torus cusps are)")
         elif cusp.is_complete():
             continue
@@ -338,8 +335,6 @@ _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
 _SMALL = {str(i): i for i in range(-99, 100)}
 _ENTRY = {i: " %2d" % i for i in _SMALL.values()}
 _GLUING = {p: " " + s for s, p in _PERMUTATION.items()}
-# each CS flag, and whether it comes without a CS value
-_CS_FORMS = (("CS_known", False), ("CS_unknown", True))
 # one tetrahedron as written, SnapPea's field widths, the gluings and
 # peripheral entries as cells; a space before each entry keeps wide ones apart
 _TET_FORMAT = "\n".join(["%4d " * 4, "%s" * 4, "%4d " * 4]
@@ -348,18 +343,21 @@ _TET_FORMAT = "\n".join(["%4d " * 4, "%s" * 4, "%4d " * 4]
 
 def serialize_triangulation(tri: Triangulation) -> str:
     """Emit the format; round-trips through parse_triangulation token-exactly."""
-    cs = "" if tri.cs_value is None else f"  {tri.cs_value:.16f}"
+    cs = "CS_unknown" if tri.cs_value is None else f"CS_known  {tri.cs_value:.16f}"
     lines = [tri.name, f"{tri.solution_type}  {tri.volume_hint:.8f}",
-             tri.orientability, tri.cs_flag + cs, "",
-             f"{tri.cusp_count} {tri.fake_cusp_count}"]
-    for cusp in tri.cusps:
-        lines.append(f"    {cusp.topology} {cusp.filling_m:16.12f} "
-                     f"{cusp.filling_l:16.12f}")
-    lines += ["", str(tri.tet_count)]
-    return "\n".join(lines) + "\n" + "\n".join(map(_tet_text, tri.tets))
+             "oriented_manifold", cs, "", f"{len(tri.cusps)} 0"]
+    lines += [f"    torus {cusp.filling_m:16.12f} {cusp.filling_l:16.12f}"
+              for cusp in tri.cusps]
+    lines += ["", str(len(tri.tets))]
+    return "\n".join(lines) + "\n" + "\n".join(
+        map(_tet_text, itertools.count(), tri.tets))
 
 
-def _tet_text(tet):
+def _tet_text(t, tet):
+    if not all(map(int.__instancecheck__, itertools.chain(     # a bool is one
+            tet.neighbors, tet.vertex_cusp, *tet.gluings, *tet.peripheral))):
+        raise ValueError(f"tet {t} has an entry that is not an int, which %d "
+                         "would not write as itself (validate names it)")
     try:
         cells = (*map(_GLUING.__getitem__, tet.gluings), *tet.vertex_cusp,
                  *map(_ENTRY.__getitem__, itertools.chain(*tet.peripheral)))

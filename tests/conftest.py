@@ -1,7 +1,17 @@
+import dataclasses
+
 import pytest
 
 from bandforge.fixtures import fixture_text, load_fixture
 from bandforge.gluing import build_equations, newton_solve
+from bandforge.tri import CuspInfo
+
+
+def filled(tri, cusp, m, l):
+    """`tri` with cusp `cusp` filled along (m, l), or complete at (0, 0)."""
+    cusps = list(tri.cusps)
+    cusps[cusp] = CuspInfo(float(m), float(l))
+    return dataclasses.replace(tri, cusps=tuple(cusps))
 
 
 @pytest.fixture(scope="session")

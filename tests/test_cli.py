@@ -14,8 +14,9 @@ import bandforge
 from bandforge import cli, gluing, krawczyk
 from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
-from bandforge.tri import (CuspInfo, TriParseError, parse_triangulation,
+from bandforge.tri import (TriParseError, parse_triangulation,
                            serialize_triangulation)
+from conftest import filled
 
 
 def run(capsys, argv):
@@ -339,11 +340,7 @@ def test_all_fixtures_certify(capsys):
 
 def _short_b(path):
     """Fixture B with its complete cusp 6 filled at (1,0): Newton fails."""
-    tri = load_fixture("B")
-    cusps = list(tri.cusps)
-    cusps[6] = CuspInfo("torus", 1.0, 0.0)
-    path.write_text(serialize_triangulation(
-        dataclasses.replace(tri, cusps=tuple(cusps))))
+    path.write_text(serialize_triangulation(filled(load_fixture("B"), 6, 1, 0)))
 
 
 def _zero_hint_a(path):
@@ -367,19 +364,15 @@ def _lower_hint_b(path):
 def _huge_filling_a(path):
     """Fixture A filled at (1e300, 1): integral and coprime as read, but
     far beyond the integers a real holds exactly."""
-    tri = load_fixture("A")
-    path.write_text(serialize_triangulation(dataclasses.replace(
-        tri, cusps=(CuspInfo("torus", 1e300, 1.0),))))
+    path.write_text(serialize_triangulation(
+        filled(load_fixture("A"), 0, 1e300, 1)))
 
 
 def _wide_filling_b(path):
     """Fixture B with cusp 6 filled at (1, 2^52 + 1): a valid filling whose
     row has entries of modulus 2^53 or more."""
-    tri = load_fixture("B")
-    cusps = list(tri.cusps)
-    cusps[6] = CuspInfo("torus", 1.0, float(2 ** 52 + 1))
     path.write_text(serialize_triangulation(
-        dataclasses.replace(tri, cusps=tuple(cusps))))
+        filled(load_fixture("B"), 6, 1, 2 ** 52 + 1)))
 
 
 def _wide_meridians_b(path):

@@ -15,17 +15,11 @@ from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               augmented_rank, build_equations, edge_classes,
                               newton_solve, residual, select_square_rows,
                               _rows_at)
+from conftest import filled
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
 B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
             if math.gcd(abs(m), l) == 1 and (l > 0 or (m, l) == (1, 0))]
-
-
-def _fill_b(tri_b, m, l):
-    cusps = list(tri_b.cusps)
-    cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
-                                   filling_l=float(l))
-    return dataclasses.replace(tri_b, cusps=tuple(cusps))
 
 
 # ------------------------------------------------------------ structure
@@ -52,7 +46,7 @@ def test_rows_match_the_pinned_digest(tri_a, tri_b):
         digest.update(repr(edge_classes(tri)).encode())
         digest.update(repr(build_equations(tri).rows).encode())
     for m, l in B_SLOPES:
-        digest.update(repr(build_equations(_fill_b(tri_b, m, l)).rows).encode())
+        digest.update(repr(build_equations(filled(tri_b, 6, m, l)).rows).encode())
     assert digest.hexdigest() == ROW_DIGEST
 
 
@@ -72,7 +66,7 @@ def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
     # per cusp, the edge rows weighted by their ends there sum to the zero
     # row, and the cusps' relations are independent, so [A | B | k - c]
     # has rank at most rows - cusps = n
-    for tri in [tri_a, tri_b] + [_fill_b(tri_b, m, l) for m, l in B_SLOPES]:
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_, n = build_equations(tri), len(tri.tets)
         ends = sorted(i for rel in sys_.relations for i in rel)
         assert ends == sorted(2 * list(range(n)))  # two ends per edge row
@@ -193,7 +187,7 @@ def test_residual_matches_a_row_loop(tri_a, tri_b):
 def test_residual_matches_the_float_matrix_product(tri_a, tri_b):
     # the numpy product over the full float matrix, which Newton's full-system
     # check still uses, agrees with the cmath residual row by row
-    for tri in [tri_a, tri_b] + [_fill_b(tri_b, m, l) for m, l in B_SLOPES]:
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_ = build_equations(tri)
         z = np.array([h * cmath.exp(0.01j) for h in (t.shape_hint for t in tri.tets)])
         ref = np.abs(_rows_at(sys_.matrix.astype(float), np.log(z), np.log(1 - z)))
@@ -410,6 +404,6 @@ def test_augmented_rank_promotes_growing_minors():
 def test_augmented_rank_on_every_filling_of_b(tri_b):
     assert len(B_SLOPES) == 128
     for m, l in B_SLOPES:
-        sys_ = build_equations(_fill_b(tri_b, m, l))
+        sys_ = build_equations(filled(tri_b, 6, m, l))
         matrix = [r.A + r.B + (r.k - r.c,) for r in sys_.rows]
         assert augmented_rank(sys_.matrix) == _fraction_rank(matrix) == 26, (m, l)

@@ -19,7 +19,8 @@ from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
                                 certify_hyperbolic, interval_volume,
                                 krawczyk_test)
-from bandforge.tri import CuspInfo, SolveError, validate
+from bandforge.tri import SolveError, validate
+from conftest import filled
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -212,19 +213,13 @@ def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut):
     assert err.value.stage == "validation"
 
 
-@pytest.mark.parametrize("label, cusp, info", [
-    ("A", 0, CuspInfo("torus", 2.0, 0.0)),
-    ("B", 6, CuspInfo("torus", -2.0, 2.0)),
-    ("A", 0, CuspInfo("Klein", 1.0, 0.0)),
-    ("A", 0, CuspInfo("torus", 1.5, 0.0)),
-], ids=["A at (2,0)", "B at (-2,2)", "Klein cusp", "(1.5,0)"])
-def test_certify_rejects_unsupported_cusp(label, cusp, info):
+@pytest.mark.parametrize("label, cusp, m, l", [
+    ("A", 0, 2, 0), ("B", 6, -2, 2), ("A", 0, 1.5, 0),
+], ids=["A at (2,0)", "B at (-2,2)", "(1.5,0)"])
+def test_certify_rejects_unsupported_cusp(label, cusp, m, l):
     # a non-coprime filling is an orbifold, not a manifold: never `valid`
-    tri = load_fixture(label)
-    cusps = list(tri.cusps)
-    cusps[cusp] = info
     with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(dataclasses.replace(tri, cusps=tuple(cusps)))
+        certify_hyperbolic(filled(load_fixture(label), cusp, m, l))
     assert err.value.stage == "validation"
     assert f"cusp {cusp}: " in str(err.value)
 
@@ -259,7 +254,7 @@ def test_certify_error_lists_the_failed_rungs(tri_a):
     assert str(err.value) == ("[krawczyk] no radius produced a valid "
                               "certificate (" + "; ".join(
                                   f"{r}: {o}" for r, o in attempts) + ")")
-    bad = dataclasses.replace(tri_a, fake_cusp_count=1)
+    bad = dataclasses.replace(tri_a, volume_hint=math.nan)
     with pytest.raises(CertifyError) as err:
         certify_hyperbolic(bad)
     assert err.value.stage == "validation" and err.value.attempts == ()
@@ -338,7 +333,7 @@ def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
     # eliminated
     shapes = _record_ranks(monkeypatch)
     certified = 0
-    for tri in [tri_a, tri_b] + [_filled(tri_b, m, l) for m, l in B_SLOPES]:
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         shapes.clear()
         try:
             certify_hyperbolic(tri)
@@ -427,9 +422,7 @@ def test_renumbered_tetrahedra_keep_the_bound(label, monkeypatch):
 def _b_wide(case):
     tri = load_fixture("B")
     if case == "filling":       # a valid filling, (1, 2^52 + 1)
-        cusps = list(tri.cusps)
-        cusps[6] = CuspInfo("torus", 1.0, float(2 ** 52 + 1))
-        return dataclasses.replace(tri, cusps=tuple(cusps))
+        return filled(tri, 6, 1, 2 ** 52 + 1)
     return dataclasses.replace(tri, tets=tuple(     # meridians x 10^400
         dataclasses.replace(t, peripheral=(
             tuple(10 ** 400 * x for x in t.peripheral[0]), *t.peripheral[1:]))
@@ -629,20 +622,12 @@ SEED_UNCERTIFIED = frozenset([
     (7, 3), (7, 4)])
 
 
-def _filled(tri, m, l):
-    """`tri` with its complete cusp 6 filled along the slope (m, l)."""
-    cusps = list(tri.cusps)
-    cusps[6] = dataclasses.replace(cusps[6], filling_m=float(m),
-                                   filling_l=float(l))
-    return dataclasses.replace(tri, cusps=tuple(cusps))
-
-
 @pytest.fixture(scope="module")
 def sweep(tri_b):
     """Slope -> (filled B, its r = 1e-10 certificate or CertifyError)."""
     out = {}
     for m, l in B_SLOPES:
-        tri = _filled(tri_b, m, l)
+        tri = filled(tri_b, 6, m, l)
         try:
             out[m, l] = tri, certify_hyperbolic(tri, radii=(1e-10,))
         except CertifyError as exc:
@@ -683,7 +668,7 @@ def _ends(boxes):
 
 def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
     checked = 0
-    for tri in [tri_a, tri_b] + [_filled(tri_b, m, l) for m, l in B_SLOPES]:
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_ = build_equations(tri)
         try:
             result = newton_solve(sys_, [t.shape_hint for t in tri.tets])

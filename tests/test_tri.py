@@ -10,7 +10,7 @@ import pytest
 
 from bandforge.gluing import PAIR_TYPE, edge_classes
 from bandforge.krawczyk import CertifyError, certify_hyperbolic
-from bandforge.tri import (TriParseError, Triangulation, Tetrahedron,
+from bandforge.tri import (CuspInfo, TriParseError, Triangulation, Tetrahedron,
                            combinatorial_isomorphic, parse_triangulation,
                            serialize_triangulation, validate)
 
@@ -21,7 +21,7 @@ def test_parse_fixture_a(tri_a):
     assert tri_a.name == "positive_NewExDoubleBranchedCover.tri"
     assert tri_a.solution_type == "geometric_solution"
     assert tri_a.volume_hint == pytest.approx(10.01776364)
-    assert tri_a.orientability == "oriented_manifold"
+    assert tri_a.cs_value is None       # CS_unknown
     assert tri_a.tet_count == 12 and len(tri_a.tets) == 12
     assert tri_a.cusp_count == 1
     # the single cusp is Dehn filled along (1, 0)
@@ -53,9 +53,7 @@ def test_validate_clean(tri_a, tri_b):
 def _replace_tet(tri, index, tet):
     tets = tri.tets[:index] + (tet,) + tri.tets[index + 1:]
     return Triangulation(tri.name, tri.solution_type, tri.volume_hint,
-                         tri.orientability, tri.cs_flag, tri.cs_value,
-                         tri.cusp_count, tri.fake_cusp_count, tri.cusps,
-                         tri.tet_count, tets)
+                         tri.cs_value, tri.cusps, tets)
 
 
 # ------------------------------------------------------------ round trips
@@ -79,11 +77,27 @@ def test_round_trip_is_stable(text_a):
 
 
 def test_round_trip_cs_known(tri_a):
-    tri = dataclasses.replace(tri_a, cs_flag="CS_known",
-                              cs_value=-0.0123456789012345)
+    tri = dataclasses.replace(tri_a, cs_value=-0.0123456789012345)
     text = serialize_triangulation(tri)
     assert text.splitlines()[3].split() == ["CS_known", "-0.0123456789012345"]
     assert parse_triangulation(text) == tri
+
+
+def test_writer_refuses_an_entry_that_is_not_an_int(tri_a):
+    # `%d` once wrote the 0.5 as 0, text that parses to another, valid
+    # triangulation
+    half = _tet0(tri_a, vertex_cusp=(0.5, 0, 0, 0))
+    with pytest.raises(ValueError, match="^tet 0 has an entry that is not an "
+                       "int"):
+        serialize_triangulation(half)
+    # a tetrahedron after the first is named too; a bool is an int
+    tets = list(tri_a.tets)
+    tets[5] = dataclasses.replace(tets[5], peripheral=(
+        (1.0,) + tets[5].peripheral[0][1:], *tets[5].peripheral[1:]))
+    with pytest.raises(ValueError, match="^tet 5 has"):
+        serialize_triangulation(dataclasses.replace(tri_a, tets=tuple(tets)))
+    flags = _tet0(tri_a, vertex_cusp=(False,) * 4)
+    assert serialize_triangulation(flags) == serialize_triangulation(tri_a)
 
 
 def _scale_peripheral(tri, factor):
@@ -111,6 +125,7 @@ _REFERENCE_TET = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
 
 def _reference_text(tri):
     head = serialize_triangulation(dataclasses.replace(tri, tets=()))
+    head = head.removesuffix("0\n") + f"{len(tri.tets)}\n"     # the count
     return head + "\n".join(_REFERENCE_TET % (
         *t.neighbors, *itertools.chain(*t.gluings), *t.vertex_cusp,
         *itertools.chain(*t.peripheral), t.shape_hint.real, t.shape_hint.imag)
@@ -262,10 +277,7 @@ def _relabel(tri, perm):
         new_tets[perm[i]] = Tetrahedron(
             tuple(perm[n] for n in tet.neighbors),
             tet.gluings, tet.vertex_cusp, tet.peripheral, tet.shape_hint)
-    return Triangulation(tri.name, tri.solution_type, tri.volume_hint,
-                         tri.orientability, tri.cs_flag, tri.cs_value,
-                         tri.cusp_count, tri.fake_cusp_count, tri.cusps,
-                         tri.tet_count, tuple(new_tets))
+    return dataclasses.replace(tri, tets=tuple(new_tets))
 
 
 def test_isomorphic_to_itself(tri_a, tri_b):
@@ -483,6 +495,29 @@ def test_header_diagnostic_names_its_own_line(text_a, lineno, new, words):
     assert str(err).startswith(f"line {lineno}: ") and words in str(err)
 
 
+SECOND = ("second header count 1 is nonzero (uninterpreted; only 0 is "
+          "supported)")
+KLEIN = "cusp 0: topology 'Klein' is not supported (only torus cusps are)"
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({7: "    Klein   1.000000000000   0.000000000000"}, KLEIN),
+    ({6: "1 1"}, SECOND),
+    # read once the whole text is, they keep their places among validate's
+    ({2: "geometric_solution  nan", 6: "1 1",
+      7: "    Klein   1.500000000000   0.000000000000"},
+     f"volume hint nan is not finite; {SECOND}; {KLEIN}"),
+], ids=["klein_cusp", "second_count", "with_validate"])
+def test_reader_refuses_header_values(text_a, edits, message):
+    # no Triangulation holds them, so the reader refuses them itself, with
+    # no line, as when validate did
+    text = text_a
+    for lineno, new in edits.items():
+        text = _edit_line(text, lineno, new)
+    err = _parse_error(text)
+    assert str(err) == message and err.line is None
+
+
 # tet 2 of fixture A: its peripheral row 1 is line 10 + 9 * 2 + 3 + 1
 TET, ROW, ROW_LINE = 2, 1, 32
 
@@ -572,11 +607,6 @@ def _tet0(tri, **changes):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda t: dataclasses.replace(t, tet_count=13),
-     "tet_count 13 != 12 tetrahedra"),
-    (lambda t: dataclasses.replace(t, cusp_count=2), "cusp_count 2 != 1 cusps"),
-    (lambda t: dataclasses.replace(t, fake_cusp_count=1),
-     "second header count 1 is nonzero"),
     (lambda t: _tet0(t, neighbors=(12,) + t.tets[0].neighbors[1:]),
      "tet 0 face 0: neighbor 12 out of range"),
     (lambda t: _tet0(t, gluings=((0, 0, 1, 2),) + t.tets[0].gluings[1:]),
@@ -584,14 +614,6 @@ def _tet0(tri, **changes):
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1,) + (0,) * 15,
                                     *t.tets[0].peripheral[2:])),
      "tet 0: peripheral sheet row 1 is nonzero"),
-    (lambda t: dataclasses.replace(t, cs_flag="CS_known"),
-     "CS flag 'CS_known' with CS value None"),
-    (lambda t: dataclasses.replace(t, cs_value=1.5),
-     "CS flag 'CS_unknown' with CS value 1.5"),
-    (lambda t: dataclasses.replace(t, cs_flag="CS_maybe"),
-     "CS flag 'CS_maybe' with CS value None"),
-    (lambda t: dataclasses.replace(t, orientability="nonorientable_manifold"),
-     "unsupported orientability 'nonorientable_manifold'"),
     (lambda t: dataclasses.replace(t, name="fixture a"),
      "name 'fixture a' is not one token"),
     (lambda t: dataclasses.replace(t, name=""), "name '' is not one token"),
@@ -601,12 +623,11 @@ def _tet0(tri, **changes):
     (lambda t: dataclasses.replace(t, name="\u03a9"), "name '\u03a9' is not ASCII"),
     (lambda t: dataclasses.replace(t, solution_type="g\u00e9om\u00e9trique"),
      "solution type 'g\u00e9om\u00e9trique' is not ASCII"),
-    (lambda t: dataclasses.replace(t, tets=(), tet_count=0),
+    (lambda t: dataclasses.replace(t, tets=()),
      "a triangulation needs a tetrahedron and a cusp"),
     (lambda t: dataclasses.replace(t, volume_hint=float("nan")),
      "volume hint nan is not finite"),
-    (lambda t: dataclasses.replace(t, cs_flag="CS_known",
-                                   cs_value=float("-inf")),
+    (lambda t: dataclasses.replace(t, cs_value=float("-inf")),
      "CS value -inf is not finite"),
     (lambda t: _tet0(t, shape_hint=0j), "tet 0: shape hint 0j is degenerate"),
     (lambda t: _tet0(t, shape_hint=1 + 0j),
@@ -625,10 +646,8 @@ def _tet0(tri, **changes):
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1.5,) + (0,) * 15,
                                     *t.tets[0].peripheral[2:])),
      "tet 0: peripheral entry 16 is 1.5, not an int"),
-], ids=["tet_count", "cusp_count", "second_count", "neighbor", "gluing",
-        "sheet_row", "cs_known_no_value", "cs_unknown_value", "cs_flag",
-        "orientability", "name_space", "name_empty", "solution_type",
-        "name_non_ascii", "solution_type_non_ascii",
+], ids=["neighbor", "gluing", "sheet_row", "name_space", "name_empty",
+        "solution_type", "name_non_ascii", "solution_type_non_ascii",
         "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf",
         "neighbor_float", "gluing_float", "vertex_cusp_float", "peripheral_float"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
@@ -637,9 +656,32 @@ def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     with pytest.raises(CertifyError, match="validation") as info:
         certify_hyperbolic(bad)
     assert info.value.stage == "validation" and message in str(info.value)
-    # the parser refuses the same triangulation once it is written out
-    with pytest.raises(TriParseError):
-        parse_triangulation(serialize_triangulation(bad))
+    if message.endswith("not an int"):  # `%d` would truncate it
+        with pytest.raises(ValueError, match="tet 0 has an entry that is not"):
+            serialize_triangulation(bad)
+    else:   # the parser refuses the same triangulation once it is written out
+        with pytest.raises(TriParseError):
+            parse_triangulation(serialize_triangulation(bad))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("orientability", "nonorientable_manifold"), ("cs_flag", "CS_maybe"),
+    ("cs_flag", "CS_known"), ("fake_cusp_count", 1), ("tet_count", 13),
+    ("cusp_count", 2), ("topology", "Klein"),
+], ids=["orientability", "cs_flag", "cs_known_no_value", "second_count",
+        "tet_count", "cusp_count", "topology"])
+def test_header_constants_cannot_be_built(tri_a, field, value):
+    # the format fixes these values or restates them, so no field holds them
+    assert [f.name for f in dataclasses.fields(tri_a)] == [
+        "name", "solution_type", "volume_hint", "cs_value", "cusps", "tets"]
+    assert [f.name for f in dataclasses.fields(CuspInfo)] == [
+        "filling_m", "filling_l"]
+    assert (tri_a.tet_count, tri_a.cusp_count) == (12, 1)
+    with pytest.raises(TypeError):
+        if field == "topology":
+            CuspInfo(value, 1.0, 0.0)
+        else:
+            dataclasses.replace(tri_a, **{field: value})
 
 
 def _as(kind, tet, fields):
