@@ -495,6 +495,16 @@ def test_header_diagnostic_names_its_own_line(text_a, lineno, new, words):
     assert str(err).startswith(f"line {lineno}: ") and words in str(err)
 
 
+def test_cs_unknown_value_is_refused(tri_a, text_a):
+    # a CS value is always written as CS_known, so CS_unknown with a value
+    # can only come from a text, and the reader refuses it on its own line
+    line = serialize_triangulation(dataclasses.replace(tri_a, cs_value=1.5))
+    assert line.splitlines()[3].split()[0] == "CS_known"
+    err = _parse_error(_edit_line(text_a, 4, "CS_unknown  1.5"))
+    assert err.line == 4, str(err)
+    assert str(err) == "line 4: expected integer for cusp count, got '1.5'"
+
+
 SECOND = ("second header count 1 is nonzero (uninterpreted; only 0 is "
           "supported)")
 KLEIN = "cusp 0: topology 'Klein' is not supported (only torus cusps are)"
