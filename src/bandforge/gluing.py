@@ -179,7 +179,7 @@ def edge_classes(tri: Triangulation) -> list:
             t, j = divmod(i, 6)
             tet = tets[t]
             for f in _FACES[j]:
-                k = 6 * tet.neighbors[f] + _EDGE_MOVE[tuple(tet.gluings[f])][j]
+                k = 6 * tet.neighbors[f] + _EDGE_MOVE[tet.gluings[f]][j]
                 if not seen[k]:
                     seen[k] = True
                     members.append(k)
@@ -202,9 +202,9 @@ def _fold(n, terms):
 def build_equations(tri: Triangulation) -> GluingSystem:
     """One row per edge class, then one row per cusp (complete or filled).
 
-    The triangulation must be valid (`tri.validate`): torus cusps, each
-    filling complete or an integral coprime pair, peripheral sheet 1 zero
-    (only sheet 0 is read).  A row floats cannot hold raises ValueError.
+    A `Triangulation` is valid by construction (`tri.validate`), so nothing
+    is checked here; only peripheral sheet 0 is read.  A row floats cannot
+    hold raises ValueError.
     """
     n = len(tri.tets)
     classes = edge_classes(tri)

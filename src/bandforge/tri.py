@@ -30,18 +30,20 @@ token stream exactly (token-level, not byte-level, round-trip identity).
 The reader refuses a header constant other than those above; the writer
 writes them.  So a `Triangulation` holds only what a file varies, with a
 CS value of None for `CS_unknown`.  `validate` holds every other rule the
-parser enforces: a filling of (0, 0) means the cusp is complete; anything
-else must be an integral coprime pair below 2^53 in modulus, as the
-format stores it as a real.  The volume hint, and the CS value when there
-is one, must be finite.  A shape hint of 0, 1 or a non-finite value is
-degenerate and rejected; negatively oriented hints are legal.  The writer
-refuses an entry that is not an int.
+parser enforces, and constructing a `Triangulation` runs it, so none breaks
+a rule and no later stage checks one again.  Its containers are tuples; a
+filling of (0, 0) means the cusp is complete, anything else must be an
+integral coprime pair below 2^53 in modulus (the format stores a real);
+the volume hint, and the CS value when there is one, must be finite; a
+shape hint of 0, 1 or a non-finite value is degenerate, a negatively
+oriented one legal; each cusp's curves are closed, matched and a basis.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import operator
 from dataclasses import dataclass
 from math import gcd, isfinite
 
@@ -55,7 +57,7 @@ __all__ = [
 
 
 class TriParseError(ValueError):
-    """Malformed triangulation text; .line holds the 1-based source line."""
+    """Malformed text (.line: its 1-based line) or a broken rule (.line None)."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -96,6 +98,10 @@ class Triangulation:
     tets: tuple
     tet_count = property(lambda self: len(self.tets))
     cusp_count = property(lambda self: len(self.cusps))
+
+    def __post_init__(self):
+        if problems := validate(self):
+            raise TriParseError("; ".join(problems))
 
 
 class _TokenReader:
@@ -215,45 +221,44 @@ def parse_triangulation(text: str) -> Triangulation:
     tet_count = rd.next_number("tetrahedron count")
     if tet_count < 1:
         raise TriParseError("tetrahedron count must be positive", rd.last_line)
-    tets = [rd.next_tet(t, tet_count) for t in range(tet_count)]
+    tets = tuple(rd.next_tet(t, tet_count) for t in range(tet_count))
     if rd.pos != len(rd.tokens):
         raise TriParseError(
             f"trailing tokens after tetrahedron {tet_count - 1} "
             f"({len(rd.tokens) - rd.pos} extra)", rd.line(rd.pos))
 
-    tri = Triangulation(name, solution_type, volume_hint, cs_value,
-                        tuple(cusps), tuple(tets))
-    refused = second or topologies.count("torus") != cusp_count
-    problems = _problems(tri, second, topologies) if refused else validate(tri)
-    if problems:
-        raise TriParseError("; ".join(problems))
-    return tri
+    fields = (name, solution_type, volume_hint, cs_value, tuple(cusps), tets)
+    if second or topologies.count("torus") != cusp_count:
+        raise TriParseError("; ".join(_problems(*fields, second, topologies)))
+    return Triangulation(*fields)     # which runs validate
 
 
 def validate(tri: Triangulation) -> list:
-    """Invariant check; returns a list of diagnostics, empty when clean."""
-    return _problems(tri, 0, ())
+    """The diagnostics of every rule, empty when clean; construction runs it."""
+    return _problems(tri.name, tri.solution_type, tri.volume_hint,
+                     tri.cs_value, tri.cusps, tri.tets, 0, ())
 
 
-def _problems(tri, second, topologies):
+def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies):
     # validate's diagnostics, and in their places the reader's on the values
     # no Triangulation holds: the second count and the cusp topologies
+    if type(cusps) is not tuple or type(tets) is not tuple:
+        return ["cusps and tets must be tuples"]
     out = []
-    for what, token in (("name", tri.name), ("solution type", tri.solution_type)):
+    for what, token in (("name", name), ("solution type", solution)):
         if token.split() != [token]:
             out.append(f"{what} {token!r} is not one token free of whitespace")
         elif not token.isascii():       # the writer's text must parse
             out.append(f"{what} {token!r} is not ASCII")
-    for what, value in (("volume hint", tri.volume_hint),
-                        ("CS value", tri.cs_value)):
+    for what, value in (("volume hint", volume), ("CS value", cs_value)):
         if value is not None and not isfinite(value):
             out.append(f"{what} {value} is not finite")
-    if not (tri.tets and tri.cusps):
+    if not (tets and cusps):
         out.append("a triangulation needs a tetrahedron and a cusp")
     if second:
         out.append(f"second header count {second} is nonzero "
                    "(uninterpreted; only 0 is supported)")
-    for c, cusp in enumerate(tri.cusps):
+    for c, cusp in enumerate(cusps):
         m, l = cusp.filling_m, cusp.filling_l
         if topologies and topologies[c] != "torus":
             out.append(f"cusp {c}: topology {topologies[c]!r} is not supported "
@@ -268,10 +273,10 @@ def _problems(tri, second, topologies):
                        "representable (|m| and |l| must be below 2^53)")
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
-    # a tetrahedron of the wrong shape, or with an entry that is not an int,
-    # gets no other check, and no face pairing is checked against it
+    # a tetrahedron of the wrong shape, not of tuples, or with an entry that is
+    # not an int, gets no other check, and no face pairing is checked against it
     misshapen = set()
-    for t, tet in enumerate(tri.tets):
+    for t, tet in enumerate(tets):
         rows = tuple(map(len, tet.peripheral))
         if (len(tet.neighbors), len(tet.gluings), len(tet.vertex_cusp),
                 rows) != (4, 4, 4, (16,) * 4):
@@ -279,6 +284,10 @@ def _problems(tri, second, topologies):
                        f"{len(tet.gluings)} gluings, {len(tet.vertex_cusp)} "
                        f"vertex cusps and peripheral rows of {rows} entries; "
                        "expected 4, 4, 4 and 4 rows of 16")
+            misshapen.add(t)
+        elif {*map(type, (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral,
+                          *tet.gluings, *tet.peripheral))} != {tuple}:
+            out.append(f"tet {t}: a field, gluing or peripheral row is not a tuple")
             misshapen.add(t)
         elif {*map(type, itertools.chain(tet.neighbors, tet.vertex_cusp,
                                          *tet.gluings, *tet.peripheral))} != {int}:
@@ -289,8 +298,8 @@ def _problems(tri, second, topologies):
                 ("peripheral entry", itertools.chain(*tet.peripheral)))
                 for i, x in enumerate(xs) if type(x) is not int]
             misshapen.add(t)
-    n = len(tri.tets)
-    for t, tet in enumerate(tri.tets):
+    n = len(tets)
+    for t, tet in enumerate(tets):
         if tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
             out.append(f"tet {t}: shape hint {tet.shape_hint} is degenerate")
         if t in misshapen:
@@ -299,7 +308,7 @@ def _problems(tri, second, topologies):
             if not 0 <= t2 < n:
                 out.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
-            sigma = tuple(tet.gluings[f])
+            sigma = tet.gluings[f]
             sign = _SIGN.get(sigma)
             if sign is None:
                 out.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
@@ -308,20 +317,51 @@ def _problems(tri, second, topologies):
             if sign != -1:
                 out.append(f"tet {t} face {f}: gluing {sigma} is an even "
                            "permutation (orientation not coherent)")
-            back, f2 = tri.tets[t2], sigma[f]
+            back, f2 = tets[t2], sigma[f]
             if t2 not in misshapen and (back.neighbors[f2] != t or
-                                        tuple(back.gluings[f2]) != _INVERSE[sigma]):
+                                        back.gluings[f2] != _INVERSE[sigma]):
                 out.append(f"tet {t} face {f}: face pairing with tet {t2} "
                            f"face {f2} is not involutive")
         for v, c in enumerate(tet.vertex_cusp):
-            if not 0 <= c < len(tri.cusps):
+            if not 0 <= c < len(cusps):
                 out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
-                           f"[0, {len(tri.cusps)})")
+                           f"[0, {len(cusps)})")
         for r in (1, 3):
             if any(tet.peripheral[r]):
                 out.append(f"tet {t}: peripheral sheet row {r} is nonzero "
                            "(unexpected for an oriented manifold)")
-    return out
+    return out or _curve_problems(tets, len(cusps))
+
+
+def _curve_problems(tets, cusp_count):
+    """Each cusp's sheet-0 meridian and longitude (peripheral rows 0, 2)
+    are closed (a cusp triangle's 4 entries sum to 0), matched and a basis:
+    meridian . longitude, half a sum over the sides, is +-1 (see README)."""
+    xs = [*itertools.chain.from_iterable(
+        itertools.chain.from_iterable(t.peripheral[::2] for t in tets))]
+    if any(itertools.compress(xs, itertools.cycle(_UNUSED))) or any(
+            map(sum, zip(*[iter(xs)] * 4))):
+        return [f"cusp {tet.vertex_cusp[v]}: the {name} is not closed in tet {t} "
+                f"vertex {v}" for t, tet in enumerate(tets)
+                for name, x in zip(("meridian", "longitude"), tet.peripheral[::2])
+                for v in range(4) if x[5 * v] or sum(x[4 * v:4 * v + 4])]
+    out, twice = [], [0] * cusp_count
+    for t, tet in enumerate(tets):
+        mu, lam, cusp = tet.peripheral[0], tet.peripheral[2], tet.vertex_cusp
+        for i, iq, f, sign in itertools.compress(_SIDES, map(operator.or_, mu, lam)):
+            a, b, c = mu[i], lam[i], cusp[i // 4]
+            moved, u = _MOVED[tet.gluings[f]], tets[tet.neighbors[f]]
+            j, mu2 = moved[i], u.peripheral[0]
+            if mu2[j] != -a or u.peripheral[2][j] != -b or u.vertex_cusp[j // 4] != c:
+                out.append(f"cusp {c}: the curves of tet {t} vertex {i // 4} do "
+                           f"not match across face {f}")
+            elif a and b:   # meridian strands (sign s) rounding p: n here, n2 glued
+                s = 1 if a > 0 else -1
+                n = min(s * a, max(0, -s * mu[iq]))
+                n2 = min(s * a, max(0, s * mu2[moved[iq]]))
+                twice[c] += (n - n2) * s * b * sign
+    return out or [f"cusp {c}: meridian . longitude is {k // 2}, not 1 or -1 (the "
+                   "curves are not a basis)" for c, k in enumerate(twice) if k * k != 4]
 
 
 # every permutation of {0, 1, 2, 3}: its sign (-1 for an odd number of
@@ -330,6 +370,12 @@ _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
+# peripheral entry 4 v + f: its side, (4 v + f, 4 v + q, f, the sign of (v, f,
+# p, q)) for corners p < q; whether f = v, unused; where each gluing moves it
+_SIDES = [(4 * v + f, 4 * v + pq[1], f, _SIGN[(v, f, *pq)]) if v != f else None
+          for v in range(4) for f in range(4) for pq in [sorted({0, 1, 2, 3} - {v, f})]]
+_UNUSED = [side is None for side in _SIDES]
+_MOVED = {g: [4 * g[i // 4] + g[i % 4] for i in range(16)] for g in _SIGN}
 # -99..99 by its decimal string, and as a written peripheral entry; each
 # permutation as a written gluing
 _SMALL = {str(i): i for i in range(-99, 100)}
@@ -349,22 +395,16 @@ def serialize_triangulation(tri: Triangulation) -> str:
     lines += [f"    torus {cusp.filling_m:16.12f} {cusp.filling_l:16.12f}"
               for cusp in tri.cusps]
     lines += ["", str(len(tri.tets))]
-    return "\n".join(lines) + "\n" + "\n".join(
-        map(_tet_text, itertools.count(), tri.tets))
+    return "\n".join(lines) + "\n" + "\n".join(map(_tet_text, tri.tets))
 
 
-def _tet_text(t, tet):
-    if not all(map(int.__instancecheck__, itertools.chain(     # a bool is one
-            tet.neighbors, tet.vertex_cusp, *tet.gluings, *tet.peripheral))):
-        raise ValueError(f"tet {t} has an entry that is not an int, which %d "
-                         "would not write as itself (validate names it)")
+def _tet_text(tet):
     try:
-        cells = (*map(_GLUING.__getitem__, tet.gluings), *tet.vertex_cusp,
-                 *map(_ENTRY.__getitem__, itertools.chain(*tet.peripheral)))
-    except (KeyError, TypeError):   # a value outside the tables, or a list
-        cells = (*(" %d%d%d%d" % tuple(g) for g in tet.gluings), *tet.vertex_cusp,
-                 *(" %2d" % x for x in itertools.chain(*tet.peripheral)))
-    return _TET_FORMAT % (*tet.neighbors, *cells, tet.shape_hint.real,
+        cells = [*map(_ENTRY.__getitem__, itertools.chain(*tet.peripheral))]
+    except KeyError:    # an entry outside the table
+        cells = [" %2d" % x for x in itertools.chain(*tet.peripheral)]
+    return _TET_FORMAT % (*tet.neighbors, *map(_GLUING.__getitem__, tet.gluings),
+                          *tet.vertex_cusp, *cells, tet.shape_hint.real,
                           tet.shape_hint.imag)
 
 

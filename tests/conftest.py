@@ -14,6 +14,14 @@ def filled(tri, cusp, m, l):
     return dataclasses.replace(tri, cusps=tuple(cusps))
 
 
+def sheared(tri, k):
+    """`tri` with each sheet-0 meridian moved to meridian + k longitude: as
+    wide as k, and still closed, matched and meeting the longitude once."""
+    return dataclasses.replace(tri, tets=tuple(dataclasses.replace(t, peripheral=(
+        tuple(x + k * y for x, y in zip(t.peripheral[0], t.peripheral[2])),
+        *t.peripheral[1:])) for t in tri.tets))
+
+
 @pytest.fixture(scope="session")
 def tri_a():
     return load_fixture("A")

@@ -16,7 +16,7 @@ from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
 from bandforge.tri import (TriParseError, parse_triangulation,
                            serialize_triangulation)
-from conftest import filled
+from conftest import filled, sheared
 
 
 def run(capsys, argv):
@@ -343,13 +343,16 @@ def _short_b(path):
     path.write_text(serialize_triangulation(filled(load_fixture("B"), 6, 1, 0)))
 
 
+def _hint_a(re, im):
+    """Fixture A's text with tet 0's shape hint (line 17) at re + im i."""
+    lines = fixture_text("A").splitlines(keepends=True)
+    lines[16] = "%16.12f %16.12f\n" % (re, im)
+    return "".join(lines)
+
+
 def _zero_hint_a(path):
     """Fixture A with its first shape hint at the degenerate 0."""
-    tri = load_fixture("A")
-    tets = list(tri.tets)
-    tets[0] = dataclasses.replace(tets[0], shape_hint=0j)
-    path.write_text(serialize_triangulation(
-        dataclasses.replace(tri, tets=tuple(tets))))
+    path.write_text(_hint_a(0.0, 0.0))
 
 
 def _lower_hint_b(path):
@@ -364,8 +367,8 @@ def _lower_hint_b(path):
 def _huge_filling_a(path):
     """Fixture A filled at (1e300, 1): integral and coprime as read, but
     far beyond the integers a real holds exactly."""
-    path.write_text(serialize_triangulation(
-        filled(load_fixture("A"), 0, 1e300, 1)))
+    path.write_text(fixture_text("A").replace(
+        "torus   1.000000000000   0.000000000000", "torus 1e300 1", 1))
 
 
 def _wide_filling_b(path):
@@ -376,12 +379,8 @@ def _wide_filling_b(path):
 
 
 def _wide_meridians_b(path):
-    """Fixture B with every meridian sheet-0 row multiplied by 10^400."""
-    tri = load_fixture("B")
-    path.write_text(serialize_triangulation(dataclasses.replace(
-        tri, tets=tuple(dataclasses.replace(t, peripheral=(
-            tuple(10 ** 400 * x for x in t.peripheral[0]), *t.peripheral[1:]))
-            for t in tri.tets))))
+    """Fixture B with every sheet-0 meridian moved by 10^400 longitudes."""
+    path.write_text(serialize_triangulation(sheared(load_fixture("B"), 10 ** 400)))
 
 
 def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
@@ -452,13 +451,8 @@ def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
 @pytest.mark.parametrize("command", ["parse", "volume", "solve", "certify"])
 @pytest.mark.parametrize("hint", ["0 0", "1 0", "nan 1"])
 def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
-    tri = load_fixture("A")
-    tets = list(tri.tets)
-    tets[0] = dataclasses.replace(
-        tets[0], shape_hint=complex(*map(float, hint.split())))
     path = tmp_path / "hint.tri"
-    path.write_text(serialize_triangulation(
-        dataclasses.replace(tri, tets=tuple(tets))))
+    path.write_text(_hint_a(*map(float, hint.split())))
     code, out, err = run(capsys, ["tri", command, str(path)])
     assert code == 2
     assert out == "" and err.startswith("error: line ") and "degenerate" in err

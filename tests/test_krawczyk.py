@@ -19,8 +19,8 @@ from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
                                 certify_hyperbolic, interval_volume,
                                 krawczyk_test)
-from bandforge.tri import SolveError, validate
-from conftest import filled
+from bandforge.tri import SolveError, TriParseError, validate
+from conftest import filled, sheared
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -188,40 +188,48 @@ def test_certify_pipeline(label):
     assert abs(cert.volume_enclosure.mid - tri.volume_hint) < 5e-7
 
 
+# no invalid triangulation reaches certify: building one raises the
+# diagnostics that certify once reported at stage `validation`
+
 def test_certify_rejects_invalid_triangulation(tri_a):
     bad_tet = dataclasses.replace(tri_a.tets[0], neighbors=(0, 0, 0, 0))
-    bad = dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
-    with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(bad)
-    assert err.value.stage == "validation"
-    assert "validation" in str(err.value)
+    with pytest.raises(TriParseError) as err:
+        dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
+    assert err.value.line is None and str(err.value) == "; ".join(
+        f"tet {t} face {f}: face pairing with tet {u} face {g} is not involutive"
+        for t, f, u, g in ((0, 1, 0, 0), (0, 3, 0, 1), (1, 2, 0, 2), (2, 1, 0, 3),
+                           (7, 0, 0, 1), (9, 0, 0, 0)))
 
 
-@pytest.mark.parametrize("field, cut", [
-    ("gluings", lambda g: g[:3]),
-    ("vertex_cusp", lambda v: v[:3]),
-    ("peripheral", lambda p: p[:3]),
-    ("peripheral", lambda p: (p[0][:15],) + tuple(p[1:])),
+@pytest.mark.parametrize("field, cut, counts", [
+    ("gluings", lambda g: g[:3], "4 neighbors, 3 gluings, 4 vertex cusps and "
+     "peripheral rows of (16, 16, 16, 16)"),
+    ("vertex_cusp", lambda v: v[:3], "4 neighbors, 4 gluings, 3 vertex cusps "
+     "and peripheral rows of (16, 16, 16, 16)"),
+    ("peripheral", lambda p: p[:3], "4 neighbors, 4 gluings, 4 vertex cusps "
+     "and peripheral rows of (16, 16, 16)"),
+    ("peripheral", lambda p: (p[0][:15],) + tuple(p[1:]), "4 neighbors, 4 "
+     "gluings, 4 vertex cusps and peripheral rows of (15, 16, 16, 16)"),
 ], ids=["3 gluings", "3 vertex cusps", "3 peripheral rows", "15-entry row"])
-def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut):
+def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut, counts):
     bad_tet = dataclasses.replace(
         tri_a.tets[0], **{field: cut(getattr(tri_a.tets[0], field))})
-    bad = dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
-    assert any(p.startswith("tet 0: ") for p in validate(bad))
-    with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(bad)
-    assert err.value.stage == "validation"
+    with pytest.raises(TriParseError) as err:
+        dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
+    assert str(err.value) == (f"tet 0: {counts} entries; expected 4, 4, 4 and "
+                              "4 rows of 16")
 
 
-@pytest.mark.parametrize("label, cusp, m, l", [
-    ("A", 0, 2, 0), ("B", 6, -2, 2), ("A", 0, 1.5, 0),
+@pytest.mark.parametrize("label, cusp, m, l, message", [
+    ("A", 0, 2, 0, "filling (2, 0) is not coprime"),
+    ("B", 6, -2, 2, "filling (-2, 2) is not coprime"),
+    ("A", 0, 1.5, 0, "filling (1.5, 0.0) is not integral"),
 ], ids=["A at (2,0)", "B at (-2,2)", "(1.5,0)"])
-def test_certify_rejects_unsupported_cusp(label, cusp, m, l):
+def test_certify_rejects_unsupported_cusp(label, cusp, m, l, message):
     # a non-coprime filling is an orbifold, not a manifold: never `valid`
-    with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(filled(load_fixture(label), cusp, m, l))
-    assert err.value.stage == "validation"
-    assert f"cusp {cusp}: " in str(err.value)
+    with pytest.raises(TriParseError) as err:
+        filled(load_fixture(label), cusp, m, l)
+    assert str(err.value) == f"cusp {cusp}: {message}"
 
 
 @pytest.mark.parametrize("radii", [(), (-1.0,), (1e-8, math.nan), (math.inf,)])
@@ -254,9 +262,9 @@ def test_certify_error_lists_the_failed_rungs(tri_a):
     assert str(err.value) == ("[krawczyk] no radius produced a valid "
                               "certificate (" + "; ".join(
                                   f"{r}: {o}" for r, o in attempts) + ")")
-    bad = dataclasses.replace(tri_a, volume_hint=math.nan)
+    # a valid filling whose row floats do not hold fails before any rung
     with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(bad)
+        certify_hyperbolic(filled(load_fixture("B"), 6, 1, 2 ** 52 + 1))
     assert err.value.stage == "validation" and err.value.attempts == ()
 
 
@@ -423,10 +431,7 @@ def _b_wide(case):
     tri = load_fixture("B")
     if case == "filling":       # a valid filling, (1, 2^52 + 1)
         return filled(tri, 6, 1, 2 ** 52 + 1)
-    return dataclasses.replace(tri, tets=tuple(     # meridians x 10^400
-        dataclasses.replace(t, peripheral=(
-            tuple(10 ** 400 * x for x in t.peripheral[0]), *t.peripheral[1:]))
-        for t in tri.tets))
+    return sheared(tri, 10 ** 400)      # meridians + 10^400 longitudes
 
 
 @pytest.mark.parametrize("case, row", [("filling", "cusp_filled row 32"),
@@ -453,16 +458,15 @@ def test_the_2_53_rule_runs_once_per_system(tri_b, monkeypatch):
 
 def test_half_scaled_peripheral_rows_fail_validation(tri_a):
     # tet 0's peripheral rows times 0.5: the int64 matrix once truncated
-    # the entry 3.5 of cusp_filled row 12 to 3, and A certified anyway
+    # the entry 3.5 of cusp_filled row 12 to 3, and A certified anyway;
+    # now no such triangulation can be built
     tet = tri_a.tets[0]
-    half = dataclasses.replace(tri_a, tets=(dataclasses.replace(tet, peripheral=tuple(
-        tuple(0.5 * x for x in row) for row in tet.peripheral)),) + tri_a.tets[1:])
-    assert "tet 0: peripheral entry 1 is -2.5, not an int" in validate(half)
-    with pytest.raises(ValueError, match="cusp_filled row 12 has the entry"):
-        build_equations(half)
-    with pytest.raises(CertifyError) as err:
-        certify_hyperbolic(half)
-    assert err.value.stage == "validation"
+    half = dataclasses.replace(tet, peripheral=tuple(
+        tuple(0.5 * x for x in row) for row in tet.peripheral))
+    with pytest.raises(TriParseError) as err:
+        dataclasses.replace(tri_a, tets=(half,) + tri_a.tets[1:])
+    assert str(err.value).startswith("tet 0: peripheral entry 0 is 0.0, not an "
+                                     "int; tet 0: peripheral entry 1 is -2.5, ")
 
 
 # ------------------------------------------------ ball operator domain

@@ -7,9 +7,11 @@ import random
 import re
 
 import pytest
+from conftest import sheared
 
+from bandforge import gluing, krawczyk, tri as tri_module
 from bandforge.gluing import PAIR_TYPE, edge_classes
-from bandforge.krawczyk import CertifyError, certify_hyperbolic
+from bandforge.krawczyk import certify_hyperbolic
 from bandforge.tri import (CuspInfo, TriParseError, Triangulation, Tetrahedron,
                            combinatorial_isomorphic, parse_triangulation,
                            serialize_triangulation, validate)
@@ -50,12 +52,6 @@ def test_validate_clean(tri_a, tri_b):
     assert validate(tri_b) == []
 
 
-def _replace_tet(tri, index, tet):
-    tets = tri.tets[:index] + (tet,) + tri.tets[index + 1:]
-    return Triangulation(tri.name, tri.solution_type, tri.volume_hint,
-                         tri.cs_value, tri.cusps, tets)
-
-
 # ------------------------------------------------------------ round trips
 
 def test_round_trip_tokens(text_a, text_b):
@@ -85,32 +81,23 @@ def test_round_trip_cs_known(tri_a):
 
 def test_writer_refuses_an_entry_that_is_not_an_int(tri_a):
     # `%d` once wrote the 0.5 as 0, text that parses to another, valid
-    # triangulation
-    half = _tet0(tri_a, vertex_cusp=(0.5, 0, 0, 0))
-    with pytest.raises(ValueError, match="^tet 0 has an entry that is not an "
-                       "int"):
-        serialize_triangulation(half)
-    # a tetrahedron after the first is named too; a bool is an int
+    # triangulation; no triangulation holding it, or a bool, can be built
+    # for the writer to see
+    for value, seen in ((0.5, "0.5"), (False, "False")):
+        with pytest.raises(TriParseError, match=f"^tet 0: vertex cusp 0 is {seen}, "
+                           "not an int$"):
+            _tet0(tri_a, vertex_cusp=(value, 0, 0, 0))
     tets = list(tri_a.tets)
     tets[5] = dataclasses.replace(tets[5], peripheral=(
         (1.0,) + tets[5].peripheral[0][1:], *tets[5].peripheral[1:]))
-    with pytest.raises(ValueError, match="^tet 5 has"):
-        serialize_triangulation(dataclasses.replace(tri_a, tets=tuple(tets)))
-    flags = _tet0(tri_a, vertex_cusp=(False,) * 4)
-    assert serialize_triangulation(flags) == serialize_triangulation(tri_a)
+    with pytest.raises(TriParseError, match="^tet 5: peripheral entry 0 is 1.0"):
+        dataclasses.replace(tri_a, tets=tuple(tets))
 
 
-def _scale_peripheral(tri, factor):
-    return dataclasses.replace(tri, tets=tuple(
-        dataclasses.replace(t, peripheral=tuple(
-            tuple(factor * x for x in row) for row in t.peripheral))
-        for t in tri.tets))
-
-
-@pytest.mark.parametrize("factor", [-10, 100, 10 ** 30])
-def test_wide_peripheral_entries_round_trip(tri_b, factor):
+@pytest.mark.parametrize("k", [-10, 100, 10 ** 30])
+def test_wide_peripheral_entries_round_trip(tri_b, k):
     # every entry keeps a space before it, however many digits it has
-    wide = _scale_peripheral(tri_b, factor)
+    wide = sheared(tri_b, k)
     text = serialize_triangulation(wide)
     back = parse_triangulation(text)
     assert back == wide
@@ -124,42 +111,41 @@ _REFERENCE_TET = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
 
 
 def _reference_text(tri):
-    head = serialize_triangulation(dataclasses.replace(tri, tets=()))
-    head = head.removesuffix("0\n") + f"{len(tri.tets)}\n"     # the count
+    # the header, through the tetrahedron count, as the writer wrote it
+    lines = serialize_triangulation(tri).split("\n")
+    head = "\n".join(lines[:8 + len(tri.cusps)]) + "\n"
     return head + "\n".join(_REFERENCE_TET % (
         *t.neighbors, *itertools.chain(*t.gluings), *t.vertex_cusp,
         *itertools.chain(*t.peripheral), t.shape_hint.real, t.shape_hint.imag)
         for t in tri.tets)
 
 
-def _set_entries(tri, *values):
-    """Tet 0 with its sheet-0 meridian row opening with the given values."""
-    rows = tri.tets[0].peripheral
-    return _tet0(tri, peripheral=((*values, *rows[0][len(values):]), *rows[1:]))
+def _shear_to(tri, value):
+    """`tri` sheared until a sheet-0 meridian entry is `value`, and so its
+    glued side's -value: at the first side whose longitude entry is +-1."""
+    x, y = next((x, y) for t in tri.tets
+                for x, y in zip(t.peripheral[0], t.peripheral[2]) if y * y == 1)
+    return sheared(tri, (value - x) * y)
 
 
-def _as_lists(tri):
-    return dataclasses.replace(tri, tets=tuple(dataclasses.replace(
-        t, gluings=tuple(map(list, t.gluings))) for t in tri.tets))
-
-
-@pytest.mark.parametrize("edit, as_parsed", [
-    (lambda t: t, None),
-    (lambda t: _set_entries(t, 99, -99), None),     # the ends of the table
-    (lambda t: _set_entries(t, 100, -100), None),   # just outside it
-    (lambda t: _set_entries(t, 10 ** 400, -7), None),
-    (lambda t: _scale_peripheral(t, 37), None),     # tets in and out of it
-    (_as_lists, lambda t: t),                       # gluings built as lists
-    (lambda t: _set_entries(_as_lists(t), 100), lambda t: _set_entries(t, 100)),
-], ids=["fixture", "table_ends", "hundreds", "huge", "scaled", "list_gluings",
-        "list_gluings_hundred"])
-def test_writer_tables_agree_with_formatting(tri_a, tri_b, edit, as_parsed):
+@pytest.mark.parametrize("edit, hits", [
+    (lambda t: t, set()),
+    (lambda t: _shear_to(t, 99), {99, -99}),        # the ends of the table
+    (lambda t: _shear_to(t, 100), {100, -100}),     # just outside it
+    (lambda t: _shear_to(t, 10 ** 400), {10 ** 400, -10 ** 400}),
+    (lambda t: sheared(t, 1000), set()),            # tets in and out of it
+], ids=["fixture", "table_ends", "hundreds", "huge", "scaled"])
+def test_writer_tables_agree_with_formatting(tri_a, tri_b, edit, hits):
     for tri in (tri_a, tri_b):
         built = edit(tri)
+        entries = [set(itertools.chain(*t.peripheral)) for t in built.tets]
+        assert hits <= set().union(*entries)
+        if built is not tri:    # some tetrahedron is written from the table, some not
+            assert {max(map(abs, e)) < 100 for e in entries} == {True, False}
         text = serialize_triangulation(built)
         assert text == _reference_text(built)
         back = parse_triangulation(text)
-        assert back == (as_parsed or edit)(tri)
+        assert back == built
         assert serialize_triangulation(back) == text
 
 
@@ -236,17 +222,15 @@ def test_noncoprime_filling(text_a):
         parse_triangulation(bad)
 
 
-def test_broken_involution_detected(text_a):
+def test_broken_involution_detected(tri_a):
     # retarget one neighbor so face pairings no longer match up
-    tri = parse_triangulation(text_a)
-    t0 = tri.tets[0]
+    t0 = tri_a.tets[0]
     swapped = (t0.neighbors[1], t0.neighbors[0]) + t0.neighbors[2:]
-    bad = _replace_tet(tri, 0, Tetrahedron(swapped, t0.gluings,
-                                           t0.vertex_cusp, t0.peripheral,
-                                           t0.shape_hint))
-    problems = validate(bad)
-    assert problems
-    assert any("tet 0" in p for p in problems)
+    with pytest.raises(TriParseError) as info:
+        _tet0(tri_a, neighbors=swapped)
+    assert info.value.line is None and str(info.value) == "; ".join(
+        f"tet {t} face {f}: face pairing with tet {u} face {g} is not involutive"
+        for t, f, u, g in ((0, 0, 7, 0), (0, 1, 9, 0), (7, 0, 0, 1), (9, 0, 0, 0)))
 
 
 def test_even_permutation_diagnostic(text_a):
@@ -297,7 +281,7 @@ def test_isomorphic_after_vertex_relabeling(tri_a):
     # odd and the result is the same triangulation up to isomorphism
     rho = (1, 2, 0, 3)
     rho_inv = (2, 0, 1, 3)
-    twisted = tri_a
+    tets = list(tri_a.tets)     # edited in place, then built once
     t = 0
     old = tri_a.tets[t]
     new_neighbors = tuple(old.neighbors[rho_inv[f]] for f in range(4))
@@ -313,22 +297,21 @@ def test_isomorphic_after_vertex_relabeling(tri_a):
         tuple(row[rho_inv[v] * 4 + rho_inv[f]] for v in range(4)
               for f in range(4))
         for row in old.peripheral)
-    twisted = _replace_tet(twisted, t, Tetrahedron(
-        new_neighbors, tuple(new_gluings), new_cusp, new_per,
-        old.shape_hint))
+    tets[t] = Tetrahedron(new_neighbors, tuple(new_gluings), new_cusp, new_per,
+                          old.shape_hint)
     for u in range(tri_a.tet_count):
         if u == t:
             continue
-        tu = twisted.tets[u]
+        tu = tets[u]
         if t not in tu.neighbors:
             continue
         fixed = tuple(
             tuple(rho[x] for x in g) if tu.neighbors[f] == t else g
             for f, g in enumerate(tu.gluings))
-        twisted = _replace_tet(twisted, u, Tetrahedron(
-            tu.neighbors, fixed, tu.vertex_cusp, tu.peripheral,
-            tu.shape_hint))
-    assert validate(twisted) == []
+        tets[u] = Tetrahedron(tu.neighbors, fixed, tu.vertex_cusp, tu.peripheral,
+                              tu.shape_hint)
+    twisted = dataclasses.replace(tri_a, tets=tuple(tets))
+    assert twisted != tri_a and validate(twisted) == []
     assert combinatorial_isomorphic(tri_a, twisted)
 
 
@@ -371,21 +354,24 @@ def _reference_edge_classes(tri):
 
 
 def test_edge_classes_match_the_reference_walk(tri_a, tri_b):
+    # vertices relabelled by permutations of one parity keep every gluing
+    # odd, as a triangulation's must be
     rng = random.Random(19)
     perms = list(itertools.permutations(range(4)))
-    cases = [(tri_a, tri_a), (tri_b, tri_b), (tri_a, _as_lists(tri_a))]
+    cases = [(tri_a, tri_a), (tri_b, tri_b)]
     for tri in (tri_a, tri_b):
-        for _ in range(3):
+        for parity in (1, -1, 1):
             moved = _relabel(tri, rng.sample(range(tri.tet_count), tri.tet_count))
+            same = [p for p in perms if tri_module._SIGN[p] == parity]
             cases.append((tri, _relabel_vertices(
-                moved, [rng.choice(perms) for _ in tri.tets])))
+                moved, [rng.choice(same) for _ in tri.tets])))
     used = set()
     for tri, relabeled in cases:
-        used.update(map(tuple, itertools.chain(*(t.gluings for t in relabeled.tets))))
+        used.update(itertools.chain(*(t.gluings for t in relabeled.tets)))
         classes = edge_classes(relabeled)
         assert classes == _reference_edge_classes(relabeled)
         assert sorted(map(len, classes)) == sorted(map(len, edge_classes(tri)))
-    assert len(used) == 24      # the walk met every gluing permutation
+    assert len(used) == 12      # the walk met every odd permutation
 
 
 def test_vertex_relabeling_keeps_the_triangulation(tri_a):
@@ -425,7 +411,7 @@ def _rewire(tri, pair_one, pair_two):
 
     sigma = odd_perm_sending(f1, e2)
     tau = odd_perm_sending(e1, f2)
-    out = tri
+    tets = list(tri.tets)       # edited in place, then built once
     edits = {
         (t1, f1): (u2, sigma),
         (u2, e2): (t1, inv(sigma)),
@@ -433,14 +419,12 @@ def _rewire(tri, pair_one, pair_two):
         (t2, f2): (u1, inv(tau)),
     }
     for (t, f), (nbr, g) in edits.items():
-        tet = out.tets[t]
+        tet = tets[t]
         neighbors = tet.neighbors[:f] + (nbr,) + tet.neighbors[f + 1:]
         gluings = tet.gluings[:f] + (g,) + tet.gluings[f + 1:]
-        out = _replace_tet(out, t, Tetrahedron(neighbors, gluings,
-                                               tet.vertex_cusp,
-                                               tet.peripheral,
-                                               tet.shape_hint))
-    return out
+        tets[t] = Tetrahedron(neighbors, gluings, tet.vertex_cusp, tet.peripheral,
+                              tet.shape_hint)
+    return dataclasses.replace(tri, tets=tuple(tets))
 
 
 def test_not_isomorphic_same_size(tri_a):
@@ -462,8 +446,11 @@ def test_not_isomorphic_same_size(tri_a):
         tets_involved = {one[0][0], one[1][0], two[0][0], two[1][0]}
         if len(tets_involved) != 4:
             continue
-        candidate = _rewire(tri_a, one, two)
-        if validate(candidate) == [] and valences(candidate) != base:
+        try:    # most rewirings cut a peripheral curve, which is refused
+            candidate = _rewire(tri_a, one, two)
+        except TriParseError:
+            continue
+        if valences(candidate) != base:
             assert not combinatorial_isomorphic(tri_a, candidate)
             return
     pytest.skip("no rewiring with a distinct edge profile found")
@@ -616,24 +603,30 @@ def _tet0(tri, **changes):
     return dataclasses.replace(tri, tets=(tet,) + tri.tets[1:])
 
 
+UNPAIRED = "tet 9 face 0: face pairing with tet 0 face 0 is not involutive"
+SPACED = "is not one token free of whitespace"
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda t: _tet0(t, neighbors=(12,) + t.tets[0].neighbors[1:]),
-     "tet 0 face 0: neighbor 12 out of range"),
+     f"tet 0 face 0: neighbor 12 out of range; {UNPAIRED}"),
     (lambda t: _tet0(t, gluings=((0, 0, 1, 2),) + t.tets[0].gluings[1:]),
-     "tet 0 face 0: gluing (0, 0, 1, 2) is not a permutation"),
+     f"tet 0 face 0: gluing (0, 0, 1, 2) is not a permutation; {UNPAIRED}"),
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1,) + (0,) * 15,
                                     *t.tets[0].peripheral[2:])),
-     "tet 0: peripheral sheet row 1 is nonzero"),
+     "tet 0: peripheral sheet row 1 is nonzero (unexpected for an oriented "
+     "manifold)"),
     (lambda t: dataclasses.replace(t, name="fixture a"),
-     "name 'fixture a' is not one token"),
-    (lambda t: dataclasses.replace(t, name=""), "name '' is not one token"),
+     f"name 'fixture a' {SPACED}"),
+    (lambda t: dataclasses.replace(t, name=""), f"name '' {SPACED}"),
     (lambda t: dataclasses.replace(t, solution_type="geometric solution"),
-     "solution type 'geometric solution' is not one token"),
+     f"solution type 'geometric solution' {SPACED}"),
     # one token, but the parser refuses the text it is written to
     (lambda t: dataclasses.replace(t, name="\u03a9"), "name '\u03a9' is not ASCII"),
     (lambda t: dataclasses.replace(t, solution_type="g\u00e9om\u00e9trique"),
      "solution type 'g\u00e9om\u00e9trique' is not ASCII"),
-    (lambda t: dataclasses.replace(t, tets=()),
+    (lambda t: Triangulation(t.name, t.solution_type, t.volume_hint, t.cs_value,
+                             t.cusps, ()),
      "a triangulation needs a tetrahedron and a cusp"),
     (lambda t: dataclasses.replace(t, volume_hint=float("nan")),
      "volume hint nan is not finite"),
@@ -661,17 +654,12 @@ def _tet0(tri, **changes):
         "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf",
         "neighbor_float", "gluing_float", "vertex_cusp_float", "peripheral_float"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
-    bad = corrupt(tri_a)
-    assert any(p.startswith(message) for p in validate(bad)), validate(bad)
-    with pytest.raises(CertifyError, match="validation") as info:
-        certify_hyperbolic(bad)
-    assert info.value.stage == "validation" and message in str(info.value)
-    if message.endswith("not an int"):  # `%d` would truncate it
-        with pytest.raises(ValueError, match="tet 0 has an entry that is not"):
-            serialize_triangulation(bad)
-    else:   # the parser refuses the same triangulation once it is written out
-        with pytest.raises(TriParseError):
-            parse_triangulation(serialize_triangulation(bad))
+    # no such triangulation reaches certify, or the writer: building it,
+    # whether by the constructor or by dataclasses.replace, raises the
+    # diagnostics validate once returned, joined, with no line
+    with pytest.raises(TriParseError) as info:
+        corrupt(tri_a)
+    assert str(info.value) == message and info.value.line is None
 
 
 @pytest.mark.parametrize("field, value", [
@@ -708,10 +696,8 @@ def _as(kind, tet, fields):
 def test_entries_that_are_not_ints_are_diagnostics(tri_a, kind, fields):
     # built in code, equal in value or not: tri.tets[7.0] and relations[0.0]
     # once raised TypeError out of validate and build_equations
-    bad = dataclasses.replace(tri_a, tets=(_as(kind, tri_a.tets[0], fields),)
-                              + tri_a.tets[1:])
+    tet = _as(kind, tri_a.tets[0], fields)
     # field, diagnostic name, and the field's entries in order
-    tet = bad.tets[0]
     entries = [("neighbors", "neighbor", tet.neighbors),
                ("gluings", "gluing entry", itertools.chain(*tet.gluings)),
                ("vertex_cusp", "vertex cusp", tet.vertex_cusp),
@@ -719,10 +705,159 @@ def test_entries_that_are_not_ints_are_diagnostics(tri_a, kind, fields):
     expected = [f"tet 0: {name} {i} is {x!r}, not an int"
                 for field, name, xs in entries if field in fields
                 for i, x in enumerate(xs)]
-    problems = validate(bad)
-    assert [p for p in problems if p.startswith("tet 0:")] == expected
     # the other tetrahedra check no face pairing against tet 0
-    assert all(p.startswith("tet 0:") for p in problems), problems
-    with pytest.raises(CertifyError) as info:
-        certify_hyperbolic(bad)
-    assert info.value.stage == "validation"
+    with pytest.raises(TriParseError) as info:
+        dataclasses.replace(tri_a, tets=(tet,) + tri_a.tets[1:])
+    assert str(info.value) == "; ".join(expected) and info.value.line is None
+
+
+NOT_A_TUPLE = "a field, gluing or peripheral row is not a tuple"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: dataclasses.replace(t, tets=list(t.tets)),
+     "cusps and tets must be tuples"),
+    (lambda t: dataclasses.replace(t, cusps=list(t.cusps)),
+     "cusps and tets must be tuples"),
+    (lambda t: dataclasses.replace(t, tets=tuple(dataclasses.replace(
+        x, gluings=tuple(map(list, x.gluings))) for x in t.tets)),
+     "; ".join(f"tet {i}: {NOT_A_TUPLE}" for i in range(12))),
+    (lambda t: _tet0(t, gluings=list(t.tets[0].gluings)), f"tet 0: {NOT_A_TUPLE}"),
+    (lambda t: _tet0(t, neighbors=list(t.tets[0].neighbors)),
+     f"tet 0: {NOT_A_TUPLE}"),
+    (lambda t: _tet0(t, peripheral=(list(t.tets[0].peripheral[0]),
+                                    *t.tets[0].peripheral[1:])),
+     f"tet 0: {NOT_A_TUPLE}"),
+], ids=["tets", "cusps", "list_gluings", "gluings", "neighbors", "peripheral_row"])
+def test_containers_must_be_tuples(tri_a, edit, message):
+    # a list inside a valid triangulation could be changed after the check
+    with pytest.raises(TriParseError) as info:
+        edit(tri_a)
+    assert str(info.value) == message and info.value.line is None
+
+
+def test_a_triangulation_is_validated_once(text_b, tri_b, monkeypatch):
+    # construction is the one check: no later stage holds validate
+    assert all(v is not validate for module in (gluing, krawczyk)
+               for v in vars(module).values())
+    calls = []
+    monkeypatch.setattr(tri_module, "validate",
+                        lambda t: calls.append(t) or validate(t))
+    assert parse_triangulation(text_b) == tri_b and len(calls) == 1
+    calls.clear()
+    assert certify_hyperbolic(tri_b).valid
+    serialize_triangulation(tri_b)
+    assert calls == []
+
+
+# ------------------------------------------------ peripheral curves
+
+def _curves(tri, meridian, longitude):
+    """`tri` with sheet-0 rows made from each tetrahedron's (mu, lam) rows."""
+    return dataclasses.replace(tri, tets=tuple(dataclasses.replace(t, peripheral=(
+        meridian(t.peripheral[0], t.peripheral[2]), t.peripheral[1],
+        longitude(t.peripheral[0], t.peripheral[2]), t.peripheral[3]))
+        for t in tri.tets))
+
+
+def _meet(tri, value):
+    """The refusal of `tri` when meridian . longitude is `value` on every cusp."""
+    return "; ".join(f"cusp {c}: meridian . longitude is {value}, not 1 or -1 "
+                     "(the curves are not a basis)" for c in range(tri.cusp_count))
+
+
+def _twice(row):
+    return tuple(2 * x for x in row)
+
+
+@pytest.mark.parametrize("meridian, longitude, value", [
+    (lambda mu, lam: _twice(mu), lambda mu, lam: lam, 2),   # so mu . lam = 1
+    (lambda mu, lam: mu, lambda mu, lam: _twice(lam), 2),
+    (lambda mu, lam: lam, lambda mu, lam: _twice(mu), -2),  # antisymmetric
+    (lambda mu, lam: mu, lambda mu, lam: mu, 0),
+    (lambda mu, lam: lam, lambda mu, lam: lam, 0),
+], ids=["meridian_doubled", "longitude_doubled", "swapped", "meridian_twice",
+        "longitude_twice"])
+@pytest.mark.parametrize("shear", [0, 5, 10 ** 30])
+def test_curves_that_are_no_basis_are_refused(tri_a, tri_b, meridian, longitude,
+                                              value, shear):
+    # mu -> mu + k lam keeps mu . lam; B doubled once certified at 19.2863
+    # and A doubled at 10.3953, the volume of its (2, 0) orbifold filling
+    for tri in (tri_a, tri_b):
+        base = sheared(tri, shear)
+        with pytest.raises(TriParseError) as info:
+            _curves(base, meridian, longitude)
+        assert str(info.value) == _meet(tri, value) and info.value.line is None
+    swapped = _curves(tri_b, lambda mu, lam: lam, lambda mu, lam: mu)
+    assert validate(swapped) == []      # lam . mu = -1 is a basis too
+
+
+def test_relabelling_keeps_meridian_dot_longitude(tri_a, tri_b):
+    # 40 orientation-preserving relabellings: tetrahedra shuffled, each
+    # one's vertices by an even permutation, so every gluing stays odd
+    rng = random.Random(23)
+    even = [p for p in itertools.permutations(range(4)) if tri_module._SIGN[p] == 1]
+    for i in range(40):
+        tri = (tri_a, tri_b)[i % 2]
+        moved = _relabel_vertices(
+            _relabel(tri, rng.sample(range(tri.tet_count), tri.tet_count)),
+            [rng.choice(even) for _ in tri.tets])
+        with pytest.raises(TriParseError) as info:
+            _curves(moved, lambda mu, lam: _twice(mu), lambda mu, lam: lam)
+        assert str(info.value) == _meet(tri, 2)
+
+
+def test_every_single_entry_edit_is_refused(tri_a):
+    # each sheet-0 entry of A moved by +-1: 12 tets x 2 rows x 16 entries
+    # x 2 signs, each of which once passed validate and certified
+    refused = 0
+    for t, tet in enumerate(tri_a.tets):
+        for r, i, d in itertools.product((0, 2), range(16), (1, -1)):
+            row = list(tet.peripheral[r])
+            row[i] += d
+            rows = list(tet.peripheral)
+            rows[r] = tuple(row)
+            tets = list(tri_a.tets)
+            tets[t] = dataclasses.replace(tet, peripheral=tuple(rows))
+            with pytest.raises(TriParseError, match="is not closed"):
+                dataclasses.replace(tri_a, tets=tuple(tets))
+            refused += 1
+    assert refused == 768
+
+
+def test_a_curve_not_closed_is_named(text_a):
+    # the entry at f = v of tet 0's meridian, which is unused and must be 0
+    text = _edit_line(text_a, 13, text_a.splitlines()[12].replace("  0 ", "  1 ", 1))
+    err = _parse_error(text)
+    assert str(err) == "cusp 0: the meridian is not closed in tet 0 vertex 0"
+    assert err.line is None
+    # with the side in face 1 moved by -1 the triangle's sum is 0 again,
+    # but the unused entry is still not 0
+    text = _edit_line(text_a, 13, text_a.splitlines()[12].replace(
+        "  0 -5 ", "  1 -6 ", 1))
+    assert str(_parse_error(text)) == str(err)
+
+
+def test_curves_must_match_across_faces(tri_a, tri_b):
+    # one strand of tet 0's meridian moved from its side in face 1 to that
+    # in face 3: the triangle stays closed, but neither side matches its
+    # glued side
+    mu = list(tri_a.tets[0].peripheral[0])
+    mu[1], mu[3] = mu[1] + 1, mu[3] - 1
+    with pytest.raises(TriParseError) as info:
+        _tet0(tri_a, peripheral=(tuple(mu), *tri_a.tets[0].peripheral[1:]))
+    assert str(info.value) == (
+        "cusp 0: the curves of tet 0 vertex 0 do not match across face 1; "
+        "cusp 0: the curves of tet 0 vertex 0 do not match across face 3; "
+        "cusp 0: the curves of tet 2 vertex 2 do not match across face 1; "
+        "cusp 0: the curves of tet 7 vertex 2 do not match across face 0")
+    # a vertex that carries a curve, put on another cusp
+    t, v = next((t, v) for t, tet in enumerate(tri_b.tets) for v in range(4)
+                if any(tet.peripheral[0][4 * v:4 * v + 4]))
+    cusps = list(tri_b.tets[t].vertex_cusp)
+    cusps[v] = (cusps[v] + 1) % tri_b.cusp_count
+    tets = list(tri_b.tets)
+    tets[t] = dataclasses.replace(tets[t], vertex_cusp=tuple(cusps))
+    with pytest.raises(TriParseError, match=f"^cusp {cusps[v]}: the curves of tet "
+                       f"{t} vertex {v} do not match across face"):
+        dataclasses.replace(tri_b, tets=tuple(tets))
