@@ -1,18 +1,19 @@
 """Rounding rules for midpoint-radius ("ball") arithmetic on numpy arrays.
 
-A ball is a centre array plus a radius array.  A radius bounds the
-enclosure plus every rounding made in computing its centre, and is itself
-computed with every operation stepped one float up, or, for a sum of
-non-negative bounds with m roundings on its longest chain, scaled by
-1 + 2 gamma_m at the end.  Rounding is bounded
-a priori, in round-to-nearest, without touching the rounding mode (Rump,
-"Fast and parallel interval arithmetic", BIT 39, 1999).  The Krawczyk
+A ball is a centre array plus a radius array; the radius bounds the
+enclosure plus every rounding made in computing its centre.  The Krawczyk
 operator (`krawczyk._operator`) and the Bloch-Wigner kernel
-(`dilog._ball_bloch_wigner`) share these rules.  A product of bounds
-(`krawczyk._matmul_up`) raises its radius operand to at least _TINY, still
-a bound, as _up(0) = 2^-1074 where the Jacobian is structurally zero and
-subnormal operands slow a matmul about 60 times; a floor in _up, on every
-rounding, would cost what it saves.
+(`dilog._ball_bloch_wigner`) follow one rule, with the rounding mode
+untouched (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999):
+a radius is a sum of non-negative terms, summed in round-to-nearest and
+bounded once by `_bound`.  A term counts a rounding per operation on it
+(division by a lower bound included) and two per modulus (hypot, within
+one ulp).  An underflow loses eta/2 per rounding and is not
+multiplied by more than 1 afterwards, unless it lands in a sum of at least
+2^-1000, of which it is below u: one rounding more.  So the operands of a
+product that would magnify one are raised to _TINY, which keeps subnormals,
+about 60 times slower, out of the matmuls too.  Lower bounds (lo, gap) are
+stepped one float down, and the ends of boxes one float outward.
 """
 
 from __future__ import annotations
@@ -24,12 +25,8 @@ _ETA = 2.0 ** -1074       # smallest subnormal: twice the error of an underflow
 _TINY = 2.0 ** -500       # discs keep this far from 0 and 1, so |v|^2 stays normal
 
 
-def _up(x):
-    """Upper bound of a correctly rounded non-negative result: the next float."""
-    return np.nextafter(x, np.inf)
-
-
 def _dn(x):
+    """Lower bound of a correctly rounded positive result: the float below."""
     return np.nextafter(x, -np.inf)
 
 
@@ -38,9 +35,15 @@ def _gamma(k):
     return 1.01 * k * _U
 
 
-def _mag(x):
-    """Upper bound on |x|: np.abs (hypot for complex) is within one ulp."""
-    return _up(_up(np.abs(x)))
+def _bound(r, m):
+    """Upper bound on the exact sum that r holds, given at most m >= 1
+    roundings on each term and at most m eta lost to underflow in all.
+
+    That sum is at most r (1 - u)^-m + m eta; the float of 1 + 2 gamma_(m+1)
+    is above (1 + gamma_m)(1 - u)^-2 and so covers the two last roundings,
+    and a subnormal r + 2 m eta is exact, with r gamma_m < 0.51 m eta.
+    """
+    return (r + 2 * m * _ETA) * (1.0 + 2.0 * _gamma(m + 1))
 
 
 def _log_rad(L):
@@ -49,7 +52,7 @@ def _log_rad(L):
     The log is allowed 4 ulps per part and the rounding of v another u:
     8 u (1 + |Re| + |Im|) bounds both.
     """
-    return _up(8 * _U * _up(_up(1.0 + np.abs(L.real)) + np.abs(L.imag)))
+    return _bound(8 * _U * (1.0 + np.abs(L.real) + np.abs(L.imag)), 3)
 
 
 def _discs(z, rho):
@@ -59,17 +62,18 @@ def _discs(z, rho):
     u |Re| of 1 - z, so the discs |x - v| <= rv hold both; lo <= |v|, and
     gap <= |x| for every x in the discs.
     """
-    v = np.stack([z, 1 - z])
-    rv = np.stack([rho, _up(rho + _up(_U * np.abs(v[1].real)))])
+    v = np.array([z, 1 - z])
+    rv = np.array([rho, _bound(rho + _U * np.abs(v[1].real), 2)])
     lo = _dn(_dn(np.abs(v)))
     return v, rv, lo, _dn(lo - rv)
 
 
-def _recip(v, rv, lo, gap):
+def _recip(v, rv, lo, gap, k=5):
     """Ball of 1/x on the discs |x - v| <= rv, given lo <= |v| and gap <= |x|.
 
     |1/x - 1/v| <= rv / (|v| (|v| - rv)), and fl(1/v) = conj(v) / |v|^2
-    takes four roundings per part: gamma_5 |fl(1/v)| more.
+    takes four roundings per part: gamma_5 |fl(1/v)| more, or gamma_k for
+    a caller that rounds it k - 5 more times.  Callers keep gap > _TINY.
     """
     c = v.conj() * (1.0 / (v.real * v.real + v.imag * v.imag))
-    return c, _up(_up(rv / _dn(lo * gap)) + _up(_gamma(5) * _mag(c)))
+    return c, _bound(rv / (lo * gap) + _gamma(k) * np.abs(c), 4)

@@ -43,6 +43,7 @@ _W_SAFE = 3.9            # range-reduction target for |w|; ratio 3.9/(2 pi) = 0.
 _W_MAX = 6.0             # largest |w| bound the series is summed at
 _TWO_PI_DN = 6.283185    # strictly below 2 pi: rho / _TWO_PI_DN bounds rho / (2 pi)
 _TAIL_TOL = 2.0 ** -60   # truncation target for the series tail
+_RECIP, _ONE_MINUS = 1, 2    # the moves of `_moves`; 0 stays
 
 
 @functools.cache
@@ -109,7 +110,7 @@ def _li2_series(w, coeffs, terms):
 
 
 def _moves(z: complex, error) -> tuple:
-    """Moves "recip" (z -> 1/z) and "one_minus" (z -> 1 - z) into |w| <= _W_SAFE.
+    """Moves _RECIP (z -> 1/z) and _ONE_MINUS (z -> 1 - z) into |w| <= _W_SAFE.
 
     Each move takes the image with the smaller |w| and flips the sign of D.
     A point that two moves do not carry there raises `error`.
@@ -120,9 +121,9 @@ def _moves(z: complex, error) -> tuple:
             return moves
         alt = 1 / z
         if abs(cmath.log(1 - alt)) < abs(cmath.log(z)):
-            z, moves = alt, moves + ("recip",)
+            z, moves = alt, moves + (_RECIP,)
         else:
-            z, moves = 1 - z, moves + ("one_minus",)
+            z, moves = 1 - z, moves + (_ONE_MINUS,)
     raise error(f"{z} cannot be moved into the series domain")
 
 
@@ -133,7 +134,7 @@ def bloch_wigner(z: complex) -> float:
         return 0.0  # D vanishes identically on the real line
     moves = _moves(z, ValueError)
     for move in moves:
-        z = 1 / z if move == "recip" else 1 - z
+        z = 1 / z if move == _RECIP else 1 - z
     w = -cmath.log(1 - z)
     li2 = _li2_series(w, _coefficient_table(), _series_terms(abs(w))[0])
     d = li2.imag + cmath.phase(1 - z) * math.log(abs(z))
@@ -151,7 +152,7 @@ def _ball_bloch_wigner(c, rho):
     The moves picked at each centre carry its disc to one around p with
     |w| <= _W_SAFE, each flipping the sign of D (1 - z onto the disc
     around fl(1 - c), 1/z into the disc of `_ball._recip`).  D(p) sums the
-    series by Horner in w^2.  D on the disc is within rho sup |grad D| of
+    series in powers of w^2.  D on the disc is within rho sup |grad D| of
     D(p): dD = log|z| d arg(1 - z) - log|1 - z| d arg z gives
     |grad D| <= |log|z|| / |1 - z| + |log|1 - z|| / |z|, and D is
     real-analytic off 0 and 1, so no branch cut enters.  A disc that
@@ -159,7 +160,7 @@ def _ball_bloch_wigner(c, rho):
     np.errstate(over=, invalid=, divide="raise").
     """
     import numpy as np
-    from ._ball import _TINY, _discs, _gamma, _log_rad, _mag, _recip, _up
+    from ._ball import _TINY, _bound, _discs, _gamma, _log_rad, _recip
     plans = [_moves(z, EnclosureDomainError) for z in c.tolist()]
     sign = np.ones(len(c))
     for step in itertools.count():
@@ -168,73 +169,77 @@ def _ball_bloch_wigner(c, rho):
         if bad.size:
             raise EnclosureDomainError(f"the disc of radius {rho[bad[0]]:.3g} "
                                        f"around {c[bad[0]]} reaches 0 or 1")
-        move = np.array([p[step] if step < len(p) else "" for p in plans])
-        if (move == "").all():
+        move = np.array([p[step] if step < len(p) else 0 for p in plans], int)
+        if not move.any():
             break
         recip, recip_rad = _recip(v[0], rv[0], lo[0], gap[0])
-        c = np.where(move == "recip", recip, np.where(move == "", c, v[1]))
-        rho = np.where(move == "recip", recip_rad,
-                       np.where(move == "", rho, rv[1]))
-        sign = np.where(move == "", sign, -sign)
+        c = np.choose(move, (c, recip, v[1]))
+        rho = np.choose(move, (rho, recip_rad, rv[1]))
+        sign = np.where(move, -sign, sign)
 
     # D(p) = Im F(w) + arg(1 - p) log|p| with L = (log p, log fl(1 - p)),
     # w = -L[1] and F(w) = w E(w^2) - w^2 / 4 the Li2 series, E(x) =
-    # sum_j a_2j x^j, summed beside G(X) = sum_j |a_2j| X^j and G'(X)
+    # sum_j a_2j x^j, a_0 = 1
     L = np.log(v)
     L_rad = _log_rad(L)
     w = -L[1]
-    W = _up(_mag(w) + L_rad[1])              # |w| and |fl(w)| are <= W
+    W = _bound(np.abs(w) + L_rad[1], 3)      # |w| and |fl(w)| are <= W
     terms, tail = _series_terms(float(np.max(W, initial=0.0)))
-    a = _coefficient_table()
-    x, X = w * w, W * W
-    E, G, dG = a[terms - 2] + 0 * x, abs(a[terms - 2]), 0.0
-    for k in range(terms - 4, -1, -2):
-        E, G, dG = a[k] + x * E, abs(a[k]) + X * G, G + X * dG
+    # E(x) at x = fl(w^2): x^j, j < N = terms / 2, by one cumulative product
+    x, N = w * w, terms // 2
+    P = np.cumprod(x[:, None].repeat(N - 1, axis=1), axis=1)
+    E = 1.0 + P @ np.array(_coefficient_table()[2:terms:2])
     ab = L[1].imag * L[0].real
     centre = (w * E - 0.25 * x).imag + ab
+    # G(X) = sum_j |a_2j| X^j <= 1 + 4 t / (1 - t) and G'(X) <= 4 (2 pi)^-2 /
+    # (1 - t)^2 at X = W^2, t = X / (2 pi)^2 < 0.92, as a_0 = 1 and |a_2j| <=
+    # 4 (2 pi)^-2j (`_series_terms`); the float _TWO_PI_DN^2 is below (2 pi)^2
+    X = W * W
+    t = _bound(X / _TWO_PI_DN ** 2, 2)
+    s = 1.0 / (1.0 - t)                      # two roundings, as t is a bound
+    G, dG = 1.0 + 4.0 * t * s, 4.0 / _TWO_PI_DN ** 2 * s * s
 
     # |log t| <= max(-log gap, log hi) for gap <= t <= hi, up to the allowance
-    logs = np.log(np.stack([gap, _up(_mag(v) + rv)]))
+    logs = np.log(np.array([gap, _bound(np.abs(v) + rv, 3)]))
     sup_log = np.maximum(-logs[0], logs[1]) + _log_rad(logs).max(axis=0)
     grad = sup_log[0] / gap[1] + sup_log[1] / gap[0]
-    # The radius sums non-negative bounds: evaluated in round-to-nearest it
-    # is within 1 + gamma_m of its value, m <= 6 N + 40 roundings on a chain
-    # of N Horner steps, and _TINY covers underflows (|w| < 6 keeps the sums
-    # below 2^400).  Term j of fl(F) carries gamma_(7j+6) (x, each Horner
-    # step, the product by w, the subtraction, the table's rounding): in
-    # all u (7 W X G'(X) + 6 F+(W)), F+(W) = W G(X) + X / 4.  The error of
-    # w moves F by at most |w - fl(w)| (G(X) + 2 X G'(X) + W / 2).
-    rad = (_gamma(1) * (7 * W * X * dG + 6 * (W * G + 0.25 * X)) + tail
+    # Term j of fl(F) carries gamma_(6j+N+5) (x and its j - 1 products, the
+    # table's rounding, the product and sum of the matrix product, 1 +, the
+    # product by w, the subtraction): in all u (6 W X G'(X) + (N + 5) F+(W)),
+    # F+(W) = W G(X) + X / 4.  The error of w moves F by at most |w - fl(w)|
+    # (G(X) + 2 X G'(X) + W / 2), and _TINY covers the centre's underflows.
+    # The first term of the radius carries 19 roundings, the most.
+    rad = (_gamma(1) * (6 * W * X * dG + (N + 5) * (W * G + 0.25 * X)) + tail
            + L_rad[1] * (G + 2 * X * dG + 0.5 * W)
            + np.abs(L[1].imag) * L_rad[0]
            + L_rad[1] * (np.abs(L[0].real) + L_rad[0])
            + _gamma(1) * (np.abs(ab) + np.abs(centre)) + rv[0] * grad + _TINY)
-    return sign * centre, _up(rad * (1.0 + 2.0 * _gamma(6 * (terms // 2) + 40)))
+    return sign * centre, _bound(rad, 19)
 
 
 def interval_volume(enclosures) -> RealInterval:
     """Enclosure of the volume: the sum of D over shape boxes.
 
-    Each box reaches the kernel as a disc: its centre, and its
-    half-diagonal rounded up.
+    The boxes are ComplexIntervals or the 4 x n array of their ends (re.lo,
+    re.hi, im.lo, im.hi), as `krawczyk_test` has them.  Each reaches the
+    kernel as a disc: its centre, and a bound on its half-diagonal.
     """
     import numpy as np
-    from ._ball import _dn, _gamma, _mag, _up
-    ends = np.array([(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures],
-                    float).reshape(-1, 4).T
+    from ._ball import _bound, _gamma
+    ends = enclosures if isinstance(enclosures, np.ndarray) else np.array(
+        [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures]).reshape(-1, 4).T
+    lo, hi = ends[0::2], ends[1::2]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            mid = 0.5 * (ends[0::2] + ends[1::2])
-            half = _up(np.maximum(ends[1::2] - mid, mid - ends[0::2]))
-            centres, radii = _ball_bloch_wigner(mid[0] + 1j * mid[1],
-                                                _mag(half[0] + 1j * half[1]))
+            mid = 0.5 * (lo + hi)
+            half = _bound(np.hypot(*np.maximum(hi - mid, mid - lo)), 3)
+            centres, radii = _ball_bloch_wigner(mid[0] + 1j * mid[1], half)
     except FloatingPointError as exc:
         raise EnclosureDomainError(f"ball arithmetic overflowed: {exc}") from None
     total, n = np.sum(centres), len(centres)
     # a sum in any order is within gamma_n sum |c| of the exact one
-    err = _up((np.sum(radii) + _gamma(n) * np.sum(np.abs(centres)))
-              * (1.0 + 2.0 * _gamma(n + 2)))
-    return RealInterval(float(_dn(total - err)), float(_up(total + err)))
+    err = _bound(np.sum(radii) + _gamma(n) * np.sum(np.abs(centres)), n + 1)
+    return RealInterval(_dn_float(total - err), _up_float(total + err))
 
 
 def bloch_wigner_interval(z: ComplexInterval) -> RealInterval:

@@ -9,8 +9,9 @@ evaluated in midpoint-radius ("ball") arithmetic on numpy arrays, with
 the preconditioner Y a floating-point inverse of the midpoint Jacobian
 treated as an exact constant.  Rounding is bounded a priori, without
 touching the rounding mode (Rump, "Fast and parallel interval
-arithmetic", BIT 39, 1999): see `_ball` and `_operator`, which takes
-its midpoint Jacobian from `gluing.jacobian`.  Strict inclusion,
+arithmetic", BIT 39, 1999): each radius is summed in round-to-nearest
+and bounded once (`_ball`), and `_operator` takes its midpoint Jacobian
+from `gluing.jacobian`.  Strict inclusion,
 |Re(K_c - z)| + K_rad < radius and the same for Im for every shape,
 proves that the subsystem has exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
@@ -20,10 +21,9 @@ must have rank at most n, which `GluingSystem.rank_bound` proves once
 per system.  Contraction proves the n kept rows independent, so every
 discarded row is a rational combination of them, and a zero of the
 square subsystem solves the full system.  K(X) & X is formed as arrays
-of endpoints; only the n final enclosures become `ComplexInterval`s.
-
-The certified volume is `dilog.interval_volume` over the final
-enclosures; this module holds no part of the dilogarithm series.
+of endpoints, which `dilog.interval_volume` takes as they are for the
+certified volume; only the certificate's n enclosures become
+`ComplexInterval`s.  This module holds no part of the dilogarithm series.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ball import (_ETA, _TINY, _U, _discs, _dn, _gamma, _log_rad, _mag,
-                    _recip, _up)
+from ._ball import _TINY, _U, _bound, _discs, _gamma, _log_rad, _recip
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
 from .gluing import (GluingSystem, build_equations, jacobian, newton_solve,
                      select_square_rows)
@@ -77,15 +76,15 @@ class Certificate:
         }
 
 
-def _matmul_up(P, Q):
+def _matmul_up(P, Q, k=0):
     """Upper bound on P @ Q for non-negative P, Q, in any summation order.
 
-    A length-m sum of products loses at most gamma_m relatively and m eta/2
-    to underflow: P @ Q <= (fl(P @ Q) + m eta)(1 + 2 gamma_m).  Q is raised
-    to at least _TINY first, so no subnormal operand enters (see `_ball`).
+    A term is a product, the k roundings its factors carry and at most
+    m - 1 sums; an underflowing product loses eta/2 and is only summed
+    afterwards.  Q is raised to at least _TINY first (see `_ball`).
     """
     m = P.shape[-1]
-    return _up(_up(P @ np.maximum(Q, _TINY) + m * _ETA) * (1.0 + 2.0 * _gamma(m)))
+    return _bound(P @ np.maximum(Q, _TINY), m + k)
 
 
 def _ball_matmul(A, Bc, Brad):
@@ -94,11 +93,12 @@ def _ball_matmul(A, Bc, Brad):
     A real part of the centre is a length-2m real dot product (four real
     products per complex one, as zgemm forms them), so in any order its
     error is at most gamma_2m |A| |Bc| + m eta; gamma_3m >= sqrt(2)
-    gamma_2m and 2 m eta bound the complex error.
+    gamma_2m and 2 m eta bound the complex error.  Raised to _TINY, |A| Q
+    is above 2^-1000 and 2 m eta one rounding; the factors carry 8 in all.
     """
     m = A.shape[-1]
-    rad = _matmul_up(_mag(A), _up(Brad + _up(_gamma(3 * m) * _mag(Bc))))
-    return A @ Bc, _up(rad + 2 * m * _ETA)
+    Q = Brad + _gamma(3 * m) * np.abs(Bc)
+    return A @ Bc, _matmul_up(np.maximum(np.abs(A), _TINY), Q, 8)
 
 
 def _operator(sys, z, radius, rows=None):
@@ -108,12 +108,11 @@ def _operator(sys, z, radius, rows=None):
     (K_c, K_rad)): E_c +- E_rad holds I - Y J(x) for every x in X, and
     K_c +- K_rad holds y - Y f(y) + (I - Y J(X))(X - y), entry by entry.
     Each radius bounds the enclosure plus every rounding made in computing
-    its centre, and is itself computed with every operation stepped one
-    float up.
+    its centre, summed in round-to-nearest and bounded once (`_ball`).
     """
     n = len(z)
     # the discs |x - v| <= rv around v = (z, fl(1 - z)) hold X and 1 - X
-    rho = _up(radius * _up(math.sqrt(2.0)))
+    rho = _bound(radius * math.sqrt(2.0), 2)
     v, rv, lo, gap = _discs(z, np.full(n, rho))
     # a disc across the real axis outside (0, 1) meets a branch cut of log
     cut = (np.abs(z.imag) <= rho) & ((z.real <= 0.0) | (z.real >= 1.0))
@@ -125,36 +124,37 @@ def _operator(sys, z, radius, rows=None):
     if rows is None:
         rows = select_square_rows(sys, z)
     C = sys.matrix[list(rows)].astype(float)      # [A | B | k - c]
-    # J(X) = A/x - B/(1 - x); the centre J_c rounds three more times
-    recip, rad = _recip(v, rv, lo, gap)
-    rad = _up(rad + _up(_gamma(3) * _mag(recip)))
+    absC = np.abs(C)
+    # J(X) = A/x - B/(1 - x); J_c rounds fl(1/x) three times more, and a
+    # product by an integer does not underflow
+    recip, rad = _recip(v, rv, lo, gap, 8)
     J_c = jacobian(C, recip[0], -recip[1])
-    J_rad = _up(_up(np.abs(C[:, :n]) * rad[0]) + _up(np.abs(C[:, n:-1]) * rad[1]))
+    J_rad = _bound(jacobian(absC, rad[0], rad[1]), 2)
     try:
         Y = np.linalg.inv(J_c)                 # an exact constant from here on
     except np.linalg.LinAlgError as exc:
         raise KrawczykError(f"midpoint Jacobian inversion failed: {exc}") from None
-    YJ_c, YJ_rad = _ball_matmul(Y, J_c, J_rad)
-    E_c = np.eye(n) - YJ_c                     # only the diagonal rounds
-    E_rad = _up(YJ_rad + _up(_U * _mag(E_c)))
 
-    # f(y), y = z: [A | B | k - c] times (log z, log(1 - z), i pi); the
-    # rounding of pi is within the log allowance too
+    # f(y), y = z: [A | B | k - c] times V = (log z, log(1 - z), i pi); the
+    # rounding of pi is within the log allowance too.  A part of row i is a
+    # real dot product of its k_i non-zero terms, within gamma_k_i |C| |V|,
+    # and a term of f_rad carries k_i + 4 <= 2 n + 5 roundings
     V = np.append(np.log(v).ravel(), 1j * np.pi)
-    V_rad = _log_rad(V)
-    # rows summed left to right (cumsum): each non-zero product and the
-    # partial sum it enters round once, by at most u |Re| + u |Im| <= 2 u |.|
-    P = C * V
-    S = np.cumsum(P, axis=1)
-    steps = np.where(P != 0, _up(_mag(P) + _mag(S)), 0.0)
-    f_rad = _up(_up(_matmul_up(np.abs(C), V_rad) + len(V) * _ETA)
-                + _matmul_up(steps, np.full(len(V), 2 * _U)))
-    t_c, t_rad = _ball_matmul(Y, S[:, -1], f_rad)
+    k = (C != 0).sum(axis=1)
+    sums = absC @ np.array([_log_rad(V), np.abs(V)]).T
+    f_rad = _bound(sums[:, 0] + _gamma(k) * sums[:, 1], 2 * n + 5)
+    # Y J and Y f as one product
+    YB_c, YB_rad = _ball_matmul(Y, np.concatenate([J_c, (C @ V)[:, None]], 1),
+                                np.concatenate([J_rad, f_rad[:, None]], 1))
+    E_c = np.eye(n) - YB_c[:, :n]              # only the diagonal rounds
+    absE = np.abs(E_c)
+    E_rad = _bound(YB_rad[:, :n] + _U * absE, 4)
 
-    # K = y - Y f(y) + E (X - y), with X - y in the disc |d| <= rho
-    K_c = z - t_c
-    K_rad = _up(_up(t_rad + _up(2 * _U * _mag(K_c)))
-                + _matmul_up(_up(_mag(E_c) + E_rad), np.full(n, rho)))
+    # K = y - Y f(y) + E (X - y), with X - y in the disc |d| <= rho; E_rad
+    # is at least _TINY^2, so an underflow of |E_c| is one rounding more
+    K_c = z - YB_c[:, n]
+    K_rad = _bound(YB_rad[:, n] + 2 * _U * np.abs(K_c)
+                   + rho * (absE + E_rad).sum(axis=1), n + 5)
     if not (np.isfinite(K_c).all() and np.isfinite(K_rad).all()):
         raise KrawczykError("the Krawczyk operator is not finite")
     return rows, Y, (E_c, E_rad), (K_c, K_rad)
@@ -193,24 +193,26 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _, _, _, (K_c, K_rad) = _operator(sys, z, radius, rows)
             # strictly inside the exact box z +- radius, part by part
-            reach = [_up(_up(np.abs(part(K_c) - part(z))) + K_rad)
-                     for part in (np.real, np.imag)]
-            contracted = bool((np.maximum(*reach) < radius).all())
-            # re.lo, re.hi, im.lo, im.hi of c +- r, as ComplexInterval.box
-            K, X = (np.stack([_dn(c.real - r), _up(c.real + r), _dn(c.imag - r),
-                              _up(c.imag + r)]) for c, r in ((K_c, K_rad), (z, radius)))
+            d = K_c - z
+            reach = _bound(np.maximum(np.abs(d.real), np.abs(d.imag)) + K_rad, 2)
+            contracted = bool((reach < radius).all())
+            # re.lo, re.hi, im.lo, im.hi of c +- r, a float outward, as
+            # ComplexInterval.box
+            K, X = (np.nextafter(np.array([c.real - r, c.real + r, c.imag - r, c.imag + r]),
+                                 [[-np.inf], [np.inf], [-np.inf], [np.inf]])
+                    for c, r in ((K_c, K_rad), (z, radius)))
     except FloatingPointError as exc:
         raise KrawczykError(f"ball arithmetic overflowed: {exc}") from None
 
     # an empty K & X leaves contracted False; X then stands as the enclosure
     lo, hi = np.maximum(K[0::2], X[0::2]), np.minimum(K[1::2], X[1::2])
-    ends = X if (lo > hi).any() else np.stack([lo[0], hi[0], lo[1], hi[1]])
+    ends = X if (lo > hi).any() else np.array([lo[0], hi[0], lo[1], hi[1]])
     all_imag_positive = bool((ends[2] > 0.0).all())
     enclosures = tuple(ComplexInterval(RealInterval(a, b), RealInterval(c, d))
                        for a, b, c, d in ends.T.tolist())
 
     try:
-        vol = interval_volume(enclosures)
+        vol = interval_volume(ends)
     except EnclosureDomainError as exc:
         if contracted and all_imag_positive:
             raise KrawczykError(f"volume enclosure failed: {exc}") from None

@@ -309,19 +309,28 @@ def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies)
                 out.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
             sigma = tet.gluings[f]
-            sign = _SIGN.get(sigma)
-            if sign is None:
+            paired = _PAIRED.get(sigma)
+            if paired is None:
                 out.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
                 continue
+            sign, inverse, here, there = paired[f]
             # coherent orientation forces orientation-reversing face maps
             if sign != -1:
                 out.append(f"tet {t} face {f}: gluing {sigma} is an even "
                            "permutation (orientation not coherent)")
             back, f2 = tets[t2], sigma[f]
-            if t2 not in misshapen and (back.neighbors[f2] != t or
-                                        back.gluings[f2] != _INVERSE[sigma]):
+            if t2 in misshapen:
+                continue
+            if back.neighbors[f2] != t or back.gluings[f2] != inverse:
                 out.append(f"tet {t} face {f}: face pairing with tet {t2} "
                            f"face {f2} is not involutive")
+            # glued vertices lie on one cusp, checked once per face pair
+            if (t < t2 or t == t2 and f <= f2) and (
+                    here(tet.vertex_cusp) != there(back.vertex_cusp)):
+                out += [f"tet {t} face {f}: vertex {v} on cusp {c} is glued to "
+                        f"tet {t2} vertex {sigma[v]} on cusp {back.vertex_cusp[sigma[v]]}"
+                        for v, c in enumerate(tet.vertex_cusp)
+                        if v != f and c != back.vertex_cusp[sigma[v]]]
         for v, c in enumerate(tet.vertex_cusp):
             if not 0 <= c < len(cusps):
                 out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
@@ -352,7 +361,7 @@ def _curve_problems(tets, cusp_count):
             a, b, c = mu[i], lam[i], cusp[i // 4]
             moved, u = _MOVED[tet.gluings[f]], tets[tet.neighbors[f]]
             j, mu2 = moved[i], u.peripheral[0]
-            if mu2[j] != -a or u.peripheral[2][j] != -b or u.vertex_cusp[j // 4] != c:
+            if mu2[j] != -a or u.peripheral[2][j] != -b:
                 out.append(f"cusp {c}: the curves of tet {t} vertex {i // 4} do "
                            f"not match across face {f}")
             elif a and b:   # meridian strands (sign s) rounding p: n here, n2 glued
@@ -370,6 +379,12 @@ _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
+# per gluing and face f: the sign, the inverse, and the vertex cusps of face
+# f's corners read at them and at their images
+_PAIRED = {g: tuple((_SIGN[g], _INVERSE[g], operator.itemgetter(*vs),
+                     operator.itemgetter(*map(g.__getitem__, vs)))
+                    for vs in ([v for v in range(4) if v != f] for f in range(4)))
+           for g in _SIGN}
 # peripheral entry 4 v + f: its side, (4 v + f, 4 v + q, f, the sign of (v, f,
 # p, q)) for corners p < q; whether f = v, unused; where each gluing moves it
 _SIDES = [(4 * v + f, 4 * v + pq[1], f, _SIGN[(v, f, *pq)]) if v != f else None

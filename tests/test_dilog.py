@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import bandforge
+from bandforge import dilog
 from bandforge.dilog import (_SERIES_LEN, _coefficient_table, bloch_wigner,
                              bloch_wigner_interval, li2_series_coefficients,
                              volume)
@@ -171,6 +172,25 @@ def test_interval_bw_range_reduction_contains_mpmath(z):
         assert enc.lo <= exact <= enc.hi, (z, radius, enc)
         assert enc.width < 1e-6
     assert bloch_wigner(z) == pytest.approx(float(exact), abs=5e-13)
+
+
+@pytest.mark.parametrize("size", [3.899, 5.9])
+def test_ball_holds_mpmath_where_the_g_bounds_are_loosest(size, monkeypatch):
+    # the closed forms of G(X) and G'(X) loosen as |w| grows: at the
+    # range-reduction target 3.9 and, with no move made, at |w| = 5.9, next
+    # to the edge 6 of the series domain
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(dilog, "_W_SAFE", max(dilog._W_SAFE, size + 0.01))
+    c = np.array([1 - cmath.exp(-size * cmath.exp(1j * phi))
+                  for phi in (0.0, 0.3, -0.5, 2.9, -2.7)])
+    assert all(dilog._moves(z, ValueError) == () for z in c.tolist())
+    for rho in (0.0, 1e-9, 1e-6):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            centre, rad = dilog._ball_bloch_wigner(c, np.full(len(c), rho))
+        for z, m, r in zip(c.tolist(), centre.tolist(), rad.tolist()):
+            for p in [z] + [z + rho * cmath.exp(1j * t) for t in (0.0, 2.0, 4.0)]:
+                with mpmath.workdps(50):
+                    assert abs(oracle_mp(p) - mpmath.mpf(m)) <= mpmath.mpf(r), (z, p)
 
 
 def test_interval_bw_unmovable_boxes_raise_domain_error():

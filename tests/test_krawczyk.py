@@ -613,6 +613,134 @@ def test_ball_matmul_radius_bounds_the_exact_error():
     check(np.full((1, 8), a), np.full(8, b), np.zeros(8))
 
 
+# -------------------------------------------- operator radii, exactly
+
+
+def _mod_dn(z):
+    """A lower bound on |z| as a Fraction, within 2^-1100 of it."""
+    s = 2 ** 1100
+    re, im = int(Fraction(z.real) * s), int(Fraction(z.imag) * s)
+    return Fraction(math.isqrt(re * re + im * im), s)
+
+
+def _cx(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cinv(a):
+    d = a[0] * a[0] + a[1] * a[1]
+    return a[0] / d, -a[1] / d
+
+
+def _within(x, centre, rad):
+    """|x - centre| <= rad exactly, x a pair of Fractions."""
+    re, im = x[0] - Fraction(centre.real), x[1] - Fraction(centre.imag)
+    return re * re + im * im <= Fraction(rad) ** 2
+
+
+def _operator_parts(sys_, z, radius, rows, monkeypatch):
+    """`_operator`'s output, with the leaves and balls it passes on."""
+    seen = {}
+
+    def spy(name):
+        fn = getattr(krawczyk, name)
+
+        def wrapped(*args):
+            seen[name] = args, fn(*args)
+            return seen[name][1]
+        monkeypatch.setattr(krawczyk, name, wrapped)
+    spy("_recip")
+    spy("_ball_matmul")
+    return krawczyk._operator(sys_, z, radius, rows), seen
+
+
+def test_operator_radii_hold_their_exact_values(solved_a, monkeypatch):
+    # each radius on A at r = 1e-10 is at least the exact value of the bound
+    # it sums from its float leaves, which only its scaling by 1 + 2 gamma
+    # covers; J_rad and E_rad also hold J(x) - J_c and E(x) - E_c exactly at
+    # the corners x of X
+    sys_, result = solved_a
+    radius, z = 1e-10, np.array(result.shapes)
+    n, F, U = len(z), Fraction, Fraction(2) ** -53
+    ((rows, Y, (E_c, E_rad), (K_c, K_rad)), seen) = _operator_parts(
+        sys_, z, radius, result.rows, monkeypatch)
+    (v, rv, lo, gap, _), (recip, rad) = seen["_recip"]
+    (_, Bc, Brad), (YB_c, YB_rad) = seen["_ball_matmul"]
+    J_c, J_rad, S, f_rad = Bc[:, :n], Brad[:, :n], Bc[:, n], Brad[:, n]
+    C = [[int(c) for c in row] for row in sys_.matrix[list(rows)]]
+
+    # the discs, the ball of 1/x and the log allowance that they start from
+    assert F(rv[0, 0]) ** 2 >= 2 * F(radius) ** 2 and (rv[0] == rv[0, 0]).all()
+    for j in range(n):
+        assert F(rv[1, j]) >= F(rv[0, j]) + U * abs(F(v[1, j].real))
+        for p in range(2):
+            assert F(rad[p, j]) >= (F(rv[p, j]) / (F(lo[p, j]) * F(gap[p, j]))
+                                    + F(krawczyk._gamma(8)) * _mod_dn(recip[p, j]))
+    V = np.append(np.log(v).ravel(), 1j * np.pi)
+    V_rad = krawczyk._log_rad(V)
+    for x, x_rad in zip(V, V_rad):
+        assert F(x_rad) >= 8 * U * (1 + abs(F(x.real)) + abs(F(x.imag)))
+    for i, j in np.ndindex(n, n):
+        assert F(J_rad[i, j]) >= (abs(C[i][j]) * F(rad[0, j])
+                                  + abs(C[i][n + j]) * F(rad[1, j])), (i, j)
+    for i in range(n):
+        g = F(krawczyk._gamma(sum(map(bool, C[i]))))
+        assert F(f_rad[i]) >= sum(abs(c) * (F(V_rad[j]) + g * _mod_dn(V[j]))
+                                  for j, c in enumerate(C[i]) if c), i
+    g = F(krawczyk._gamma(3 * n))
+    for i, k in np.ndindex(YB_rad.shape):
+        assert F(YB_rad[i, k]) >= sum(
+            _mod_dn(Y[i, j]) * (F(Brad[j, k]) + g * _mod_dn(Bc[j, k]))
+            for j in range(n)) + 2 * n * F(2) ** -1074, (i, k)
+    for i, j in np.ndindex(n, n):
+        assert F(E_rad[i, j]) >= F(YB_rad[i, j]) + U * _mod_dn(E_c[i, j]), (i, j)
+    s = 2 ** 80
+    rho = F(radius) * F(math.isqrt(2 * s * s), s)       # below r sqrt 2
+    for i in range(n):
+        assert F(K_rad[i]) >= (F(YB_rad[i, n]) + 2 * U * _mod_dn(K_c[i]) + rho * sum(
+            _mod_dn(E_c[i, j]) + F(E_rad[i, j]) for j in range(n))), i
+
+    # at the corners of X: J(x) = A / x - B / (1 - x), E(x) = I - Y J(x)
+    Ymp = [[_cx(y) for y in row] for row in Y]
+    for a, b in ((-1, -1), (1, 1)):
+        x = [(F(w.real) + a * F(radius), F(w.imag) + b * F(radius)) for w in z]
+        inv = [(_cinv(p), _cinv((1 - p[0], -p[1]))) for p in x]
+        J = [[(C[i][j] * inv[j][0][0] - C[i][n + j] * inv[j][1][0],
+               C[i][j] * inv[j][0][1] - C[i][n + j] * inv[j][1][1])
+              for j in range(n)] for i in range(n)]
+        for i, j in np.ndindex(n, n):
+            assert _within(J[i][j], J_c[i, j], J_rad[i, j]), (a, b, i, j)
+            terms = [_cmul(Ymp[i][k], J[k][j]) for k in range(n)]
+            e = (int(i == j) - sum(t[0] for t in terms), -sum(t[1] for t in terms))
+            assert _within(e, E_c[i, j], E_rad[i, j]), (a, b, i, j)
+
+
+@pytest.mark.parametrize("case", ["A", "B", (-7, 3), (9, 4)],
+                         ids=["A", "B", "-7/3", "9/4"])
+def test_residual_ball_holds_the_mpmath_residual(case, tri_a, tri_b, monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    tri = tri_a if case == "A" else tri_b if case == "B" else filled(tri_b, 6, *case)
+    sys_ = build_equations(tri)
+    result = newton_solve(sys_, [t.shape_hint for t in tri.tets])
+    z = np.array(result.shapes)
+    n = len(z)
+    (rows, *_), seen = _operator_parts(sys_, z, 1e-10, result.rows, monkeypatch)
+    (_, Bc, Brad), _ = seen["_ball_matmul"]
+    M = sys_.matrix[list(rows)]
+    with mpmath.workdps(50):
+        y = [mpmath.mpc(w) for w in z]
+        logs = [mpmath.log(w) for w in y] + [mpmath.log(1 - w) for w in y]
+        for i, row in enumerate(M):
+            f = mpmath.fsum(int(c) * x for c, x in zip(row, logs) if c)
+            f += 1j * mpmath.pi * int(row[2 * n])
+            assert abs(f - mpmath.mpc(complex(Bc[i, n]))) <= mpmath.mpf(
+                float(Brad[i, n])), (case, i)
+
+
 # -------------------------------------------- filling sweep parity
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
@@ -681,6 +809,10 @@ def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
         cert = krawczyk_test(sys_, result.shapes, 1e-10, result.rows)
         expected = _object_enclosures(sys_, result.shapes, 1e-10, result.rows)
         assert cert.valid and _ends(cert.enclosures) == _ends(expected)
+        # krawczyk_test hands the volume its endpoint array: the same bits
+        # as the volume read from the interval objects
+        vol = interval_volume(expected)
+        assert (cert.volume_enclosure.lo, cert.volume_enclosure.hi) == (vol.lo, vol.hi)
         checked += 1
     assert checked == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
 

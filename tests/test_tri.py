@@ -807,6 +807,21 @@ def test_relabelling_keeps_meridian_dot_longitude(tri_a, tri_b):
         assert str(info.value) == _meet(tri, 2)
 
 
+def test_glued_vertices_on_different_cusps_are_refused(tri_b, text_b):
+    # tet 0's vertex 3 carries no curve, so only the vertex rule sees it
+    # moved from cusp 6 to cusp 0; once it certified with B's certificate
+    message = (
+        "tet 0 face 0: vertex 3 on cusp 0 is glued to tet 7 vertex 3 on cusp 6; "
+        "tet 0 face 1: vertex 3 on cusp 0 is glued to tet 21 vertex 0 on cusp 6; "
+        "tet 0 face 2: vertex 3 on cusp 0 is glued to tet 2 vertex 3 on cusp 6")
+    assert tri_b.tets[0].vertex_cusp == (6, 5, 4, 6)
+    with pytest.raises(TriParseError) as info:
+        _tet0(tri_b, vertex_cusp=(6, 5, 4, 0))
+    assert str(info.value) == message and info.value.line is None
+    assert text_b.splitlines()[17] == "   6    5    4    6 "
+    assert str(_parse_error(_edit_line(text_b, 18, "   6    5    4    0 "))) == message
+
+
 def test_every_single_entry_edit_is_refused(tri_a):
     # each sheet-0 entry of A moved by +-1: 12 tets x 2 rows x 16 entries
     # x 2 signs, each of which once passed validate and certified
@@ -851,13 +866,14 @@ def test_curves_must_match_across_faces(tri_a, tri_b):
         "cusp 0: the curves of tet 0 vertex 0 do not match across face 3; "
         "cusp 0: the curves of tet 2 vertex 2 do not match across face 1; "
         "cusp 0: the curves of tet 7 vertex 2 do not match across face 0")
-    # a vertex that carries a curve, put on another cusp
+    # a vertex that carries a curve, put on another cusp: the glued vertices
+    # disagree before the curves are read
     t, v = next((t, v) for t, tet in enumerate(tri_b.tets) for v in range(4)
                 if any(tet.peripheral[0][4 * v:4 * v + 4]))
     cusps = list(tri_b.tets[t].vertex_cusp)
     cusps[v] = (cusps[v] + 1) % tri_b.cusp_count
     tets = list(tri_b.tets)
     tets[t] = dataclasses.replace(tets[t], vertex_cusp=tuple(cusps))
-    with pytest.raises(TriParseError, match=f"^cusp {cusps[v]}: the curves of tet "
-                       f"{t} vertex {v} do not match across face"):
+    with pytest.raises(TriParseError, match=f"^tet {t} face [0-3]: vertex {v} on "
+                       f"cusp {cusps[v]} is glued to tet"):
         dataclasses.replace(tri_b, tets=tuple(tets))
