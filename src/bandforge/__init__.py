@@ -29,7 +29,7 @@ _LAZY = {name: module for module, names in (
     ("intervals", "ComplexInterval EnclosureDomainError RealInterval"),
     ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
      "NewtonResult SingularJacobianError build_equations edge_classes "
-     "newton_solve residual select_square_rows"),
+     "newton_solve residual"),
     ("dilog", "bloch_wigner volume"),
     ("krawczyk", "Certificate KrawczykError bloch_wigner_interval "
      "certify_hyperbolic interval_volume krawczyk_test"))

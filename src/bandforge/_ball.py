@@ -77,3 +77,11 @@ def _recip(v, rv, lo, gap, k=5):
     """
     c = v.conj() * (1.0 / (v.real * v.real + v.imag * v.imag))
     return c, _bound(rv / (lo * gap) + _gamma(k) * np.abs(c), 4)
+
+
+def _ball_sum(c, r):
+    """Centre and radius of a ball holding every sum of points of the real
+    balls c_j +- r_j: a sum in any order is within gamma_n sum |c| of the
+    exact one, and the radius takes n + 1 roundings per term."""
+    n = len(c)
+    return np.sum(c), _bound(np.sum(r) + _gamma(n) * np.sum(np.abs(c)), n + 1)

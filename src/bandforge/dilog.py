@@ -183,7 +183,7 @@ def _ball_bloch_wigner(c, rho):
     L = np.log(v)
     L_rad = _log_rad(L)
     w = -L[1]
-    W = _bound(np.abs(w) + L_rad[1], 3)      # |w| and |fl(w)| are <= W
+    W, X, t = _series_bounds(w, L_rad[1])
     terms, tail = _series_terms(float(np.max(W, initial=0.0)))
     # E(x) at x = fl(w^2): x^j, j < N = terms / 2, by one cumulative product
     x, N = w * w, terms // 2
@@ -192,10 +192,8 @@ def _ball_bloch_wigner(c, rho):
     ab = L[1].imag * L[0].real
     centre = (w * E - 0.25 * x).imag + ab
     # G(X) = sum_j |a_2j| X^j <= 1 + 4 t / (1 - t) and G'(X) <= 4 (2 pi)^-2 /
-    # (1 - t)^2 at X = W^2, t = X / (2 pi)^2 < 0.92, as a_0 = 1 and |a_2j| <=
-    # 4 (2 pi)^-2j (`_series_terms`); the float _TWO_PI_DN^2 is below (2 pi)^2
-    X = W * W
-    t = _bound(X / _TWO_PI_DN ** 2, 2)
+    # (1 - t)^2 at X = W^2, t < 0.92, as a_0 = 1 and |a_2j| <= 4 (2 pi)^-2j
+    # (`_series_terms`)
     s = 1.0 / (1.0 - t)                      # two roundings, as t is a bound
     G, dG = 1.0 + 4.0 * t * s, 4.0 / _TWO_PI_DN ** 2 * s * s
 
@@ -217,6 +215,16 @@ def _ball_bloch_wigner(c, rho):
     return sign * centre, _bound(rad, 19)
 
 
+def _series_bounds(w, w_rad):
+    """W >= |w| + w_rad, so |w| and |fl(w)| are <= W when fl(w) is within
+    w_rad of w; X = fl(W^2), and t >= W^2 / (2 pi)^2, as the float
+    _TWO_PI_DN^2 is below (2 pi)^2."""
+    from ._ball import _bound
+    W = _bound(abs(w) + w_rad, 3)
+    X = W * W
+    return W, X, _bound(X / _TWO_PI_DN ** 2, 2)
+
+
 def interval_volume(enclosures) -> RealInterval:
     """Enclosure of the volume: the sum of D over shape boxes.
 
@@ -225,7 +233,7 @@ def interval_volume(enclosures) -> RealInterval:
     kernel as a disc: its centre, and a bound on its half-diagonal.
     """
     import numpy as np
-    from ._ball import _bound, _gamma
+    from ._ball import _ball_sum, _bound
     ends = enclosures if isinstance(enclosures, np.ndarray) else np.array(
         [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures]).reshape(-1, 4).T
     lo, hi = ends[0::2], ends[1::2]
@@ -233,12 +241,9 @@ def interval_volume(enclosures) -> RealInterval:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             mid = 0.5 * (lo + hi)
             half = _bound(np.hypot(*np.maximum(hi - mid, mid - lo)), 3)
-            centres, radii = _ball_bloch_wigner(mid[0] + 1j * mid[1], half)
+            total, err = _ball_sum(*_ball_bloch_wigner(mid[0] + 1j * mid[1], half))
     except FloatingPointError as exc:
         raise EnclosureDomainError(f"ball arithmetic overflowed: {exc}") from None
-    total, n = np.sum(centres), len(centres)
-    # a sum in any order is within gamma_n sum |c| of the exact one
-    err = _bound(np.sum(radii) + _gamma(n) * np.sum(np.abs(centres)), n + 1)
     return RealInterval(_dn_float(total - err), _up_float(total + err))
 
 

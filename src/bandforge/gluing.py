@@ -30,10 +30,13 @@ their stored shape hints, and is frozen by the test suite.
 The numeric stages read the system as one exact integer matrix,
 `GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
 `jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
-A `GluingSystem` refuses rows floats do not hold (the 2^53 rule), and its
-`rank_bound` proves once that the dropped rows follow from the kept ones.
-The rows, the 2^53 rule and `residual` are plain Python; `matrix`,
-`rank_bound`, `select_square_rows` and `newton_solve` import numpy.
+A `GluingSystem` refuses rows floats do not hold (the 2^53 rule).  Newton
+needs no square subsystem: Gauss-Newton steps on all rows.  The one row
+choice is the proof's: `GluingSystem.kept_rows`, n rows of which every
+other row is an exact rational combination, chosen once per system from
+the cusp relations (Neumann-Zagier) by exact elimination, independent of
+the shapes.  The rows, the 2^53 rule and `residual` are plain Python;
+`matrix`, `kept_rows` and `newton_solve` import numpy.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
     "SolveError", "SingularJacobianError", "DivergenceError",
     "HalfPlaneExitError",
     "edge_classes", "build_equations", "residual", "jacobian", "newton_solve",
-    "select_square_rows", "augmented_rank",
+    "pivot_columns",
 ]
 
 # parameter type of an unordered vertex pair: 0 -> z, 1 -> z', 2 -> z''
@@ -143,19 +146,29 @@ class GluingSystem:
         return m
 
     @functools.cached_property
-    def rank_bound(self):
-        """n if the cusp relations W prove rank `matrix` <= n, else its exact
-        rank.  Once W M = 0, rank M <= rows - rank W; W M cannot overflow
-        int64, as M's entries are below 2^53 and no cusp lists 2^10 ends."""
+    def kept_rows(self):
+        """Rows whose common zeros solve every row, chosen exactly, once.
+
+        With the relations W (W M = 0, checked in int64: M's entries are
+        below 2^53 and no cusp lists 2^10 ends), W is eliminated taking the
+        rows densest first (most non-zero entries of [A | B], ties by lowest
+        index), and each pivot row is dropped.  W on the dropped rows is then
+        nonsingular, so each dropped row is an exact rational combination of
+        the kept ones.  When that keeps other than n rows, the kept rows are
+        the pivot rows of M itself, as many as its rank.
+        """
         import numpy as np
-        R, rels, n = len(self.rows), self.relations, self.tet_count
+        M, R, rels = self.matrix, len(self.rows), self.relations
         if rels and max(map(len, rels)) < 2 ** 10 and all(
                 0 <= i < R for rel in rels for i in rel):
             W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R)
                           for r in rels])
-            if not (W @ self.matrix).any() and R - augmented_rank(W) == n:
-                return n
-        return augmented_rank(self.matrix)
+            if not (W @ M).any():
+                dense = (-np.count_nonzero(M[:, :-1], axis=1)).tolist()
+                dropped = set(pivot_columns(W, sorted(range(R), key=dense.__getitem__)))
+                if R - len(dropped) == self.tet_count:
+                    return tuple(i for i in range(R) if i not in dropped)
+        return tuple(pivot_columns(M.T))
 
 
 def edge_classes(tri: Triangulation) -> list:
@@ -261,16 +274,20 @@ def residual(sys: GluingSystem, shapes) -> list:
                 + 1j * math.pi * (r.k - r.c)) for r in sys.rows]
 
 
-def augmented_rank(M) -> int:
-    """Exact rank of the integer matrix M, such as `GluingSystem.matrix`.
+def pivot_columns(M, order=None) -> list:
+    """The pivot columns of an exact elimination of the integer matrix M,
+    taking its columns in `order` (default left to right); their count is
+    the rank of M.  The transpose gives pivot rows.
 
     Fraction-free elimination over Python ints, so no product overflows:
     a row with entry a != 0 under the pivot p becomes p row - a pivot row,
     over its content; other rows are skipped.  A primitive row is the
     Bareiss row up to a factor, so entries stay bounded by minors of M.
     """
-    m, rank = M.tolist(), 0
-    for col in range(M.shape[1]):
+    order = range(M.shape[1]) if order is None else order
+    m, found = [[row[c] for c in order] for row in M.tolist()], []
+    for col in range(len(order)):
+        rank = len(found)
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -282,8 +299,8 @@ def augmented_rank(M) -> int:
                 row = [top[0] * x - a * y for x, y in zip(r[col:], top)]
                 g = math.gcd(*row)
                 r[col:] = [x // g for x in row] if g > 1 else row
-        rank += 1
-    return rank
+        found.append(order[col])
+    return found
 
 
 def jacobian(M, dlog_z, dlog_w):
@@ -297,103 +314,56 @@ def jacobian(M, dlog_z, dlog_w):
     return M[:, :n] * dlog_z + M[:, n:2 * n] * dlog_w
 
 
-def select_square_rows(sys: GluingSystem, shapes) -> list:
-    """Indices of a square independent subsystem at the given shapes.
-
-    All cusp rows are kept; edge rows are added greedily by largest
-    orthogonal complement norm of their Jacobian row (ties broken by
-    lowest row index).  Each pick projects every row off the new
-    direction at once, so the complement norms are always current.  The
-    full edge block is rank deficient: the rows of each fixture sum to
-    the zero equation.
-    """
-    import numpy as np
-    n = sys.tet_count
-    z = np.asarray(shapes, dtype=complex)
-    resid = jacobian(sys.matrix.astype(float), 1.0, -z / (1 - z))
-    norms = np.linalg.norm(resid, axis=1)
-    tol = 1e-9 * norms.max()
-    cusp_idx = [i for i, r in enumerate(sys.rows) if r.kind != "edge"]
-    free = np.array([r.kind == "edge" for r in sys.rows])
-
-    selected = []
-    while len(selected) < max(n, len(cusp_idx)):
-        if len(selected) < len(cusp_idx):
-            i = cusp_idx[len(selected)]
-            if norms[i] < tol:
-                raise SingularJacobianError(
-                    f"cusp row {i} is dependent on the previous rows")
-        else:
-            candidates = np.where(free, norms, 0.0)
-            i = int(np.argmax(candidates))
-            if candidates[i] <= tol:
-                raise SingularJacobianError(
-                    f"system rank {len(selected)} < {n}: "
-                    "cannot select a square subsystem")
-            free[i] = False
-        q = resid[i] / norms[i]
-        resid -= np.outer(resid @ q.conj(), q)
-        norms = np.linalg.norm(resid, axis=1)
-        selected.append(i)
-    return sorted(selected)
-
-
 @dataclass(frozen=True)
 class NewtonResult:
-    """Newton's solution; `krawczyk_test` certifies its `rows`, the square
-    subsystem `select_square_rows` picked at the initial shapes."""
-
     shapes: tuple          # solved shape parameters, one per tetrahedron
     iterations: int
-    residual_max: float
-    rows: tuple            # indices into sys.rows of the solved subsystem
+    residual_max: float    # over all rows
 
 
 def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
                  max_iter: int = 50) -> NewtonResult:
-    """Newton iteration in log-shape coordinates on a square subsystem.
+    """Gauss-Newton iteration in log-shape coordinates on all rows.
 
     Iterates u_j = log z_j, requiring Im u_j in (0, pi), i.e. shapes stay
     in the upper half-plane; the branch offsets recorded in the rows are
-    constant along such a path.  Stops when the selected rows' residual
-    drops below tol, then checks the residual of the full system.
+    constant along such a path.  Each step is the least-squares solution
+    of the full Jacobian system, and the iteration stops when every row's
+    residual is below tol.  A system whose rows have exact rank above n
+    (`GluingSystem.kept_rows`) has no common zero and is refused first.
     """
     if not (0 < tol < math.inf and max_iter >= 0):  # also rejects NaN
         raise ValueError(f"need 0 < tol < inf and max_iter >= 0, got tol={tol}, "
                          f"max_iter={max_iter}")
     import numpy as np
+    n = sys.tet_count
     z0 = np.asarray(initial, dtype=complex)
-    if len(z0) != sys.tet_count:
-        raise ValueError(f"expected {sys.tet_count} shapes, got {len(z0)}")
+    if len(z0) != n:
+        raise ValueError(f"expected {n} shapes, got {len(z0)}")
     if np.any(z0.imag <= 0):
         raise HalfPlaneExitError("initial shapes must have Im z > 0")
-    rows = select_square_rows(sys, z0)
-    M = sys.matrix[rows].astype(float)
+    if len(sys.kept_rows) > n:
+        raise DivergenceError(f"rows [A | B | k - c] have rank {len(sys.kept_rows)} "
+                              f"> {n}: inconsistent rows")
+    M = sys.matrix.astype(float)
 
     u = np.log(z0)
     for iterations in range(max_iter + 1):
         z = np.exp(u)
-        w = np.log(1 - z)
-        f = _rows_at(M, u, w)
+        f = _rows_at(M, u, np.log(1 - z))
         res = float(np.max(np.abs(f)))
         if not np.isfinite(res):
             raise DivergenceError("iteration produced a non-finite residual")
         if res < tol:
-            full = _rows_at(sys.matrix.astype(float), np.log(z), np.log(1 - z))
-            full_max = float(np.max(np.abs(full)))
-            if full_max > max(tol, 10 * res + 1e-13):
-                raise DivergenceError(
-                    f"square subsystem converged (residual {res:.3e}) but the "
-                    f"full system does not ({full_max:.3e}); inconsistent rows")
-            return NewtonResult(tuple(complex(v) for v in z),
-                                iterations, full_max, tuple(rows))
+            return NewtonResult(tuple(complex(v) for v in z), iterations, res)
         if iterations >= max_iter:
             break
         jac = jacobian(M, 1.0, -z / (1 - z))
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"Jacobian solve failed: {exc}") from None
+        if not np.isfinite(jac).all():      # least squares would not return
+            raise DivergenceError(f"iterate {iterations} has a non-finite Jacobian")
+        step, _, rank, _ = np.linalg.lstsq(jac, f, rcond=None)
+        if rank < n:
+            raise SingularJacobianError(f"Jacobian rank {rank} < {n}")
         u = u - step
         if np.any(u.imag <= 0) or np.any(u.imag >= math.pi):
             raise HalfPlaneExitError(

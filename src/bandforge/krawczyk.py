@@ -1,7 +1,7 @@
 """Krawczyk containment certificates for gluing-equation solutions.
 
-Given a numeric solution z of the selected square subsystem, the box
-X = z +- radius is tested with the Krawczyk operator
+Given a numeric solution z of the gluing equations, the box X = z +- radius
+is tested, on the n rows `GluingSystem.kept_rows`, with the Krawczyk operator
 
     K(X) = y - Y f(y) + (I - Y J(X)) (X - y),    y = z = mid X,
 
@@ -13,16 +13,14 @@ arithmetic", BIT 39, 1999): each radius is summed in round-to-nearest
 and bounded once (`_ball`), and `_operator` takes its midpoint Jacobian
 from `gluing.jacobian`.  Strict inclusion,
 |Re(K_c - z)| + K_rad < radius and the same for Im for every shape,
-proves that the subsystem has exactly one zero in X; if moreover every
+proves that the kept rows have exactly one zero in X; if moreover every
 outward-rounded box of K(X) & X has strictly positive imaginary part,
-that zero is a geometric solution and the manifold is hyperbolic.  The
-discarded rows are checked exactly: M = [A | B | k - c] over all rows
-must have rank at most n, which `GluingSystem.rank_bound` proves once
-per system.  Contraction proves the n kept rows independent, so every
-discarded row is a rational combination of them, and a zero of the
-square subsystem solves the full system.  K(X) & X is formed as arrays
-of endpoints, which `dilog.interval_volume` takes as they are for the
-certified volume; only the certificate's n enclosures become
+that zero is a geometric solution and the manifold is hyperbolic.  Every
+dropped row is an exact rational combination of the kept rows, by the
+exact elimination that chose them (`GluingSystem.kept_rows`, once per
+system), so a zero of the kept rows solves every row.  K(X) & X is formed
+as arrays of endpoints, which `dilog.interval_volume` takes as they are
+for the certified volume; only the certificate's n enclosures become
 `ComplexInterval`s.  This module holds no part of the dilogarithm series.
 """
 
@@ -35,8 +33,7 @@ import numpy as np
 
 from ._ball import _TINY, _U, _bound, _discs, _gamma, _log_rad, _recip
 from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
-from .gluing import (GluingSystem, build_equations, jacobian, newton_solve,
-                     select_square_rows)
+from .gluing import GluingSystem, build_equations, jacobian, newton_solve
 from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
 from .tri import CertifyError, SolveError, Triangulation
 
@@ -101,11 +98,11 @@ def _ball_matmul(A, Bc, Brad):
     return A @ Bc, _matmul_up(np.maximum(np.abs(A), _TINY), Q, 8)
 
 
-def _operator(sys, z, radius, rows=None):
-    """Rows, preconditioner Y, and the balls of E and K on X = z +- radius.
+def _operator(sys, z, radius):
+    """Preconditioner Y and the balls of E and K on X = z +- radius.
 
-    The rows are selected at z unless given.  Returns (rows, Y, (E_c, E_rad),
-    (K_c, K_rad)): E_c +- E_rad holds I - Y J(x) for every x in X, and
+    On the rows `sys.kept_rows`, returns (Y, (E_c, E_rad), (K_c, K_rad)):
+    E_c +- E_rad holds I - Y J(x) for every x in X, and
     K_c +- K_rad holds y - Y f(y) + (I - Y J(X))(X - y), entry by entry.
     Each radius bounds the enclosure plus every rounding made in computing
     its centre, summed in round-to-nearest and bounded once (`_ball`).
@@ -121,9 +118,7 @@ def _operator(sys, z, radius, rows=None):
         raise KrawczykError(f"the disc of radius {radius} around shape "
                             f"{bad[0]} = {z[bad[0]]} reaches 0, 1 or a cut")
 
-    if rows is None:
-        rows = select_square_rows(sys, z)
-    C = sys.matrix[list(rows)].astype(float)      # [A | B | k - c]
+    C = sys.matrix[list(sys.kept_rows)].astype(float)      # [A | B | k - c]
     absC = np.abs(C)
     # J(X) = A/x - B/(1 - x); J_c rounds fl(1/x) three times more, and a
     # product by an integer does not underflow
@@ -157,21 +152,18 @@ def _operator(sys, z, radius, rows=None):
                    + rho * (absE + E_rad).sum(axis=1), n + 5)
     if not (np.isfinite(K_c).all() and np.isfinite(K_rad).all()):
         raise KrawczykError("the Krawczyk operator is not finite")
-    return rows, Y, (E_c, E_rad), (K_c, K_rad)
+    return Y, (E_c, E_rad), (K_c, K_rad)
 
 
-def krawczyk_test(sys: GluingSystem, approx, radius: float,
-                  rows=None) -> Certificate:
+def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     """Containment test on the box approx +- radius.
 
     The caller should provide approx with residual well below the box
     scale (the Newton output); a poor approx simply comes back with
-    contracted = False.  `rows`, the n rows to test (`NewtonResult.rows`),
-    are selected at approx when not given; any n rows are sound, as
-    contraction proves them independent.  Raises KrawczykError when the
-    box itself is unusable: a shape is not finite, `sys.rank_bound` is
-    not n, the midpoint Jacobian is not invertible, or the disc around a
-    shape reaches 0, 1 or a branch cut.
+    contracted = False.  Raises KrawczykError when the box itself is
+    unusable: a shape is not finite, `sys.kept_rows` are not n rows, the
+    midpoint Jacobian is not invertible, or the disc around a shape
+    reaches 0, 1 or a branch cut.
     """
     if not 0 < radius < math.inf:  # also rejects NaN
         raise ValueError("radius must be positive and finite")
@@ -179,19 +171,15 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float,
     n = sys.tet_count
     if len(z) != n:
         raise ValueError(f"expected {n} shapes, got {len(z)}")
-    if rows is not None and not len(rows) == n == len(
-            set(rows) & set(range(len(sys.rows)))):
-        raise ValueError(f"rows must be {n} distinct indices into the "
-                         f"{len(sys.rows)} rows, got {rows!r}")
     if not np.isfinite(z).all():
         raise KrawczykError(f"shapes are not all finite: {z}")
-    if sys.rank_bound != n:
-        raise KrawczykError(f"rows [A | B | k - c] have rank {sys.rank_bound}, "
-                            f"not {n}: the kept rows do not imply the dropped ones")
+    if len(sys.kept_rows) != n:
+        raise KrawczykError(f"rows [A | B | k - c] have rank {len(sys.kept_rows)}, "
+                            f"not {n}: no n rows imply the others")
 
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, _, _, (K_c, K_rad) = _operator(sys, z, radius, rows)
+            _, _, (K_c, K_rad) = _operator(sys, z, radius)
             # strictly inside the exact box z +- radius, part by part
             d = K_c - z
             reach = _bound(np.maximum(np.abs(d.real), np.abs(d.imag)) + K_rad, 2)
@@ -230,9 +218,9 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     """Full pipeline: build, Newton from the file hints, certify.
 
     `tri` is valid by construction, so nothing here checks it again.
-    Krawczyk tests the rows Newton selected.  Tries the radii in order and
-    returns the first valid certificate; every stage failure is wrapped in
-    CertifyError with a stage tag; rows beyond floats fail `validation`.
+    Tries the radii in order and returns the first valid certificate;
+    every stage failure is wrapped in CertifyError with a stage tag; rows
+    beyond floats fail `validation`.
     A `krawczyk` failure lists each rung tried as `attempts`.
     """
     radii = tuple(radii)
@@ -252,7 +240,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
     attempts = []
     for radius in radii:
         try:
-            cert = krawczyk_test(sys, result.shapes, radius, result.rows)
+            cert = krawczyk_test(sys, result.shapes, radius)
         except KrawczykError as exc:
             attempts.append((radius, str(exc)))
             continue

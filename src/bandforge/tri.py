@@ -33,7 +33,8 @@ CS value of None for `CS_unknown`.  `validate` holds every other rule the
 parser enforces, and constructing a `Triangulation` runs it, so none breaks
 a rule and no later stage checks one again.  Its containers are tuples; a
 filling of (0, 0) means the cusp is complete, anything else must be an
-integral coprime pair below 2^53 in modulus (the format stores a real);
+exactly integral coprime pair below 2^53 in modulus (the format stores a
+real);
 the volume hint, and the CS value when there is one, must be finite; a
 shape hint of 0, 1 or a non-finite value is degenerate, a negatively
 oriented one legal; each cusp's curves are closed, matched and a basis.
@@ -265,8 +266,7 @@ def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies)
                        "(only torus cusps are)")
         elif cusp.is_complete():
             continue
-        elif not (isfinite(m) and isfinite(l)) or max(
-                abs(m - round(m)), abs(l - round(l))) > 1e-9:
+        elif not (isfinite(m) and isfinite(l)) or m != round(m) or l != round(l):
             out.append(f"cusp {c}: filling ({m}, {l}) is not integral")
         elif max(abs(m), abs(l)) >= 2 ** 53:
             out.append(f"cusp {c}: filling ({m}, {l}) is not exactly "

@@ -448,6 +448,16 @@ def test_error_exit_codes(capsys, tmp_path, argv, write, code, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+def test_nearly_integral_filling_does_not_certify(capsys, tmp_path):
+    path = tmp_path / "near.tri"
+    path.write_text(fixture_text("A").replace(
+        "torus   1.000000000000   0.000000000000",
+        "torus   1.000000000500   0.000000000000", 1))
+    code, out, err = run(capsys, ["tri", "certify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: cusp 0: filling (1.0000000005, 0.0) is not integral\n"
+
+
 @pytest.mark.parametrize("command", ["parse", "volume", "solve", "certify"])
 @pytest.mark.parametrize("hint", ["0 0", "1 0", "nan 1"])
 def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
@@ -523,7 +533,7 @@ EXPORTED = """
     interval_volume intervals is_unlinking_number_one krawczyk krawczyk_test
     lens_equivalent lens_mirror load_fixture matignon_family mirror_two_bridge
     newton_solve normalize_lens normalize_two_bridge parse_triangulation
-    residual select_square_rows serialize_triangulation signature_two_bridge
+    residual serialize_triangulation signature_two_bridge
     slope_distance surgery tangle tri two_bridge_equivalent
     two_bridge_from_fraction validate verify_chirally_cosmetic volume
 """.split()

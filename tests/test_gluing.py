@@ -12,9 +12,8 @@ import pytest
 
 from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
-                              augmented_rank, build_equations, edge_classes,
-                              newton_solve, residual, select_square_rows,
-                              _rows_at)
+                              build_equations, edge_classes, newton_solve,
+                              pivot_columns, residual, _rows_at)
 from conftest import filled
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
@@ -79,12 +78,48 @@ def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
         assert len(sys_.rows) - len(tri.cusps) == n
 
 
-def test_rank_bound_never_trusts_a_wrapped_product():
-    # W M = 2^12 * 2^52 = 2^64 wraps to 0 in int64 and would prove rank 1;
-    # a cusp listing 2^10 ends or more makes M itself be eliminated
+def test_kept_rows_never_trust_a_wrapped_product():
+    # W M = 2^12 * 2^52 = 2^64 wraps to 0 in int64 and would let row 1 alone
+    # imply row 0; a cusp listing 2^10 ends or more makes M itself be
+    # eliminated, and its rank is 2
     rows = (GluingRow("edge", (2 ** 52,), (0,), 0, 0),
             GluingRow("edge", (0,), (1,), 0, 0))
-    assert GluingSystem("wrap", 1, rows, ((0,) * 2 ** 12,)).rank_bound == 2
+    assert GluingSystem("wrap", 1, rows, ((0,) * 2 ** 12,)).kept_rows == (0, 1)
+
+
+def test_dropped_rows_are_exact_combinations_of_the_kept_rows(tri_a, tri_b):
+    # W M = 0 for the relations W, so with W_D, W on the dropped rows D,
+    # invertible, M_D = -W_D^-1 W_K M_K: each dropped row is rebuilt over
+    # Fractions from the kept rows K with those coefficients
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
+        sys_, n = build_equations(tri), len(tri.tets)
+        M, kept = sys_.matrix.tolist(), sys_.kept_rows
+        dropped = [i for i in range(len(M)) if i not in kept]
+        assert len(kept) == n and len(dropped) == len(tri.cusps)
+        W = [[rel.count(i) for i in range(len(M))] for rel in sys_.relations]
+        inverse = _fraction_inverse([[w[d] for d in dropped] for w in W])
+        for d, row in zip(dropped, inverse):
+            rebuilt = [Fraction(0)] * len(M[d])
+            for k in kept:
+                a = -sum(x * w[k] for x, w in zip(row, W))
+                for j, v in enumerate(M[k]):
+                    if a and v:
+                        rebuilt[j] += a * v
+            assert rebuilt == M[d], (tri.cusps, d)
+
+
+def test_kept_rows_drop_the_densest_rows(tri_a, tri_b):
+    # the relations are eliminated densest row first, and each pivot row is
+    # dropped: on A, with one cusp, that is the first of the densest edge
+    # rows, as the relations list no cusp row
+    sys_ = build_equations(tri_a)
+    dense = [sum(map(bool, r.A + r.B)) if r.kind == "edge" else -1
+             for r in sys_.rows]
+    assert sys_.kept_rows == tuple(
+        i for i in range(len(dense)) if i != dense.index(max(dense)))
+    assert build_equations(tri_b).kept_rows == (
+        1, 2, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 17, 18, 20, 21, 22, 23, 24,
+        26, 27, 28, 29, 30, 31, 32)
 
 
 NOT_INT = "the entry .*, which is not an int"
@@ -185,8 +220,8 @@ def test_residual_matches_a_row_loop(tri_a, tri_b):
 
 
 def test_residual_matches_the_float_matrix_product(tri_a, tri_b):
-    # the numpy product over the full float matrix, which Newton's full-system
-    # check still uses, agrees with the cmath residual row by row
+    # the numpy product over the full float matrix, which Newton's residual
+    # uses, agrees with the cmath residual row by row
     for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_ = build_equations(tri)
         z = np.array([h * cmath.exp(0.01j) for h in (t.shape_hint for t in tri.tets)])
@@ -208,43 +243,23 @@ def test_residual_rejects_degenerate_and_miscounted_shapes(tri_a, shapes, messag
 
 # ------------------------------------------------------------ selection
 
-def test_select_square_rows(tri_b):
-    sys_ = build_equations(tri_b)
-    hints = [t.shape_hint for t in tri_b.tets]
-    rows = select_square_rows(sys_, hints)
-    assert len(rows) == sys_.tet_count
-    # cusp rows are always retained
-    cusp_indices = {i for i, r in enumerate(sys_.rows) if r.kind != "edge"}
-    assert cusp_indices <= set(rows)
-    n = sys_.tet_count
-    M = sys_.matrix[rows]
-    z = np.asarray(hints)
-    jac = M[:, :n] / z[None, :] - M[:, n:2 * n] / (1 - z)[None, :]
-    assert np.linalg.cond(jac) < 1e8
-
-
 def test_selection_is_deterministic(tri_a):
+    # the kept rows are the system's, chosen once and without the shapes
     sys_ = build_equations(tri_a)
-    hints = [t.shape_hint for t in tri_a.tets]
-    assert select_square_rows(sys_, hints) == select_square_rows(sys_, hints)
-
-
-def test_selection_rejects_duplicated_cusp_row(tri_b):
-    sys_ = build_equations(tri_b)
-    cusp = next(r for r in sys_.rows if r.kind != "edge")
-    doubled = GluingSystem(sys_.name, sys_.tet_count, sys_.rows + (cusp,))
-    with pytest.raises(SingularJacobianError, match="cusp row .* dependent"):
-        select_square_rows(doubled, [t.shape_hint for t in tri_b.tets])
+    assert sys_.kept_rows is sys_.kept_rows
+    assert sys_.kept_rows == build_equations(tri_a).kept_rows
 
 
 def test_selection_rejects_too_few_edge_rows(tri_a):
+    # n - 1 rows keep rank n - 1, and Newton's least-squares step names it
     sys_ = build_equations(tri_a)
     edge = [r for r in sys_.rows if r.kind == "edge"]
     cusp = [r for r in sys_.rows if r.kind != "edge"]
     short = GluingSystem(sys_.name, sys_.tet_count,
                          tuple(edge[:sys_.tet_count - len(cusp) - 1] + cusp))
-    with pytest.raises(SingularJacobianError, match="rank"):
-        select_square_rows(short, [t.shape_hint for t in tri_a.tets])
+    assert short.kept_rows == tuple(range(sys_.tet_count - 1))
+    with pytest.raises(SingularJacobianError, match="rank 11 < 12"):
+        newton_solve(short, [t.shape_hint for t in tri_a.tets])
 
 
 # ------------------------------------------------------------ newton
@@ -289,6 +304,21 @@ def test_newton_divergence_is_reported(tri_a):
         newton_solve(sys_, hints, tol=1e-16, max_iter=0)
 
 
+def test_newton_reports_a_non_finite_residual(tri_a):
+    hints = [t.shape_hint for t in tri_a.tets]
+    with pytest.raises(DivergenceError, match="non-finite residual"):
+        newton_solve(build_equations(tri_a), [complex(math.nan, 1.0)] + hints[1:])
+
+
+def test_newton_reports_a_non_finite_jacobian(tri_a):
+    # at 1 + 1e-320 i the residual is finite, but z / (1 - z) overflows,
+    # and least squares is never handed an infinite matrix
+    hints = [t.shape_hint for t in tri_a.tets]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="^iterate 0 has a non-finite Jacobian$"):
+        newton_solve(build_equations(tri_a), [1 + 1e-320j] + hints[1:])
+
+
 @pytest.mark.parametrize("label", ["A", "B"])
 def test_newton_reports_inconsistent_rows(label, request):
     # a copy of edge row 0 with c + 2 shares its Jacobian row, so it is
@@ -312,7 +342,7 @@ def test_newton_far_start_fails_controlled(tri_a):
         return
     err = max(abs(a - b) for a, b in zip(result.shapes, hints))
     assert result.residual_max < 1e-12
-    # if it converged, it found a genuine solution of the selected system
+    # if it converged, it found a genuine solution of the system
     assert err < 1e-6 or all(z.imag > 0 for z in result.shapes)
 
 def _fraction_rank(matrix):
@@ -332,9 +362,25 @@ def _fraction_rank(matrix):
     return rank
 
 
+def _fraction_inverse(matrix):
+    """Inverse of a nonsingular square matrix, by Gauss-Jordan over Fractions."""
+    k = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(matrix)]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if m[i][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(k):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[k:] for row in m]
+
+
 def test_augmented_rank_matches_rational_elimination(tri_a, tri_b):
     rng = random.Random(8)
-    for _ in range(300):
+    for case in range(300):
         n = rng.randint(1, 5)
         base = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(2 * n + 1)]
                 for _ in range(rng.randint(1, 2 * n + 2))]
@@ -347,10 +393,18 @@ def test_augmented_rank_matches_rational_elimination(tri_a, tri_b):
         sys_ = GluingSystem("random", n, tuple(
             GluingRow("edge", tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], 0)
             for r in rows))
-        assert augmented_rank(sys_.matrix) == _fraction_rank(rows), rows
-    # the fixtures' dropped rows follow from the kept ones
+        assert len(pivot_columns(sys_.matrix)) == _fraction_rank(rows), rows
+        if case % 5:
+            continue
+        # in any order, a column is a pivot when it is independent of the
+        # columns before it: when it raises the rank of the prefix
+        order = random.Random(case).sample(range(2 * n + 1), 2 * n + 1)
+        ranks = [0] + [_fraction_rank([[r[c] for c in order[:k]] for r in rows])
+                       for k in range(1, 2 * n + 2)]
+        assert pivot_columns(sys_.matrix, order) == [
+            c for c, a, b in zip(order, ranks, ranks[1:]) if b > a], (rows, order)
     for tri in (tri_a, tri_b):
-        assert augmented_rank(build_equations(tri).matrix) == len(tri.tets)
+        assert len(pivot_columns(build_equations(tri).matrix)) == len(tri.tets)
 
 
 def _rank_system(rows, n):
@@ -377,14 +431,14 @@ def test_augmented_rank_beyond_int64_starts_as_object():
     # (-2^63)(-2) would wrap to 0 and hide the second pivot.  No
     # GluingSystem holds such rows, so the matrices are built directly.
     rows = [[-2 ** 63, 0, 0], [0, -2, 0]]
-    assert augmented_rank(np.array(rows, dtype=object)) == _fraction_rank(rows) == 2
+    assert len(pivot_columns(np.array(rows, dtype=object))) == _fraction_rank(rows) == 2
     rng = random.Random(63)
     for big in (2 ** 63, -2 ** 63, 2 ** 64 + 1, -3 ** 50, 2 ** 62 + 7):
         for _ in range(30):
             n = rng.randint(1, 4)
             rows = _dependent_rows(
                 rng, n, lambda: rng.choice((0, 1, -2, 3, big)))
-            assert (augmented_rank(np.array(rows, dtype=object))
+            assert (len(pivot_columns(np.array(rows, dtype=object)))
                     == _fraction_rank(rows)), rows
 
 
@@ -397,7 +451,7 @@ def test_augmented_rank_promotes_growing_minors():
         rows = _dependent_rows(
             rng, n, lambda: rng.randint(-2 ** 20, 2 ** 20))
         assert max(abs(x) for r in rows for x in r) < 2 ** 30
-        assert (augmented_rank(_rank_system(rows, n).matrix)
+        assert (len(pivot_columns(_rank_system(rows, n).matrix))
                 == _fraction_rank(rows)), rows
 
 
@@ -406,4 +460,4 @@ def test_augmented_rank_on_every_filling_of_b(tri_b):
     for m, l in B_SLOPES:
         sys_ = build_equations(filled(tri_b, 6, m, l))
         matrix = [r.A + r.B + (r.k - r.c,) for r in sys_.rows]
-        assert augmented_rank(sys_.matrix) == _fraction_rank(matrix) == 26, (m, l)
+        assert len(pivot_columns(sys_.matrix)) == _fraction_rank(matrix) == 26, (m, l)

@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bandforge import gluing, krawczyk
+from bandforge import _ball, dilog, gluing, krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
-from bandforge.gluing import build_equations, newton_solve, select_square_rows
+from bandforge.gluing import build_equations, newton_solve
 from bandforge.intervals import ComplexInterval, EnclosureDomainError
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, bloch_wigner_interval,
@@ -125,33 +125,25 @@ def test_invalid_inputs(solved_a):
         krawczyk_test(sys_, result.shapes[:-1], 1e-8)
 
 
-def test_carried_rows_are_checked(solved_a):
+def test_volume_domain_error_is_raised_only_for_a_valid_box(solved_a, monkeypatch):
+    # a box that certifies must have its volume; any other gets (-inf, inf)
     sys_, result = solved_a
-    rows = list(result.rows)
-    assert krawczyk_test(sys_, result.shapes, 1e-8, rows).valid
-    for bad in (rows[:-1],                        # short
-                rows[:-1] + rows[:1],             # duplicated
-                rows[:-1] + [len(sys_.rows)],     # past the last row
-                rows[:-1] + [-1]):                # negative
-        with pytest.raises(ValueError, match="distinct indices"):
-            krawczyk_test(sys_, result.shapes, 1e-8, bad)
+
+    def refuse(ends):
+        raise EnclosureDomainError("refused")
+    monkeypatch.setattr(krawczyk, "interval_volume", refuse)
+    with pytest.raises(KrawczykError, match="^volume enclosure failed: refused$"):
+        krawczyk_test(sys_, result.shapes, 1e-8)
+    cert = krawczyk_test(sys_, [z.conjugate() for z in result.shapes], 1e-8)
+    assert not cert.valid
+    assert (cert.volume_enclosure.lo, cert.volume_enclosure.hi) == (-math.inf, math.inf)
 
 
 def test_certify_selects_rows_once(tri_a, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return select_square_rows(*args)
-
-    monkeypatch.setattr(gluing, "select_square_rows", counted)
-    monkeypatch.setattr(krawczyk, "select_square_rows", counted)
-    assert certify_hyperbolic(tri_a).valid
+    # Newton and every rung read the one exact row choice of the system
+    calls = _spied(monkeypatch, gluing, "pivot_columns")
+    assert certify_hyperbolic(tri_a, radii=(1e-16, 1e-8)).valid
     assert len(calls) == 1
-    monkeypatch.undo()
-    sys_ = build_equations(tri_a)
-    hints = [t.shape_hint for t in tri_a.tets]
-    assert newton_solve(sys_, hints).rows == tuple(select_square_rows(sys_, hints))
 
 
 def test_unusable_radius_raises_typed_error(solved_a):
@@ -270,7 +262,7 @@ def test_certify_error_lists_the_failed_rungs(tri_a):
 
 def test_certify_error_names_a_non_geometric_rung(tri_a, monkeypatch):
     # no shipped input reaches it: a contracted box with Im <= 0 somewhere
-    def contracted_below(sys_, approx, radius, rows=None):
+    def contracted_below(sys_, approx, radius):
         box = ComplexInterval.box(0.5 - 1j, radius)
         return Certificate(sys_.name, True, False, (box,) * sys_.tet_count,
                            interval_volume([box]), radius)
@@ -310,8 +302,8 @@ def _append_row(sys_, c_shift):
 def test_inconsistent_appended_row_is_never_valid(solved, request):
     sys_, result = request.getfixturevalue(solved)
     # a copy of an edge row with c raised by 2 has no common solution; the
-    # cusp relations bound the rank by n + 1 only, so elimination runs
-    assert _append_row(sys_, 2).rank_bound == sys_.tet_count + 1
+    # cusp relations leave n + 1 rows, so M is eliminated: rank n + 1
+    assert len(_append_row(sys_, 2).kept_rows) == sys_.tet_count + 1
     with pytest.raises(KrawczykError, match="rank"):
         krawczyk_test(_append_row(sys_, 2), result.shapes, 1e-8)
 
@@ -324,39 +316,40 @@ def test_redundant_appended_row_still_certifies(solved, request):
 
 
 def _record_ranks(monkeypatch):
-    """The shape of every matrix `GluingSystem.rank_bound` passes to
-    augmented_rank."""
-    shapes, rank = [], gluing.augmented_rank
+    """The shape of every matrix `GluingSystem.kept_rows` passes to
+    pivot_columns."""
+    shapes, pivots = [], gluing.pivot_columns
 
-    def recording(M):
+    def recording(M, *order):
         shapes.append(M.shape)
-        return rank(M)
+        return pivots(M, *order)
 
-    monkeypatch.setattr(gluing, "augmented_rank", recording)
+    monkeypatch.setattr(gluing, "pivot_columns", recording)
     return shapes
 
 
 def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
-    # the cusp relations settle the rank: only W, one row per cusp, is
-    # eliminated
+    # the cusp relations choose the rows: only W, one row per cusp, is
+    # eliminated, before Newton, so also where Newton fails
     shapes = _record_ranks(monkeypatch)
     certified = 0
     for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         shapes.clear()
+        cusps = len(tri.cusps)
         try:
             certify_hyperbolic(tri)
         except CertifyError as exc:
-            assert exc.stage == "newton" and not shapes
+            assert exc.stage == "newton"
             continue
+        finally:
+            assert shapes == [(cusps, len(tri.tets) + cusps)]
         certified += 1
-        cusps = len(tri.cusps)
-        assert shapes == [(cusps, len(tri.tets) + cusps)]
     assert certified == 2 + len(B_SLOPES) - len(SEED_UNCERTIFIED)
 
 
 def test_relations_are_eliminated_once_per_system(tri_b, monkeypatch):
-    # the rungs 1e-16 and 1e-15 do not certify and 1e-10 does; the rank
-    # proof is the system's, so W is eliminated on the first rung only
+    # the rungs 1e-16 and 1e-15 do not certify and 1e-10 does; the row
+    # choice is the system's, so W is eliminated once, for Newton
     shapes = _record_ranks(monkeypatch)
     cert = certify_hyperbolic(tri_b, radii=(1e-16, 1e-15, 1e-10))
     assert cert.valid and cert.radius_used == 1e-10
@@ -366,13 +359,17 @@ def test_relations_are_eliminated_once_per_system(tri_b, monkeypatch):
 @pytest.mark.parametrize("solved", ["solved_a", "solved_b"])
 def test_system_without_relations_certifies_by_elimination(
         solved, request, monkeypatch):
+    # the kept rows are then M's pivot rows, the first n independent ones
     sys_, result = request.getfixturevalue(solved)
-    cert = krawczyk_test(sys_, result.shapes, 1e-8, result.rows)
+    cert = krawczyk_test(sys_, result.shapes, 1e-8)
     shapes = _record_ranks(monkeypatch)
-    bare = krawczyk_test(dataclasses.replace(sys_, relations=()),
-                         result.shapes, 1e-8, result.rows)
-    assert shapes == [sys_.matrix.shape]
-    assert bare.valid and bare.to_dict() == cert.to_dict()
+    bare_sys = dataclasses.replace(sys_, relations=())
+    bare = krawczyk_test(bare_sys, result.shapes, 1e-8)
+    assert shapes == [sys_.matrix.T.shape]
+    assert len(bare_sys.kept_rows) == sys_.tet_count
+    assert bare_sys.kept_rows != sys_.kept_rows
+    assert bare.valid and all(a.intersect(b) is not None
+                              for a, b in zip(bare.enclosures, cert.enclosures))
 
 
 def _bad_relations(sys_, case):
@@ -388,12 +385,11 @@ def _bad_relations(sys_, case):
 def test_bad_relations_fall_back_to_elimination(solved, case, request,
                                                 monkeypatch):
     sys_, result = request.getfixturevalue(solved)
-    cert = krawczyk_test(sys_, result.shapes, 1e-8, result.rows)
+    bare = krawczyk_test(dataclasses.replace(sys_, relations=()), result.shapes, 1e-8)
     bad = _bad_relations(sys_, case)
     shapes = _record_ranks(monkeypatch)
-    assert krawczyk_test(bad, result.shapes, 1e-8,
-                         result.rows).to_dict() == cert.to_dict()
-    assert shapes == [sys_.matrix.shape] and bad.rank_bound == sys_.tet_count
+    assert krawczyk_test(bad, result.shapes, 1e-8).to_dict() == bare.to_dict()
+    assert shapes == [sys_.matrix.T.shape] and len(bad.kept_rows) == sys_.tet_count
 
 
 def _renumbered(tri, seed):
@@ -415,8 +411,8 @@ def test_renumbered_tetrahedra_keep_the_bound(label, monkeypatch):
     for seed in (1, 2, 3):
         other, perm = _renumbered(tri, seed)
         assert validate(other) == []
-        shapes.clear()      # the relations settle the rank: only W is eliminated
-        assert build_equations(other).rank_bound == len(tri.tets)
+        shapes.clear()      # the relations choose the rows: only W is eliminated
+        assert len(build_equations(other).kept_rows) == len(tri.tets)
         assert shapes == [(len(tri.cusps), len(tri.tets) + len(tri.cusps))]
         moved = certify_hyperbolic(other)
         assert moved.valid
@@ -511,9 +507,9 @@ def test_ball_operator_holds_mpmath_values(solved, radius, request):
 
     sys_, result = request.getfixturevalue(solved)
     z = np.array(result.shapes)
-    rows, Y, (E_c, E_rad), (K_c, K_rad) = krawczyk._operator(sys_, z, radius)
+    Y, (E_c, E_rad), (K_c, K_rad) = krawczyk._operator(sys_, z, radius)
     n = len(z)
-    M = sys_.matrix[rows]
+    M = sys_.matrix[list(sys_.kept_rows)]
     MA, MB, off = M[:, :n], M[:, n:2 * n], M[:, 2 * n]
     rng = random.Random(f"{solved}:{radius}")
     with mpmath.workdps(50):
@@ -642,7 +638,7 @@ def _within(x, centre, rad):
     return re * re + im * im <= Fraction(rad) ** 2
 
 
-def _operator_parts(sys_, z, radius, rows, monkeypatch):
+def _operator_parts(sys_, z, radius, monkeypatch):
     """`_operator`'s output, with the leaves and balls it passes on."""
     seen = {}
 
@@ -655,7 +651,7 @@ def _operator_parts(sys_, z, radius, rows, monkeypatch):
         monkeypatch.setattr(krawczyk, name, wrapped)
     spy("_recip")
     spy("_ball_matmul")
-    return krawczyk._operator(sys_, z, radius, rows), seen
+    return krawczyk._operator(sys_, z, radius), seen
 
 
 def test_operator_radii_hold_their_exact_values(solved_a, monkeypatch):
@@ -666,12 +662,12 @@ def test_operator_radii_hold_their_exact_values(solved_a, monkeypatch):
     sys_, result = solved_a
     radius, z = 1e-10, np.array(result.shapes)
     n, F, U = len(z), Fraction, Fraction(2) ** -53
-    ((rows, Y, (E_c, E_rad), (K_c, K_rad)), seen) = _operator_parts(
-        sys_, z, radius, result.rows, monkeypatch)
+    ((Y, (E_c, E_rad), (K_c, K_rad)), seen) = _operator_parts(
+        sys_, z, radius, monkeypatch)
     (v, rv, lo, gap, _), (recip, rad) = seen["_recip"]
     (_, Bc, Brad), (YB_c, YB_rad) = seen["_ball_matmul"]
     J_c, J_rad, S, f_rad = Bc[:, :n], Brad[:, :n], Bc[:, n], Brad[:, n]
-    C = [[int(c) for c in row] for row in sys_.matrix[list(rows)]]
+    C = [[int(c) for c in row] for row in sys_.matrix[list(sys_.kept_rows)]]
 
     # the discs, the ball of 1/x and the log allowance that they start from
     assert F(rv[0, 0]) ** 2 >= 2 * F(radius) ** 2 and (rv[0] == rv[0, 0]).all()
@@ -728,9 +724,9 @@ def test_residual_ball_holds_the_mpmath_residual(case, tri_a, tri_b, monkeypatch
     result = newton_solve(sys_, [t.shape_hint for t in tri.tets])
     z = np.array(result.shapes)
     n = len(z)
-    (rows, *_), seen = _operator_parts(sys_, z, 1e-10, result.rows, monkeypatch)
+    _, seen = _operator_parts(sys_, z, 1e-10, monkeypatch)
     (_, Bc, Brad), _ = seen["_ball_matmul"]
-    M = sys_.matrix[list(rows)]
+    M = sys_.matrix[list(sys_.kept_rows)]
     with mpmath.workdps(50):
         y = [mpmath.mpc(w) for w in z]
         logs = [mpmath.log(w) for w in y] + [mpmath.log(1 - w) for w in y]
@@ -785,9 +781,9 @@ def test_filling_sweep_verdicts(tri_b, sweep):
 # ---------------------------------------- enclosures from K & X arrays
 
 
-def _object_enclosures(sys_, z, radius, rows):
+def _object_enclosures(sys_, z, radius):
     """K & X built box by box from `_operator`, or X when one part is empty."""
-    _, _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(z), radius, rows)
+    _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(z), radius)
     X = [ComplexInterval.box(v, radius) for v in z]
     inters = [ComplexInterval.box(k, r).intersect(x)
               for k, r, x in zip(K_c, K_rad, X)]
@@ -806,8 +802,8 @@ def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
             result = newton_solve(sys_, [t.shape_hint for t in tri.tets])
         except SolveError:
             continue
-        cert = krawczyk_test(sys_, result.shapes, 1e-10, result.rows)
-        expected = _object_enclosures(sys_, result.shapes, 1e-10, result.rows)
+        cert = krawczyk_test(sys_, result.shapes, 1e-10)
+        expected = _object_enclosures(sys_, result.shapes, 1e-10)
         assert cert.valid and _ends(cert.enclosures) == _ends(expected)
         # krawczyk_test hands the volume its endpoint array: the same bits
         # as the volume read from the interval objects
@@ -822,14 +818,84 @@ def test_x_stands_where_k_misses_it(solved_b):
     radius = 1e-8
     moved = list(result.shapes)
     moved[0] += 100 * radius
-    _, _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(moved), radius,
-                                               result.rows)
+    _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(moved), radius)
     X = [ComplexInterval.box(v, radius) for v in moved]
     assert ComplexInterval.box(K_c[0], K_rad[0]).intersect(X[0]) is None
-    cert = krawczyk_test(sys_, moved, radius, result.rows)
+    cert = krawczyk_test(sys_, moved, radius)
     assert not cert.contracted and not cert.valid
     assert _ends(cert.enclosures) == _ends(X)
-    assert _ends(_object_enclosures(sys_, moved, radius, result.rows)) == _ends(X)
+    assert _ends(_object_enclosures(sys_, moved, radius)) == _ends(X)
+
+
+# --------------------------------------------- volume radii, exactly
+
+
+def _volume_boxes(shapes, rng, count):
+    """The 4 x n ends of `count` boxes around the shapes, each part of each
+    box with its own half-widths on either side, from 1e-16 to 1e-6."""
+    z = np.array(shapes)
+    for _ in range(count):
+        wide = [np.array([10 ** rng.uniform(-16, -6) for _ in z]) for _ in range(4)]
+        yield np.array([z.real - wide[0], z.real + wide[1],
+                        z.imag - wide[2], z.imag + wide[3]])
+
+
+def _spied(monkeypatch, module, name):
+    """Calls of module.name, each as (args, result), as they happen."""
+    calls, fn = [], getattr(module, name)
+
+    def wrapped(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_volume_radii_hold_their_exact_values(solved_b, monkeypatch):
+    # `interval_volume` bounds each box's half-diagonal from its ends and
+    # centre, and the error of the sum of the balls from their centres and
+    # radii; the kernel bounds |w| by W and W^2 / (2 pi)^2 by t.  Each is at
+    # least the exact value of its formula from those float leaves, which
+    # only its scaling by 1 + 2 gamma covers
+    sys_, result = solved_b
+    F, rng = Fraction, random.Random(55)
+    boxes = [np.array(_ends(krawczyk_test(sys_, result.shapes, 1e-10).enclosures)).T,
+             *_volume_boxes(result.shapes, rng, 40)]
+    kernel = _spied(monkeypatch, dilog, "_ball_bloch_wigner")
+    sums = _spied(monkeypatch, _ball, "_ball_sum")
+    series = _spied(monkeypatch, dilog, "_series_bounds")
+    for ends in boxes:
+        interval_volume(ends)
+    assert len(kernel) == len(sums) == len(boxes) == len(series)
+    for ends, ((c, half), _) in zip(boxes, kernel):
+        for j, x in enumerate(c.tolist()):
+            d = [max(F(ends[2 * p + 1, j]) - F(mid), F(mid) - F(ends[2 * p, j]))
+                 for p, mid in enumerate((x.real, x.imag))]
+            assert F(half[j]) ** 2 >= d[0] ** 2 + d[1] ** 2, j
+    for (centres, radii), (total, err) in sums:
+        exact = sum(map(F, centres.tolist()))
+        spread = sum(map(F, radii.tolist()))
+        g = F(_ball._gamma(len(centres)))
+        assert F(err) >= spread + g * sum(abs(F(x)) for x in centres.tolist())
+        assert abs(F(total) - exact) + spread <= F(err)
+    # and W and t on random w too, up to the series domain's edge |w| = 6
+    w = np.array([cmath.rect(rng.uniform(0, 6), rng.uniform(-4, 4)) for _ in range(400)])
+    w_rad = np.array([10 ** rng.uniform(-17, -8) for _ in w])
+    dilog._series_bounds(w, w_rad)
+    c2 = F(dilog._TWO_PI_DN ** 2)
+    for (w, w_rad), (W, _, t) in series:
+        for x, x_rad, b, b_t in zip(w.tolist(), w_rad.tolist(), W.tolist(), t.tolist()):
+            above = F(b) - F(x_rad)
+            assert above >= 0 and above ** 2 >= F(x.real) ** 2 + F(x.imag) ** 2, x
+            assert F(b_t) >= F(b) ** 2 / c2, b
+
+
+def test_series_terms_refuse_bounds_outside_the_domain():
+    for rho in (dilog._W_MAX, 7.0, math.inf, math.nan):
+        with pytest.raises(EnclosureDomainError, match="outside the series domain"):
+            dilog._series_terms(rho)
+    terms, tail = dilog._series_terms(math.nextafter(dilog._W_MAX, 0.0))
+    assert terms <= dilog._SERIES_LEN and 0 < tail < math.inf
 
 
 # ------------------------------------------------ ball volume vs mpmath

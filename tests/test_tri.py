@@ -215,6 +215,18 @@ def test_noninteger_filling(text_a):
         parse_triangulation(bad)
 
 
+@pytest.mark.parametrize("m, l, shown", [
+    ("1.000000000500", "0.000000000000", "(1.0000000005, 0.0)"),
+    ("1.000000000000", "-0.000000000001", "(1.0, -1e-12)")], ids=["m", "l"])
+def test_nearly_integral_filling_is_refused(text_a, m, l, shown):
+    # a filling within 1e-9 of (1, 0) once passed, and A certified as the
+    # (1, 0) filling of a text that names no manifold
+    bad = text_a.replace("   1.000000000000   0.000000000000", f"   {m}   {l}", 1)
+    with pytest.raises(TriParseError) as err:
+        parse_triangulation(bad)
+    assert str(err.value) == f"cusp 0: filling {shown} is not integral"
+
+
 def test_noncoprime_filling(text_a):
     bad = text_a.replace("   1.000000000000   0.000000000000",
                          "   2.000000000000   4.000000000000", 1)
