@@ -26,13 +26,13 @@ _LAZY = {name: module for module, names in (
     ("tri", "CuspInfo Tetrahedron Triangulation TriParseError validate "
      "combinatorial_isomorphic parse_triangulation serialize_triangulation"),
     ("fixtures", "fixture_labels fixture_text load_fixture"),
-    ("intervals", "ComplexInterval EnclosureDomainError RealInterval"),
+    ("intervals", "EnclosureDomainError RealInterval"),
     ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
      "NewtonResult SingularJacobianError build_equations edge_classes "
      "newton_solve residual"),
     ("dilog", "bloch_wigner volume"),
-    ("krawczyk", "Certificate KrawczykError bloch_wigner_interval "
-     "certify_hyperbolic interval_volume krawczyk_test"))
+    ("krawczyk", "Certificate KrawczykError certify_hyperbolic "
+     "interval_volume krawczyk_test"))
     for name in names.split()}
 _STAR = ("tangle", "surgery", "tri", "fixtures", "intervals")
 __all__ = ["CertifyError", "SolveError", *_STAR,

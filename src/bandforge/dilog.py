@@ -11,10 +11,10 @@ w = -log(1 - z):
     Li2(z) = sum_{k >= 0} B_k / (k+1)! * w^(k+1),   |w| < 2*pi,
 
 which converges geometrically with ratio |w| / (2*pi).  The certified
-volume (`interval_volume`, `bloch_wigner_interval`) is one vectorized
-numpy kernel, `_ball_bloch_wigner`: D at every disc centre in ball
-arithmetic (rounding rules in `_ball`), plus a mean-value term over the
-disc; only it and `interval_volume` import numpy and `_ball`.  The float
+volume, `interval_volume` over rows of box ends, is one vectorized numpy
+kernel, `_ball_bloch_wigner`: D at every disc centre in ball arithmetic
+(rounding rules in `_ball`), plus a mean-value term over the disc; only
+it and `interval_volume` import numpy and `_ball`.  The float
 D (`bloch_wigner`, `volume`), plain Python, is the independent cross-check
 that `certify_hyperbolic` runs against that enclosure.  Both share one
 range reduction (the identities D(z) = -D(1/z) = -D(1-z), chosen at the
@@ -32,11 +32,11 @@ import functools
 import itertools
 import math
 
-from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
+from .intervals import EnclosureDomainError, RealInterval
 from .intervals import _dn as _dn_float, _up as _up_float
 
 __all__ = ["bloch_wigner", "volume", "li2_series_coefficients",
-           "bloch_wigner_interval", "interval_volume"]
+           "interval_volume"]
 
 _SERIES_LEN = 122        # coefficients B_k/(k+1)!, k = 0..121
 _W_SAFE = 3.9            # range-reduction target for |w|; ratio 3.9/(2 pi) = 0.62
@@ -225,18 +225,26 @@ def _series_bounds(w, w_rad):
     return W, X, _bound(X / _TWO_PI_DN ** 2, 2)
 
 
-def interval_volume(enclosures) -> RealInterval:
+def interval_volume(rows) -> RealInterval:
     """Enclosure of the volume: the sum of D over shape boxes.
 
-    The boxes are ComplexIntervals or the 4 x n array of their ends (re.lo,
-    re.hi, im.lo, im.hi), as `krawczyk_test` has them.  Each reaches the
-    kernel as a disc: its centre, and a bound on its half-diagonal.
+    `rows` is n x 4, one box (re.lo, re.hi, im.lo, im.hi) per row, as
+    `Certificate.enclosures` and its JSON hold them.  Each reaches the
+    kernel as a disc: its centre, and a bound on its half-diagonal.  Input
+    that is not such rows, or a row with NaN or lo > hi, is a ValueError.
     """
     import numpy as np
     from ._ball import _ball_sum, _bound
-    ends = enclosures if isinstance(enclosures, np.ndarray) else np.array(
-        [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in enclosures]).reshape(-1, 4).T
+    ends = np.asarray(rows)         # ragged rows raise ValueError here
+    if ends.dtype.kind not in "fiu" or ends.ndim != 2 or ends.shape[1] != 4:
+        raise ValueError(f"boxes are not n x 4 rows of reals: {ends.dtype} "
+                         f"{ends.shape}")
+    ends = ends.T.astype(float, copy=False)
     lo, hi = ends[0::2], ends[1::2]
+    bad = np.flatnonzero(~(lo <= hi).all(axis=0))      # also NaN
+    if bad.size:
+        raise ValueError(f"box {bad[0]} {ends[:, bad[0]].tolist()} has NaN "
+                         f"or lo > hi")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             mid = 0.5 * (lo + hi)
@@ -245,8 +253,3 @@ def interval_volume(enclosures) -> RealInterval:
     except FloatingPointError as exc:
         raise EnclosureDomainError(f"ball arithmetic overflowed: {exc}") from None
     return RealInterval(_dn_float(total - err), _up_float(total + err))
-
-
-def bloch_wigner_interval(z: ComplexInterval) -> RealInterval:
-    """Enclosure of D over a rectangle away from 0 and 1."""
-    return interval_volume([z])

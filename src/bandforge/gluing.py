@@ -348,24 +348,26 @@ def newton_solve(sys: GluingSystem, initial, tol: float = 1e-12,
     M = sys.matrix.astype(float)
 
     u = np.log(z0)
-    for iterations in range(max_iter + 1):
-        z = np.exp(u)
-        f = _rows_at(M, u, np.log(1 - z))
-        res = float(np.max(np.abs(f)))
-        if not np.isfinite(res):
-            raise DivergenceError("iteration produced a non-finite residual")
-        if res < tol:
-            return NewtonResult(tuple(complex(v) for v in z), iterations, res)
-        if iterations >= max_iter:
-            break
-        jac = jacobian(M, 1.0, -z / (1 - z))
-        if not np.isfinite(jac).all():      # least squares would not return
-            raise DivergenceError(f"iterate {iterations} has a non-finite Jacobian")
-        step, _, rank, _ = np.linalg.lstsq(jac, f, rcond=None)
-        if rank < n:
-            raise SingularJacobianError(f"Jacobian rank {rank} < {n}")
-        u = u - step
-        if np.any(u.imag <= 0) or np.any(u.imag >= math.pi):
-            raise HalfPlaneExitError(
-                f"iterate {iterations + 1} left the upper half-plane")
+    # the checks below turn every non-finite value into a typed error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iterations in range(max_iter + 1):
+            z = np.exp(u)
+            f = _rows_at(M, u, np.log(1 - z))
+            res = float(np.max(np.abs(f)))
+            if not np.isfinite(res):
+                raise DivergenceError("iteration produced a non-finite residual")
+            if res < tol:
+                return NewtonResult(tuple(complex(v) for v in z), iterations, res)
+            if iterations >= max_iter:
+                break
+            jac = jacobian(M, 1.0, -z / (1 - z))
+            if not np.isfinite(jac).all():      # least squares would not return
+                raise DivergenceError(f"iterate {iterations} has a non-finite Jacobian")
+            step, _, rank, _ = np.linalg.lstsq(jac, f, rcond=None)
+            if rank < n:
+                raise SingularJacobianError(f"Jacobian rank {rank} < {n}")
+            u = u - step
+            if np.any(u.imag <= 0) or np.any(u.imag >= math.pi):
+                raise HalfPlaneExitError(
+                    f"iterate {iterations + 1} left the upper half-plane")
     raise DivergenceError(f"no convergence to {tol:g} in {max_iter} iterations")

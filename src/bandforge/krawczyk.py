@@ -19,9 +19,9 @@ that zero is a geometric solution and the manifold is hyperbolic.  Every
 dropped row is an exact rational combination of the kept rows, by the
 exact elimination that chose them (`GluingSystem.kept_rows`, once per
 system), so a zero of the kept rows solves every row.  K(X) & X is formed
-as arrays of endpoints, which `dilog.interval_volume` takes as they are
-for the certified volume; only the certificate's n enclosures become
-`ComplexInterval`s.  This module holds no part of the dilogarithm series.
+as one row of floats (re.lo, re.hi, im.lo, im.hi) per shape: the rows are
+the certificate's enclosures, and `dilog.interval_volume` reads them for
+the certified volume.  This module holds no part of the dilogarithm series.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ball import _TINY, _U, _bound, _discs, _gamma, _log_rad, _recip
-from .dilog import bloch_wigner_interval, interval_volume, volume as point_volume
+from .dilog import interval_volume, volume as point_volume
 from .gluing import GluingSystem, build_equations, jacobian, newton_solve
-from .intervals import ComplexInterval, EnclosureDomainError, RealInterval
+from .intervals import EnclosureDomainError, RealInterval
 from .tri import CertifyError, SolveError, Triangulation
 
-__all__ = ["Certificate", "KrawczykError", "CertifyError",
-           "bloch_wigner_interval", "interval_volume",
+__all__ = ["Certificate", "KrawczykError", "CertifyError", "interval_volume",
            "krawczyk_test", "certify_hyperbolic"]
 
 
@@ -51,7 +50,7 @@ class Certificate:
     manifold_name: str
     contracted: bool
     all_imag_positive: bool
-    enclosures: tuple          # ComplexInterval per tetrahedron
+    enclosures: tuple          # (re.lo, re.hi, im.lo, im.hi) per tetrahedron
     volume_enclosure: RealInterval
     radius_used: float
 
@@ -68,8 +67,7 @@ class Certificate:
             "radius": self.radius_used,
             "volume_enclosure": [self.volume_enclosure.lo,
                                  self.volume_enclosure.hi],
-            "enclosures": [[e.re.lo, e.re.hi, e.im.lo, e.im.hi]
-                           for e in self.enclosures],
+            "enclosures": [list(e) for e in self.enclosures],
         }
 
 
@@ -184,8 +182,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
             d = K_c - z
             reach = _bound(np.maximum(np.abs(d.real), np.abs(d.imag)) + K_rad, 2)
             contracted = bool((reach < radius).all())
-            # re.lo, re.hi, im.lo, im.hi of c +- r, a float outward, as
-            # ComplexInterval.box
+            # re.lo, re.hi, im.lo, im.hi of c +- r, each a float outward
             K, X = (np.nextafter(np.array([c.real - r, c.real + r, c.imag - r, c.imag + r]),
                                  [[-np.inf], [np.inf], [-np.inf], [np.inf]])
                     for c, r in ((K_c, K_rad), (z, radius)))
@@ -196,18 +193,16 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     lo, hi = np.maximum(K[0::2], X[0::2]), np.minimum(K[1::2], X[1::2])
     ends = X if (lo > hi).any() else np.array([lo[0], hi[0], lo[1], hi[1]])
     all_imag_positive = bool((ends[2] > 0.0).all())
-    enclosures = tuple(ComplexInterval(RealInterval(a, b), RealInterval(c, d))
-                       for a, b, c, d in ends.T.tolist())
 
     try:
-        vol = interval_volume(ends)
+        vol = interval_volume(ends.T)
     except EnclosureDomainError as exc:
         if contracted and all_imag_positive:
             raise KrawczykError(f"volume enclosure failed: {exc}") from None
         vol = RealInterval(-math.inf, math.inf)
 
     return Certificate(sys.name, contracted, all_imag_positive,
-                       enclosures, vol, float(radius))
+                       tuple(map(tuple, ends.T.tolist())), vol, float(radius))
 
 
 RADIUS_LADDER = (1e-10, 1e-8, 1e-6)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -20,6 +21,26 @@ def sheared(tri, k):
     return dataclasses.replace(tri, tets=tuple(dataclasses.replace(t, peripheral=(
         tuple(x + k * y for x, y in zip(t.peripheral[0], t.peripheral[2])),
         *t.peripheral[1:])) for t in tri.tets))
+
+
+def box_row(z, r):
+    """The box z +- r as a row (re.lo, re.hi, im.lo, im.hi): each corner in
+    floats, then one float outward.  A scalar reference for the rows that
+    `krawczyk_test` forms with numpy."""
+    z = complex(z)
+    return (math.nextafter(z.real - r, -math.inf), math.nextafter(z.real + r, math.inf),
+            math.nextafter(z.imag - r, -math.inf), math.nextafter(z.imag + r, math.inf))
+
+
+def meet(a, b):
+    """The row of the box a & b, or None when they are disjoint."""
+    row = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
+    return row if row[0] <= row[1] and row[2] <= row[3] else None
+
+
+def holds(row, z):
+    """Whether the box `row` holds the point z."""
+    return row[0] <= z.real <= row[1] and row[2] <= z.imag <= row[3]
 
 
 @pytest.fixture(scope="session")

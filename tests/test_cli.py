@@ -270,6 +270,28 @@ def test_solver_failure_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command,message", [
+    ("solve", "iterate 0 has a non-finite Jacobian"),
+    ("certify", "[newton] iterate 0 has a non-finite Jacobian")],
+    ids=["solve", "certify"])
+def test_overflowing_hint_is_one_error_line_under_warnings_as_errors(
+        command, message, tmp_path):
+    # tet 0's hint, on line 17, at 1 + 1e-320 i: z / (1 - z) overflows in
+    # Newton's first Jacobian, and no numpy warning may reach stderr
+    lines = fixture_text("A").splitlines(keepends=True)
+    assert lines[16].split() == ["0.331423656275", "0.162341774025"]
+    lines[16] = "1.000000000000 1e-320\n"
+    path = tmp_path / "a.tri"
+    path.write_text("".join(lines))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bandforge.cli", "tri", command,
+         str(path)], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_certify_failure_exit_code(capsys):
     code, _, err = run(capsys, ["tri", "certify", "--fixture", "A",
                                 "--radius", "0.5"])
@@ -519,14 +541,14 @@ def test_readme_command_exits_zero(capsys, monkeypatch, argv):
 
 # ------------------------------------------------------------ cold start
 
-# every public name `bandforge` exported before its numeric names went lazy
+# every public name `bandforge` exports, the numeric ones through `_LAZY`
 EXPORTED = """
-    Certificate CertifyError ComplexInterval ConwayForm CuspInfo
+    Certificate CertifyError ConwayForm CuspInfo
     DivergenceError EnclosureDomainError Fraction GluingRow GluingSystem
     HalfPlaneExitError KrawczykError LensSpace NewtonResult RealInterval
     SingularJacobianError Slope SolveError Tetrahedron TriParseError
     Triangulation TwoBridge amphicheiral_pair_distance bhw_example_report
-    bloch_wigner bloch_wigner_interval build_equations certify_hyperbolic
+    bloch_wigner build_equations certify_hyperbolic
     check_conway combinatorial_isomorphic conway_expand cosmetic_band_partner
     dilog double_branched_cover edge_classes eval_conway fixture_labels
     fixture_text fixtures four_move_signature_obstruction gluing
@@ -632,6 +654,7 @@ def test_package_exports_resolve_to_the_module_objects():
         "print(json.dumps([listed, unknown, numpy, same]))\n")
     listed, unknown, numpy, same = report
     assert set(EXPORTED) <= set(listed) and not numpy
+    assert not {"ComplexInterval", "bloch_wigner_interval"} & set(listed)
     assert unknown == "module 'bandforge' has no attribute 'no_such_name'"
     assert sorted(same) == sorted(bandforge._LAZY)
     # every submodule but `cli` (and the private `_ball`) is lazy

@@ -13,9 +13,9 @@ import pytest
 import bandforge
 from bandforge import dilog
 from bandforge.dilog import (_SERIES_LEN, _coefficient_table, bloch_wigner,
-                             bloch_wigner_interval, li2_series_coefficients,
-                             volume)
-from bandforge.intervals import ComplexInterval, EnclosureDomainError
+                             interval_volume, li2_series_coefficients, volume)
+from bandforge.intervals import EnclosureDomainError
+from conftest import box_row
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -168,7 +168,7 @@ def oracle_mp(z: complex):
 def test_interval_bw_range_reduction_contains_mpmath(z):
     exact = oracle_mp(z)
     for radius in (1e-12, 1e-9):
-        enc = bloch_wigner_interval(ComplexInterval.box(z, radius))
+        enc = interval_volume([box_row(z, radius)])
         assert enc.lo <= exact <= enc.hi, (z, radius, enc)
         assert enc.width < 1e-6
     assert bloch_wigner(z) == pytest.approx(float(exact), abs=5e-13)
@@ -197,7 +197,7 @@ def test_interval_bw_unmovable_boxes_raise_domain_error():
     # the move picked at the midpoint is fine, but the box reaches 0 or 1
     for z, radius in [(1 + 0.002j, 0.01), (800 + 3j, 1000.0)]:
         with pytest.raises(EnclosureDomainError) as err:
-            bloch_wigner_interval(ComplexInterval.box(z, radius))
+            interval_volume([box_row(z, radius)])
         assert not isinstance(err.value, ValueError)
 
 

@@ -10,17 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bandforge import _ball, dilog, gluing, krawczyk
+from bandforge import _ball, cli, dilog, gluing, krawczyk
 from bandforge.dilog import bloch_wigner, volume as point_volume
 from bandforge.fixtures import load_fixture
 from bandforge.gluing import build_equations, newton_solve
-from bandforge.intervals import ComplexInterval, EnclosureDomainError
+from bandforge.intervals import EnclosureDomainError
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
-                                KrawczykError, bloch_wigner_interval,
-                                certify_hyperbolic, interval_volume,
-                                krawczyk_test)
-from bandforge.tri import SolveError, TriParseError, validate
-from conftest import filled, sheared
+                                KrawczykError, certify_hyperbolic,
+                                interval_volume, krawczyk_test)
+from bandforge.tri import (SolveError, TriParseError, serialize_triangulation,
+                           validate)
+from conftest import box_row, filled, holds, meet, sheared
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -31,15 +31,14 @@ def test_interval_bw_contains_point_values():
         z = complex(rng.uniform(-1.5, 2.5), rng.uniform(0.05, 2.0))
         if abs(z) < 0.05 or abs(z - 1) < 0.05:
             continue
-        box = ComplexInterval.box(z, rng.uniform(1e-12, 1e-4))
-        enc = bloch_wigner_interval(box)
+        enc = interval_volume([box_row(z, rng.uniform(1e-12, 1e-4))])
         assert enc.contains(bloch_wigner(z)), z
         assert enc.width < 1e-2
 
 
 def test_interval_bw_tight_on_small_boxes():
     z = 0.5 + 0.8660254037844j
-    enc = bloch_wigner_interval(ComplexInterval.box(z, 1e-12))
+    enc = interval_volume([box_row(z, 1e-12)])
     assert enc.width < 1e-10
     assert enc.contains(bloch_wigner(z))
 
@@ -47,26 +46,69 @@ def test_interval_bw_tight_on_small_boxes():
 def test_interval_bw_rejects_singular_points():
     # boxes touching 0 or 1 hit the log domain errors
     with pytest.raises(EnclosureDomainError):
-        bloch_wigner_interval(ComplexInterval.box(0j, 1e-3))
+        interval_volume([box_row(0j, 1e-3)])
     with pytest.raises(EnclosureDomainError):
-        bloch_wigner_interval(ComplexInterval.box(1 + 0j, 1e-3))
+        interval_volume([box_row(1 + 0j, 1e-3)])
     # a box across the real axis away from the singularities is harmless
-    enc = bloch_wigner_interval(ComplexInterval.box(0.5 + 0j, 1e-3))
+    enc = interval_volume([box_row(0.5 + 0j, 1e-3)])
     assert enc.contains(0.0)
 
 
 def test_interval_bw_rejects_wide_boxes():
     # series domain: rho must stay under the convergence radius margin
     with pytest.raises(EnclosureDomainError):
-        bloch_wigner_interval(ComplexInterval.box(0.5 + 0.5j, 20.0))
+        interval_volume([box_row(0.5 + 0.5j, 20.0)])
 
 
 def test_interval_volume_sums(solved_a):
     _, result = solved_a
-    encs = [ComplexInterval.box(z, 1e-10) for z in result.shapes]
+    encs = [box_row(z, 1e-10) for z in result.shapes]
     vol = interval_volume(encs)
     assert vol.contains(point_volume(result.shapes))
     assert vol.width < 1e-7
+
+
+def test_interval_volume_refuses_input_that_is_not_rows():
+    row = box_row(0.5 + 0.8j, 1e-10)
+    # the 4 x 1 column of one box is not a row, nor is a bare box
+    for bad in (np.array([row]).T, row, [], [row[:3]], [row + (0.9,)],
+                [[1j, 1.0, 1.0, 1.0]], [["0.5"] * 4], {},
+                np.array([row]) * (1 + 0j), np.array([row], dtype=object)):
+        with pytest.raises(ValueError, match="^boxes are not n x 4 rows "):
+            interval_volume(bad)
+    with pytest.raises(ValueError):         # numpy refuses ragged rows
+        interval_volume([row, row[:3]])
+
+
+def test_interval_volume_refuses_nan_and_reversed_rows():
+    row = box_row(0.5 + 0.8j, 1e-10)
+    with pytest.raises(ValueError, match=r"^box 0 \[0.6, 0.4, 0.9, 0.7\] "):
+        interval_volume([(0.6, 0.4, 0.9, 0.7)])
+    for k in range(4):
+        nan = row[:k] + (math.nan,) + row[k + 1:]
+        with pytest.raises(ValueError, match="^box 1 .* has NaN or lo > hi$"):
+            interval_volume([row, nan])
+    for flipped in ((row[1], row[0], *row[2:]), (*row[:2], row[3], row[2])):
+        with pytest.raises(ValueError, match="^box 1 .* has NaN or lo > hi$"):
+            interval_volume([row, flipped])
+    # a point is a box, and rows from JSON are lists
+    assert interval_volume([list(row), [0.5, 0.5, 0.8, 0.8]]).width < 1e-9
+
+
+@pytest.mark.parametrize("case", ["A", "B", "B(6, 1)"])
+def test_volume_replays_from_the_json_rows(case, tri_b, tmp_path, capsys):
+    # a reader checks the volume again from the printed rows alone (the
+    # filling misses B's header volume, so only its exit code differs)
+    if case == "B(6, 1)":
+        path = tmp_path / "filled.tri"
+        path.write_text(serialize_triangulation(filled(tri_b, 6, 6, 1)))
+        argv = [str(path)]
+    else:
+        argv = ["--fixture", case]
+    assert cli.main(["tri", "certify", *argv]) == (case == "B(6, 1)")
+    (out,) = json.loads(capsys.readouterr().out)["results"].values()
+    vol = interval_volume(out["enclosures"])
+    assert out["valid"] and [vol.lo, vol.hi] == out["volume_enclosure"]
 
 
 # ------------------------------------------------------- krawczyk_test
@@ -79,20 +121,22 @@ def test_certificate_fixture_a(tri_a, solved_a):
     assert cert.radius_used == 1e-8
     assert len(cert.enclosures) == len(tri_a.tets)
     for enc, z in zip(cert.enclosures, result.shapes):
-        assert enc.contains(z)
-        assert enc.width < 1e-8
-    assert cert.volume_enclosure.contains(point_volume(result.shapes))
+        assert holds(enc, z)
+        assert max(enc[1] - enc[0], enc[3] - enc[2]) < 1e-8
+    vol = cert.volume_enclosure
+    assert vol.contains(point_volume(result.shapes))
     # the header volume carries only 8 printed decimals
-    assert abs(cert.volume_enclosure.mid - tri_a.volume_hint) < 5e-7
-    assert cert.volume_enclosure.width < 1e-6
+    assert abs(0.5 * (vol.lo + vol.hi) - tri_a.volume_hint) < 5e-7
+    assert vol.width < 1e-6
 
 
 def test_certificate_fixture_b(tri_b, solved_b):
     sys_, result = solved_b
     cert = krawczyk_test(sys_, result.shapes, 1e-8)
     assert cert.valid
-    assert abs(cert.volume_enclosure.mid - tri_b.volume_hint) < 5e-7
-    assert cert.volume_enclosure.width < 1e-6
+    vol = cert.volume_enclosure
+    assert abs(0.5 * (vol.lo + vol.hi) - tri_b.volume_hint) < 5e-7
+    assert vol.width < 1e-6
 
 
 def test_bad_approximation_yields_invalid_not_raise(solved_a):
@@ -177,7 +221,8 @@ def test_certify_pipeline(label):
     cert = certify_hyperbolic(tri)
     assert cert.valid
     assert cert.radius_used in RADIUS_LADDER
-    assert abs(cert.volume_enclosure.mid - tri.volume_hint) < 5e-7
+    vol = cert.volume_enclosure
+    assert abs(0.5 * (vol.lo + vol.hi) - tri.volume_hint) < 5e-7
 
 
 # no invalid triangulation reaches certify: building one raises the
@@ -263,7 +308,7 @@ def test_certify_error_lists_the_failed_rungs(tri_a):
 def test_certify_error_names_a_non_geometric_rung(tri_a, monkeypatch):
     # no shipped input reaches it: a contracted box with Im <= 0 somewhere
     def contracted_below(sys_, approx, radius):
-        box = ComplexInterval.box(0.5 - 1j, radius)
+        box = box_row(0.5 - 1j, radius)
         return Certificate(sys_.name, True, False, (box,) * sys_.tet_count,
                            interval_volume([box]), radius)
     monkeypatch.setattr(krawczyk, "krawczyk_test", contracted_below)
@@ -368,7 +413,7 @@ def test_system_without_relations_certifies_by_elimination(
     assert shapes == [sys_.matrix.T.shape]
     assert len(bare_sys.kept_rows) == sys_.tet_count
     assert bare_sys.kept_rows != sys_.kept_rows
-    assert bare.valid and all(a.intersect(b) is not None
+    assert bare.valid and all(meet(a, b) is not None
                               for a, b in zip(bare.enclosures, cert.enclosures))
 
 
@@ -417,7 +462,7 @@ def test_renumbered_tetrahedra_keep_the_bound(label, monkeypatch):
         moved = certify_hyperbolic(other)
         assert moved.valid
         for t, enc in enumerate(cert.enclosures):
-            assert enc.intersect(moved.enclosures[perm[t]]) is not None, t
+            assert meet(enc, moved.enclosures[perm[t]]) is not None, t
 
 
 # ------------------------------------------- rows that floats cannot hold
@@ -781,20 +826,16 @@ def test_filling_sweep_verdicts(tri_b, sweep):
 # ---------------------------------------- enclosures from K & X arrays
 
 
-def _object_enclosures(sys_, z, radius):
-    """K & X built box by box from `_operator`, or X when one part is empty."""
+def _reference_enclosures(sys_, z, radius):
+    """K & X built row by row from `_operator` in Python floats, or X when
+    one part is empty."""
     _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(z), radius)
-    X = [ComplexInterval.box(v, radius) for v in z]
-    inters = [ComplexInterval.box(k, r).intersect(x)
-              for k, r, x in zip(K_c, K_rad, X)]
+    X = [box_row(v, radius) for v in z]
+    inters = [meet(box_row(k, r), x) for k, r, x in zip(K_c, K_rad, X)]
     return X if None in inters else inters
 
 
-def _ends(boxes):
-    return [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes]
-
-
-def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
+def test_array_enclosures_match_the_scalar_reference(tri_a, tri_b):
     checked = 0
     for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_ = build_equations(tri)
@@ -803,10 +844,10 @@ def test_array_enclosures_match_the_interval_objects(tri_a, tri_b):
         except SolveError:
             continue
         cert = krawczyk_test(sys_, result.shapes, 1e-10)
-        expected = _object_enclosures(sys_, result.shapes, 1e-10)
-        assert cert.valid and _ends(cert.enclosures) == _ends(expected)
+        expected = _reference_enclosures(sys_, result.shapes, 1e-10)
+        assert cert.valid and list(cert.enclosures) == expected
         # krawczyk_test hands the volume its endpoint array: the same bits
-        # as the volume read from the interval objects
+        # as the volume read from the reference rows
         vol = interval_volume(expected)
         assert (cert.volume_enclosure.lo, cert.volume_enclosure.hi) == (vol.lo, vol.hi)
         checked += 1
@@ -819,25 +860,25 @@ def test_x_stands_where_k_misses_it(solved_b):
     moved = list(result.shapes)
     moved[0] += 100 * radius
     _, _, (K_c, K_rad) = krawczyk._operator(sys_, np.array(moved), radius)
-    X = [ComplexInterval.box(v, radius) for v in moved]
-    assert ComplexInterval.box(K_c[0], K_rad[0]).intersect(X[0]) is None
+    X = [box_row(v, radius) for v in moved]
+    assert meet(box_row(K_c[0], K_rad[0]), X[0]) is None
     cert = krawczyk_test(sys_, moved, radius)
     assert not cert.contracted and not cert.valid
-    assert _ends(cert.enclosures) == _ends(X)
-    assert _ends(_object_enclosures(sys_, moved, radius)) == _ends(X)
+    assert list(cert.enclosures) == X
+    assert _reference_enclosures(sys_, moved, radius) == X
 
 
 # --------------------------------------------- volume radii, exactly
 
 
 def _volume_boxes(shapes, rng, count):
-    """The 4 x n ends of `count` boxes around the shapes, each part of each
+    """The n x 4 rows of `count` boxes around the shapes, each part of each
     box with its own half-widths on either side, from 1e-16 to 1e-6."""
     z = np.array(shapes)
     for _ in range(count):
         wide = [np.array([10 ** rng.uniform(-16, -6) for _ in z]) for _ in range(4)]
         yield np.array([z.real - wide[0], z.real + wide[1],
-                        z.imag - wide[2], z.imag + wide[3]])
+                        z.imag - wide[2], z.imag + wide[3]]).T
 
 
 def _spied(monkeypatch, module, name):
@@ -859,17 +900,17 @@ def test_volume_radii_hold_their_exact_values(solved_b, monkeypatch):
     # only its scaling by 1 + 2 gamma covers
     sys_, result = solved_b
     F, rng = Fraction, random.Random(55)
-    boxes = [np.array(_ends(krawczyk_test(sys_, result.shapes, 1e-10).enclosures)).T,
+    boxes = [np.array(krawczyk_test(sys_, result.shapes, 1e-10).enclosures),
              *_volume_boxes(result.shapes, rng, 40)]
     kernel = _spied(monkeypatch, dilog, "_ball_bloch_wigner")
     sums = _spied(monkeypatch, _ball, "_ball_sum")
     series = _spied(monkeypatch, dilog, "_series_bounds")
-    for ends in boxes:
-        interval_volume(ends)
+    for rows in boxes:
+        interval_volume(rows)
     assert len(kernel) == len(sums) == len(boxes) == len(series)
-    for ends, ((c, half), _) in zip(boxes, kernel):
+    for rows, ((c, half), _) in zip(boxes, kernel):
         for j, x in enumerate(c.tolist()):
-            d = [max(F(ends[2 * p + 1, j]) - F(mid), F(mid) - F(ends[2 * p, j]))
+            d = [max(F(rows[j, 2 * p + 1]) - F(mid), F(mid) - F(rows[j, 2 * p]))
                  for p, mid in enumerate((x.real, x.imag))]
             assert F(half[j]) ** 2 >= d[0] ** 2 + d[1] ** 2, j
     for (centres, radii), (total, err) in sums:
@@ -925,11 +966,9 @@ def test_volume_enclosure_holds_mpmath_sums(case, tri_a, tri_b, sweep):
         cert = certify_hyperbolic(tri_a if case == "A" else tri_b)
     boxes = cert.enclosures
     rng = random.Random(f"volume:{case}")
-    points = [[complex(getattr(b.re, a), getattr(b.im, c)) for b in boxes]
-              for a in ("lo", "hi") for c in ("lo", "hi")]
-    points += [[complex(rng.uniform(b.re.lo, b.re.hi),
-                        rng.uniform(b.im.lo, b.im.hi)) for b in boxes]
-               for _ in range(4)]
+    points = [[complex(b[a], b[c]) for b in boxes] for a in (0, 1) for c in (2, 3)]
+    points += [[complex(rng.uniform(b[0], b[1]), rng.uniform(b[2], b[3]))
+                for b in boxes] for _ in range(4)]
     vol = cert.volume_enclosure
     with mpmath.workdps(50):
         for zs in points:
@@ -950,7 +989,7 @@ def test_point_enclosures_hold_mpmath_values():
                    1 + cmath.rect(10 ** rng.uniform(-6, 0), t)]
     with mpmath.workdps(50):
         for z in points:
-            enc = bloch_wigner_interval(ComplexInterval.point(z))
+            enc = interval_volume([(z.real, z.real, z.imag, z.imag)])
             assert enc.lo <= _bw_mp(mpmath, z) <= enc.hi, z
             assert enc.width < 1e-12, z
 
