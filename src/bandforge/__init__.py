@@ -26,15 +26,14 @@ _LAZY = {name: module for module, names in (
     ("tri", "CuspInfo Tetrahedron Triangulation TriParseError validate "
      "combinatorial_isomorphic parse_triangulation serialize_triangulation"),
     ("fixtures", "fixture_labels fixture_text load_fixture"),
-    ("intervals", "EnclosureDomainError RealInterval"),
     ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
      "NewtonResult SingularJacobianError build_equations edge_classes "
      "newton_solve residual"),
-    ("dilog", "bloch_wigner volume"),
+    ("dilog", "Enclosure EnclosureDomainError bloch_wigner volume"),
     ("krawczyk", "Certificate KrawczykError certify_hyperbolic "
      "interval_volume krawczyk_test"))
     for name in names.split()}
-_STAR = ("tangle", "surgery", "tri", "fixtures", "intervals")
+_STAR = ("tangle", "surgery", "tri", "fixtures")
 __all__ = ["CertifyError", "SolveError", *_STAR,
            *(name for name, module in _LAZY.items() if module in _STAR)]
 

@@ -178,7 +178,7 @@ def _certify(tri, tag, args):
     from .krawczyk import RADIUS_LADDER, certify_hyperbolic
     radii = RADIUS_LADDER if args.radius is None else (args.radius,)
     cert = certify_hyperbolic(tri, radii=radii, tol=args.tol)
-    lo, hi = cert.volume_enclosure.lo, cert.volume_enclosure.hi
+    lo, hi = cert.volume_enclosure
     return {tag: cert.to_dict()}, [
         _assertion(f"{tag}:contracted", cert.contracted,
                    f"radius {cert.radius_used}"),

@@ -11,11 +11,12 @@ w = -log(1 - z):
     Li2(z) = sum_{k >= 0} B_k / (k+1)! * w^(k+1),   |w| < 2*pi,
 
 which converges geometrically with ratio |w| / (2*pi).  The certified
-volume, `interval_volume` over rows of box ends, is one vectorized numpy
-kernel, `_ball_bloch_wigner`: D at every disc centre in ball arithmetic
-(rounding rules in `_ball`), plus a mean-value term over the disc; only
-it and `interval_volume` import numpy and `_ball`.  The float
-D (`bloch_wigner`, `volume`), plain Python, is the independent cross-check
+volume, `interval_volume` over rows of box ends, is an `Enclosure` of two
+floats from one vectorized numpy kernel, `_ball_bloch_wigner`: D at every
+disc centre in ball arithmetic (rounding rules in `_ball`), plus a
+mean-value term over the disc.  Only they import numpy and `_ball`; a box
+they cannot enclose raises `EnclosureDomainError`.  The float D
+(`bloch_wigner`, `volume`), plain Python, is the independent cross-check
 that `certify_hyperbolic` runs against that enclosure.  Both share one
 range reduction (the identities D(z) = -D(1/z) = -D(1-z), chosen at the
 point or disc centre by `_moves`), one truncation rule (the term count
@@ -31,12 +32,10 @@ import cmath
 import functools
 import itertools
 import math
-
-from .intervals import EnclosureDomainError, RealInterval
-from .intervals import _dn as _dn_float, _up as _up_float
+from typing import NamedTuple
 
 __all__ = ["bloch_wigner", "volume", "li2_series_coefficients",
-           "interval_volume"]
+           "interval_volume", "Enclosure", "EnclosureDomainError"]
 
 _SERIES_LEN = 122        # coefficients B_k/(k+1)!, k = 0..121
 _W_SAFE = 3.9            # range-reduction target for |w|; ratio 3.9/(2 pi) = 0.62
@@ -44,6 +43,27 @@ _W_MAX = 6.0             # largest |w| bound the series is summed at
 _TWO_PI_DN = 6.283185    # strictly below 2 pi: rho / _TWO_PI_DN bounds rho / (2 pi)
 _TAIL_TOL = 2.0 ** -60   # truncation target for the series tail
 _RECIP, _ONE_MINUS = 1, 2    # the moves of `_moves`; 0 stays
+
+
+class EnclosureDomainError(ArithmeticError):
+    """No volume enclosure: a disc reaches 0 or 1, leaves the series domain
+    or overflows."""
+
+
+class Enclosure(NamedTuple):
+    """The certified volume [lo, hi]: two floats, immutable."""
+    lo: float
+    hi: float
+
+    width = property(lambda self: self.hi - self.lo)
+
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+
+def _up(x: float) -> float:
+    """Upper bound of a correctly rounded result: the float above."""
+    return math.nextafter(x, math.inf)
 
 
 @functools.cache
@@ -90,12 +110,12 @@ def _series_terms(rho: float):
     if not rho < _W_MAX:
         raise EnclosureDomainError(
             f"|log(1-z)| bound {rho:.3f} outside the series domain")
-    t = _up_float(rho / _TWO_PI_DN)
-    t2 = _up_float(t * t)
-    tail = _up_float(_up_float(4.0 * _up_float(rho * t2)) / _dn_float(1.0 - t2))
+    t = _up(rho / _TWO_PI_DN)
+    t2 = _up(t * t)
+    tail = _up(_up(4.0 * _up(rho * t2)) / math.nextafter(1.0 - t2, -math.inf))
     terms = 2
     while tail > _TAIL_TOL and terms < _SERIES_LEN:
-        terms, tail = terms + 2, _up_float(tail * t2)
+        terms, tail = terms + 2, _up(tail * t2)
     return terms, tail
 
 
@@ -225,13 +245,14 @@ def _series_bounds(w, w_rad):
     return W, X, _bound(X / _TWO_PI_DN ** 2, 2)
 
 
-def interval_volume(rows) -> RealInterval:
+def interval_volume(rows) -> Enclosure:
     """Enclosure of the volume: the sum of D over shape boxes.
 
     `rows` is n x 4, one box (re.lo, re.hi, im.lo, im.hi) per row, as
     `Certificate.enclosures` and its JSON hold them.  Each reaches the
     kernel as a disc: its centre, and a bound on its half-diagonal.  Input
-    that is not such rows, or a row with NaN or lo > hi, is a ValueError.
+    that is not such rows, a row with NaN or lo > hi, or an int entry of
+    modulus above 2^53 (no float holds it) is a ValueError.
     """
     import numpy as np
     from ._ball import _ball_sum, _bound
@@ -239,6 +260,13 @@ def interval_volume(rows) -> RealInterval:
     if ends.dtype.kind not in "fiu" or ends.ndim != 2 or ends.shape[1] != 4:
         raise ValueError(f"boxes are not n x 4 rows of reals: {ends.dtype} "
                          f"{ends.shape}")
+    # asarray reads an int above 2^53 as the nearest float, not outward
+    big = [] if ends is rows and ends.dtype.kind == "f" else [
+        (i, int(x)) for i, row in enumerate(rows) for x in row
+        if isinstance(x, (int, np.integer)) and abs(int(x)) > 2 ** 53]
+    if big:
+        raise ValueError(f"box {big[0][0]} has the entry {big[0][1]}, of "
+                         "modulus above 2^53, which floats do not hold")
     ends = ends.T.astype(float, copy=False)
     lo, hi = ends[0::2], ends[1::2]
     bad = np.flatnonzero(~(lo <= hi).all(axis=0))      # also NaN
@@ -252,4 +280,4 @@ def interval_volume(rows) -> RealInterval:
             total, err = _ball_sum(*_ball_bloch_wigner(mid[0] + 1j * mid[1], half))
     except FloatingPointError as exc:
         raise EnclosureDomainError(f"ball arithmetic overflowed: {exc}") from None
-    return RealInterval(_dn_float(total - err), _up_float(total + err))
+    return Enclosure(math.nextafter(total - err, -math.inf), _up(total + err))

@@ -21,7 +21,8 @@ exact elimination that chose them (`GluingSystem.kept_rows`, once per
 system), so a zero of the kept rows solves every row.  K(X) & X is formed
 as one row of floats (re.lo, re.hi, im.lo, im.hi) per shape: the rows are
 the certificate's enclosures, and `dilog.interval_volume` reads them for
-the certified volume.  This module holds no part of the dilogarithm series.
+the certified volume, a `dilog.Enclosure` (lo, hi) of two floats.  This
+module holds no part of the dilogarithm series.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ball import _TINY, _U, _bound, _discs, _gamma, _log_rad, _recip
-from .dilog import interval_volume, volume as point_volume
+from .dilog import (Enclosure, EnclosureDomainError, interval_volume,
+                    volume as point_volume)
 from .gluing import GluingSystem, build_equations, jacobian, newton_solve
-from .intervals import EnclosureDomainError, RealInterval
 from .tri import CertifyError, SolveError, Triangulation
 
 __all__ = ["Certificate", "KrawczykError", "CertifyError", "interval_volume",
@@ -51,7 +52,7 @@ class Certificate:
     contracted: bool
     all_imag_positive: bool
     enclosures: tuple          # (re.lo, re.hi, im.lo, im.hi) per tetrahedron
-    volume_enclosure: RealInterval
+    volume_enclosure: Enclosure
     radius_used: float
 
     @property
@@ -65,8 +66,7 @@ class Certificate:
             "all_imag_positive": self.all_imag_positive,
             "valid": self.valid,
             "radius": self.radius_used,
-            "volume_enclosure": [self.volume_enclosure.lo,
-                                 self.volume_enclosure.hi],
+            "volume_enclosure": list(self.volume_enclosure),
             "enclosures": [list(e) for e in self.enclosures],
         }
 
@@ -199,7 +199,7 @@ def krawczyk_test(sys: GluingSystem, approx, radius: float) -> Certificate:
     except EnclosureDomainError as exc:
         if contracted and all_imag_positive:
             raise KrawczykError(f"volume enclosure failed: {exc}") from None
-        vol = RealInterval(-math.inf, math.inf)
+        vol = Enclosure(-math.inf, math.inf)
 
     return Certificate(sys.name, contracted, all_imag_positive,
                        tuple(map(tuple, ends.T.tolist())), vol, float(radius))
@@ -243,7 +243,7 @@ def certify_hyperbolic(tri: Triangulation, radii=RADIUS_LADDER,
             vol = point_volume(result.shapes)
             if not cert.volume_enclosure.contains(vol):
                 raise CertifyError(
-                    "volume", f"enclosure {cert.volume_enclosure} misses "
+                    "volume", f"enclosure {list(cert.volume_enclosure)} misses "
                     f"the floating-point volume {vol!r}")
             return cert
         attempts.append((radius, "not contracted" if not cert.contracted

@@ -544,15 +544,15 @@ def test_readme_command_exits_zero(capsys, monkeypatch, argv):
 # every public name `bandforge` exports, the numeric ones through `_LAZY`
 EXPORTED = """
     Certificate CertifyError ConwayForm CuspInfo
-    DivergenceError EnclosureDomainError Fraction GluingRow GluingSystem
-    HalfPlaneExitError KrawczykError LensSpace NewtonResult RealInterval
+    DivergenceError Enclosure EnclosureDomainError Fraction GluingRow
+    GluingSystem HalfPlaneExitError KrawczykError LensSpace NewtonResult
     SingularJacobianError Slope SolveError Tetrahedron TriParseError
     Triangulation TwoBridge amphicheiral_pair_distance bhw_example_report
     bloch_wigner build_equations certify_hyperbolic
     check_conway combinatorial_isomorphic conway_expand cosmetic_band_partner
     dilog double_branched_cover edge_classes eval_conway fixture_labels
     fixture_text fixtures four_move_signature_obstruction gluing
-    interval_volume intervals is_unlinking_number_one krawczyk krawczyk_test
+    interval_volume is_unlinking_number_one krawczyk krawczyk_test
     lens_equivalent lens_mirror load_fixture matignon_family mirror_two_bridge
     newton_solve normalize_lens normalize_two_bridge parse_triangulation
     residual serialize_triangulation signature_two_bridge
@@ -586,7 +586,7 @@ def test_integer_and_parse_commands_do_not_import_numpy():
     assert codes == [0, 0, 0, 2, 0, 0] and not numpy
 
 
-HEAVY = ("dataclasses", "inspect", "bandforge.tri", "bandforge.intervals",
+HEAVY = ("dataclasses", "inspect", "bandforge.tri", "bandforge.dilog",
          "numpy")
 
 
@@ -654,13 +654,14 @@ def test_package_exports_resolve_to_the_module_objects():
         "print(json.dumps([listed, unknown, numpy, same]))\n")
     listed, unknown, numpy, same = report
     assert set(EXPORTED) <= set(listed) and not numpy
-    assert not {"ComplexInterval", "bloch_wigner_interval"} & set(listed)
+    assert not {"ComplexInterval", "bloch_wigner_interval", "RealInterval",
+                "intervals"} & set(listed)
     assert unknown == "module 'bandforge' has no attribute 'no_such_name'"
     assert sorted(same) == sorted(bandforge._LAZY)
     # every submodule but `cli` (and the private `_ball`) is lazy
     assert {getattr(bandforge, m) for m in bandforge._LAZY.values()} == {
         sys.modules[f"bandforge.{m}"] for m in (
-            "tangle surgery tri fixtures intervals gluing dilog krawczyk"
+            "tangle surgery tri fixtures gluing dilog krawczyk"
             .split())}
     assert bandforge.SolveError is gluing.SolveError is cli.SolveError
     assert bandforge.CertifyError is krawczyk.CertifyError is cli.CertifyError

@@ -12,9 +12,9 @@ import pytest
 
 import bandforge
 from bandforge import dilog
-from bandforge.dilog import (_SERIES_LEN, _coefficient_table, bloch_wigner,
-                             interval_volume, li2_series_coefficients, volume)
-from bandforge.intervals import EnclosureDomainError
+from bandforge.dilog import (_SERIES_LEN, Enclosure, EnclosureDomainError,
+                             _coefficient_table, bloch_wigner, interval_volume,
+                             li2_series_coefficients, volume)
 from conftest import box_row
 
 mpmath = pytest.importorskip("mpmath")
@@ -147,6 +147,45 @@ def test_five_term_relation():
         terms = [x, y, (1 - x) / (1 - xy), 1 - xy, (1 - y) / (1 - xy)]
         total = sum(bloch_wigner(t) for t in terms)
         assert total == pytest.approx(0.0, abs=1e-12)
+
+
+# ------------------------------------------------------ the volume enclosure
+
+
+def test_point_constructor_and_repr():
+    iv = Enclosure(1.5, 1.5)
+    assert iv.lo == iv.hi == 1.5
+    assert iv.width == 0.0
+    assert "1.5" in repr(iv)
+    # two floats: what `to_dict` prints, and what a copy is built from
+    assert list(iv) == [1.5, 1.5] and type(iv)(*iv) == iv
+
+
+def test_infinite_endpoints_allowed():
+    iv = Enclosure(-math.inf, math.inf)
+    assert iv.contains(0.0) and iv.contains(1e300)
+    assert iv.width == math.inf
+
+
+def test_immutable():
+    iv = Enclosure(0.0, 1.0)
+    with pytest.raises(AttributeError):
+        iv.lo = 5.0
+    with pytest.raises(AttributeError):
+        iv.hi = 5.0
+
+
+def test_set_predicates():
+    a = Enclosure(0.0, 1.0)
+    assert a.contains(0.0) and a.contains(0.5) and a.contains(1.0)
+    assert not a.contains(-1e-300) and not a.contains(1.5)
+    assert not a.contains(math.nan)
+
+
+def test_mid_width_mag():
+    iv = Enclosure(-4.0, 2.0)
+    assert iv.width == 6.0
+    assert Enclosure(-math.inf, 0.0).width == math.inf
 
 
 # ------------------------------------- interval D: range reduction, lazy tables

@@ -5,16 +5,17 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bandforge import _ball, cli, dilog, gluing, krawczyk
-from bandforge.dilog import bloch_wigner, volume as point_volume
+from bandforge.dilog import (EnclosureDomainError, bloch_wigner,
+                             volume as point_volume)
 from bandforge.fixtures import load_fixture
 from bandforge.gluing import build_equations, newton_solve
-from bandforge.intervals import EnclosureDomainError
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, certify_hyperbolic,
                                 interval_volume, krawczyk_test)
@@ -23,6 +24,19 @@ from bandforge.tri import (SolveError, TriParseError, serialize_triangulation,
 from conftest import box_row, filled, holds, meet, sheared
 
 # ------------------------------------------------- interval Bloch-Wigner
+
+
+def test_box_holds_its_exact_corners():
+    # z +- r is computed in floats, so each corner must be rounded outward
+    rng = random.Random(41)
+    for _ in range(4000):
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        r = rng.uniform(1e-12, 1e-3)
+        row = box_row(z, r)
+        for part, lo, hi in ((z.real, *row[:2]), (z.imag, *row[2:])):
+            assert Fraction(lo) <= Fraction(part) - Fraction(r)
+            assert Fraction(part) + Fraction(r) <= Fraction(hi)
+        assert holds(row, z) and not holds(row, z + 2 * r)
 
 
 def test_interval_bw_contains_point_values():
@@ -93,6 +107,26 @@ def test_interval_volume_refuses_nan_and_reversed_rows():
             interval_volume([row, flipped])
     # a point is a box, and rows from JSON are lists
     assert interval_volume([list(row), [0.5, 0.5, 0.8, 0.8]]).width < 1e-9
+
+
+def test_interval_volume_refuses_ints_beyond_2_53():
+    # numpy reads such an int as the float nearest it, which does not hold it
+    row = box_row(0.5 + 0.8j, 1e-10)
+    big = 2 ** 53 + 1
+    for rows, entry in (([row, [big, big, 1.0, 1.0]], big),
+                        ([row, [2 ** 63 - 1, 2 ** 63 - 1, 1, 1]], 2 ** 63 - 1),
+                        (np.array([[0, 0, 1, 1], [1, 1, -big, 1]]), -big),
+                        ([row, [0.5, 0.5, 1.0, np.int64(big)]], big)):
+        with pytest.raises(ValueError, match=(
+                rf"^box 1 has the entry {entry}, of modulus above 2\^53, "
+                r"which floats do not hold$")):
+            interval_volume(rows)
+    # 2^53 itself is a float, so its row is read as the point 2^53 + i
+    for rows in ([[2 ** 53, 2 ** 53, 1, 1]], np.array([[2 ** 53] * 2 + [1] * 2]),
+                 [[2.0 ** 53, 2.0 ** 53, 1.0, 1.0]]):
+        vol = interval_volume(rows)
+        assert vol == interval_volume([[2.0 ** 53, 2.0 ** 53, 1.0, 1.0]])
+        assert vol.contains(bloch_wigner(2 ** 53 + 1j)) and vol.width < 1e-13
 
 
 @pytest.mark.parametrize("case", ["A", "B", "B(6, 1)"])
@@ -760,6 +794,32 @@ def test_operator_radii_hold_their_exact_values(solved_a, monkeypatch):
             assert _within(e, E_c[i, j], E_rad[i, j]), (a, b, i, j)
 
 
+def test_contraction_radii_hold_their_exact_values(solved_a, solved_b,
+                                                   monkeypatch):
+    # rho, the disc radius that `_operator` takes for the box, is at least
+    # radius sqrt 2, and the margin `reach` that `krawczyk_test` compares
+    # with the radius is at least max(|Re d|, |Im d|) + K_rad, d = K_c - z,
+    # both exactly from their float leaves, which only their scaling by
+    # 1 + 2 gamma covers
+    F, rng = Fraction, random.Random(56)
+    discs = _spied(monkeypatch, krawczyk, "_discs")
+    volumes = _spied(monkeypatch, krawczyk, "interval_volume")
+    for sys_, result in (solved_a, solved_b):
+        for radius in (1e-10, 1e-8, 1e-6,
+                       *(10 ** rng.uniform(-12, -5) for _ in range(40))):
+            discs.clear()
+            volumes.clear()
+            krawczyk_test(sys_, result.shapes, radius)
+            (((_, rho), _, _),) = discs
+            assert (rho == rho[0]).all(), radius
+            assert F(rho[0]) ** 2 >= 2 * F(radius) ** 2, radius
+            ((_, _, (_, own)),) = volumes
+            K_c, K_rad, z, reach = own["K_c"], own["K_rad"], own["z"], own["reach"]
+            for j in range(len(z)):
+                d = (F(K_c[j].real) - F(z[j].real), F(K_c[j].imag) - F(z[j].imag))
+                assert F(reach[j]) >= max(map(abs, d)) + F(K_rad[j]), (radius, j)
+
+
 @pytest.mark.parametrize("case", ["A", "B", (-7, 3), (9, 4)],
                          ids=["A", "B", "-7/3", "9/4"])
 def test_residual_ball_holds_the_mpmath_residual(case, tri_a, tri_b, monkeypatch):
@@ -882,11 +942,14 @@ def _volume_boxes(shapes, rng, count):
 
 
 def _spied(monkeypatch, module, name):
-    """Calls of module.name, each as (args, result), as they happen."""
+    """Calls of module.name, each as (args, result, (the caller's name, its
+    locals then)), as they happen."""
     calls, fn = [], getattr(module, name)
 
     def wrapped(*args):
-        calls.append((args, fn(*args)))
+        frame = sys._getframe(1)
+        calls.append((args, fn(*args),
+                      (frame.f_code.co_name, dict(frame.f_locals))))
         return calls[-1][1]
     monkeypatch.setattr(module, name, wrapped)
     return calls
@@ -908,12 +971,12 @@ def test_volume_radii_hold_their_exact_values(solved_b, monkeypatch):
     for rows in boxes:
         interval_volume(rows)
     assert len(kernel) == len(sums) == len(boxes) == len(series)
-    for rows, ((c, half), _) in zip(boxes, kernel):
+    for rows, ((c, half), _, _) in zip(boxes, kernel):
         for j, x in enumerate(c.tolist()):
             d = [max(F(rows[j, 2 * p + 1]) - F(mid), F(mid) - F(rows[j, 2 * p]))
                  for p, mid in enumerate((x.real, x.imag))]
             assert F(half[j]) ** 2 >= d[0] ** 2 + d[1] ** 2, j
-    for (centres, radii), (total, err) in sums:
+    for (centres, radii), (total, err), _ in sums:
         exact = sum(map(F, centres.tolist()))
         spread = sum(map(F, radii.tolist()))
         g = F(_ball._gamma(len(centres)))
@@ -924,11 +987,54 @@ def test_volume_radii_hold_their_exact_values(solved_b, monkeypatch):
     w_rad = np.array([10 ** rng.uniform(-17, -8) for _ in w])
     dilog._series_bounds(w, w_rad)
     c2 = F(dilog._TWO_PI_DN ** 2)
-    for (w, w_rad), (W, _, t) in series:
+    for (w, w_rad), (W, _, t), _ in series:
         for x, x_rad, b, b_t in zip(w.tolist(), w_rad.tolist(), W.tolist(), t.tolist()):
             above = F(b) - F(x_rad)
             assert above >= 0 and above ** 2 >= F(x.real) ** 2 + F(x.imag) ** 2, x
             assert F(b_t) >= F(b) ** 2 / c2, b
+
+
+def test_kernel_radii_hold_their_exact_values(solved_b, monkeypatch):
+    # `_ball_bloch_wigner` bounds |x| on each disc by hi >= |v| + rv, and
+    # its radius by the sum of its terms, with X = W^2 and G and G' at t
+    # exact.  Each is at least the exact value of its formula from its float
+    # leaves, which only its scaling by 1 + 2 gamma covers
+    sys_, result = solved_b
+    F, rng = Fraction, random.Random(57)
+    boxes = [np.array(krawczyk_test(sys_, result.shapes, 1e-10).enclosures),
+             *_volume_boxes(result.shapes, rng, 20)]
+    kernel = _spied(monkeypatch, dilog, "_ball_bloch_wigner")
+    # the kernel's second log is of (gap, hi), after every other leaf is set
+    logs = _spied(monkeypatch, np, "log")
+    for rows in boxes:
+        interval_volume(rows)
+    own = [c for c in logs if c[2][0] == "_ball_bloch_wigner"][1::2]
+    assert len(own) == len(kernel) == len(boxes)
+    g1, c2 = F(_ball._gamma(1)), F(dilog._TWO_PI_DN) ** 2
+    for (((gap, hi),), log, (_, k)), (_, (_, rad), _) in zip(own, kernel):
+        v, rv = k["v"], k["rv"]
+        for p, j in np.ndindex(v.shape):
+            above = F(hi[p, j]) - F(rv[p, j])
+            assert above >= 0 and above ** 2 >= (F(v[p, j].real) ** 2
+                                                 + F(v[p, j].imag) ** 2), (p, j)
+        L, L_rad = k["L"], k["L_rad"]
+        log_rad = _ball._log_rad(log).max(axis=0)
+        N, tail = F(k["N"]), F(k["tail"])
+        for j in range(len(rad)):
+            W, t = F(k["W"][j]), F(k["t"][j])
+            X, s = W * W, 1 / (1 - t)
+            G, dG = 1 + 4 * t * s, 4 / c2 * s * s
+            sup = [max(-F(log[0, p, j]), F(log[1, p, j])) + F(log_rad[p, j])
+                   for p in range(2)]
+            grad = sup[0] / F(gap[1, j]) + sup[1] / F(gap[0, j])
+            r0, r1 = F(L_rad[0, j]), F(L_rad[1, j])
+            exact = (g1 * (6 * W * X * dG + (N + 5) * (W * G + X / 4)) + tail
+                     + r1 * (G + 2 * X * dG + W / 2)
+                     + abs(F(L[1, j].imag)) * r0
+                     + r1 * (abs(F(L[0, j].real)) + r0)
+                     + g1 * (abs(F(k["ab"][j])) + abs(F(k["centre"][j])))
+                     + F(rv[0, j]) * grad + F(_ball._TINY))
+            assert F(rad[j]) >= exact, j
 
 
 def test_series_terms_refuse_bounds_outside_the_domain():
