@@ -216,8 +216,7 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     """One row per edge class, then one row per cusp (complete or filled).
 
     A `Triangulation` is valid by construction (`tri.validate`), so nothing
-    is checked here; only peripheral sheet 0 is read.  A row floats cannot
-    hold raises ValueError.
+    is checked here.  A row floats cannot hold raises ValueError.
     """
     n = len(tri.tets)
     classes = edge_classes(tri)
@@ -232,7 +231,7 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
     terms = [([], []) for _ in tri.cusps]
     for t, tet in enumerate(tri.tets):
-        for curve, row in enumerate(tet.peripheral[::2]):
+        for curve, row in enumerate(tet.peripheral):
             for v, turns in enumerate(_TURNS):
                 corner = row[4 * v:4 * v + 4]
                 for a, b, ptype in turns if any(corner) else ():

@@ -11,8 +11,8 @@ The format is ASCII, whitespace-tokenized, with a fixed field order:
     tet_count
     per tetrahedron: 4 neighbor indices, 4 gluing permutations as digit
     strings, 4 vertex cusp indices, 4 rows of 16 peripheral-curve
-    integers (curves meridian/longitude x sheets 0/1, columns vertex*4 +
-    face), and the shape hint as two reals.
+    integers (meridian sheets 0/1, longitude sheets 0/1; columns
+    vertex*4 + face), and the shape hint as two reals.
 
 Exactly 4 + 4 + 4 + 64 + 2 tokens per tetrahedron, read as one record:
 one slice of the tokens, its 72 integers read from a table of -99..99
@@ -27,14 +27,16 @@ field widths, its gluings and peripheral entries read from tables of
 their written cells (formatted when outside them), and reproduces the
 token stream exactly (token-level, not byte-level, round-trip identity).
 
-The reader refuses a header constant other than those above; the writer
-writes them.  So a `Triangulation` holds only what a file varies, with a
-CS value of None for `CS_unknown`.  `validate` holds every other rule the
-parser enforces, and constructing a `Triangulation` runs it, so none breaks
-a rule and no later stage checks one again.  Its containers are tuples; a
-filling of (0, 0) means the cusp is complete, anything else must be an
-exactly integral coprime pair below 2^53 in modulus (the format stores a
-real);
+The reader refuses, on its line, an orientability, CS flag, second count
+or cusp topology other than those above, and a nonzero sheet-1 entry;
+the writer writes those constants.  So a `Triangulation` holds only what
+a file varies: a CS value of None for `CS_unknown`, and per tetrahedron
+the sheet-0 meridian and longitude.  `validate` holds
+every other rule, and constructing a `Triangulation` runs it, so none
+breaks a rule and no later stage checks one again.  Each field has its
+type (str, float, complex, int; containers are tuples); a filling of
+(0, 0) means the cusp is complete, anything else must be an exactly
+integral coprime pair below 2^53 in modulus (the format stores a real);
 the volume hint, and the CS value when there is one, must be finite; a
 shape hint of 0, 1 or a non-finite value is degenerate, a negatively
 oriented one legal; each cusp's curves are closed, matched and a basis.
@@ -85,7 +87,7 @@ class Tetrahedron:
     neighbors: tuple       # 4 tet indices
     gluings: tuple         # 4 permutations of {0,1,2,3} as 4-tuples
     vertex_cusp: tuple     # 4 cusp indices
-    peripheral: tuple      # 4 rows x 16 ints
+    peripheral: tuple      # sheet-0 meridian and longitude: 2 rows x 16 ints
     shape_hint: complex
 
 
@@ -157,12 +159,11 @@ class _TokenReader:
                 ints = ()
             glu = tuple(map(_PERMUTATION.get, rec[4:8]))
             nbr = ints[:4]
-            if (ints and None not in glu and 0 <= min(nbr)
-                    and max(nbr) < tet_count and hint not in (0, 1)
-                    and cmath.isfinite(hint)):
+            if (ints and None not in glu and 0 <= min(nbr) and max(nbr) < tet_count
+                    and not any(ints[24:40] + ints[56:72])    # sheet 1
+                    and hint not in (0, 1) and cmath.isfinite(hint)):
                 self.pos += 78
-                return Tetrahedron(nbr, glu, ints[4:8], (
-                    ints[8:24], ints[24:40], ints[40:56], ints[56:72]), hint)
+                return Tetrahedron(nbr, glu, ints[4:8], (ints[8:24], ints[40:56]), hint)
         for f in range(4):
             v = self.next_number(f"tet {t} neighbor {f}")
             if not 0 <= v < tet_count:
@@ -177,7 +178,10 @@ class _TokenReader:
         for v in range(4):
             self.next_number(f"tet {t} vertex {v} cusp")
         for r in range(64):
-            self.next_number(f"tet {t} peripheral row {r // 16}")
+            if self.next_number(f"tet {t} peripheral row {r // 16}") and r // 16 % 2:
+                raise TriParseError(f"tet {t}: peripheral sheet row {r // 16} is "
+                                    "nonzero (unexpected for an oriented manifold)",
+                                    self.last_line)
         hint = complex(self.next_number(f"tet {t} shape re", float),
                        self.next_number(f"tet {t} shape im", float))
         # every other way the record can fail raised above
@@ -211,10 +215,16 @@ def parse_triangulation(text: str) -> Triangulation:
     if cusp_count < 1:
         raise TriParseError("cusp count must be positive", rd.last_line)
     second = rd.next_number("second cusp count")
+    if second:
+        raise TriParseError(f"second header count {second} is nonzero "
+                            "(uninterpreted; only 0 is supported)", rd.last_line)
 
-    cusps, topologies = [], []
+    cusps = []
     for c in range(cusp_count):
-        topologies.append(rd.next(f"cusp {c} topology"))
+        topology = rd.next(f"cusp {c} topology")
+        if topology != "torus":
+            raise TriParseError(f"cusp {c}: topology {topology!r} is not supported "
+                                "(only torus cusps are)", rd.last_line)
         m = rd.next_number(f"cusp {c} filling m", float)
         l = rd.next_number(f"cusp {c} filling l", float)
         cusps.append(CuspInfo(m + 0.0, l + 0.0))  # normalize -0.0
@@ -227,43 +237,37 @@ def parse_triangulation(text: str) -> Triangulation:
         raise TriParseError(
             f"trailing tokens after tetrahedron {tet_count - 1} "
             f"({len(rd.tokens) - rd.pos} extra)", rd.line(rd.pos))
-
-    fields = (name, solution_type, volume_hint, cs_value, tuple(cusps), tets)
-    if second or topologies.count("torus") != cusp_count:
-        raise TriParseError("; ".join(_problems(*fields, second, topologies)))
-    return Triangulation(*fields)     # which runs validate
+    return Triangulation(name, solution_type, volume_hint, cs_value, tuple(cusps), tets)
 
 
 def validate(tri: Triangulation) -> list:
     """The diagnostics of every rule, empty when clean; construction runs it."""
-    return _problems(tri.name, tri.solution_type, tri.volume_hint,
-                     tri.cs_value, tri.cusps, tri.tets, 0, ())
-
-
-def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies):
-    # validate's diagnostics, and in their places the reader's on the values
-    # no Triangulation holds: the second count and the cusp topologies
+    cusps, tets = tri.cusps, tri.tets
     if type(cusps) is not tuple or type(tets) is not tuple:
         return ["cusps and tets must be tuples"]
-    out = []
-    for what, token in (("name", name), ("solution type", solution)):
+    # a header field, cusp or tetrahedron of the wrong type gets no other check
+    typed = [("name", tri.name, str), ("solution type", tri.solution_type, str),
+             ("volume hint", tri.volume_hint, float),
+             ("CS value", tri.cs_value, type(None) if tri.cs_value is None else float),
+             *((f"cusp {c}", x, CuspInfo) for c, x in enumerate(cusps)),
+             *((f"tet {t}", x, Tetrahedron) for t, x in enumerate(tets))]
+    if out := [f"{what} is {x!r}, not a {kind.__name__}" for what, x, kind in typed
+               if type(x) is not kind]:
+        return out
+    for what, token in (("name", tri.name), ("solution type", tri.solution_type)):
         if token.split() != [token]:
             out.append(f"{what} {token!r} is not one token free of whitespace")
         elif not token.isascii():       # the writer's text must parse
             out.append(f"{what} {token!r} is not ASCII")
-    for what, value in (("volume hint", volume), ("CS value", cs_value)):
+    for what, value in (("volume hint", tri.volume_hint), ("CS value", tri.cs_value)):
         if value is not None and not isfinite(value):
             out.append(f"{what} {value} is not finite")
     if not (tets and cusps):
         out.append("a triangulation needs a tetrahedron and a cusp")
-    if second:
-        out.append(f"second header count {second} is nonzero "
-                   "(uninterpreted; only 0 is supported)")
     for c, cusp in enumerate(cusps):
         m, l = cusp.filling_m, cusp.filling_l
-        if topologies and topologies[c] != "torus":
-            out.append(f"cusp {c}: topology {topologies[c]!r} is not supported "
-                       "(only torus cusps are)")
+        if {type(m), type(l)} != {float}:
+            out.append(f"cusp {c}: filling ({m!r}, {l!r}) is not two floats")
         elif cusp.is_complete():
             continue
         elif not (isfinite(m) and isfinite(l)) or m != round(m) or l != round(l):
@@ -273,22 +277,20 @@ def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies)
                        "representable (|m| and |l| must be below 2^53)")
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
-    # a tetrahedron of the wrong shape, not of tuples, or with an entry that is
+    # a tetrahedron not of tuples, of the wrong shape, or with an entry that is
     # not an int, gets no other check, and no face pairing is checked against it
     misshapen = set()
     for t, tet in enumerate(tets):
-        rows = tuple(map(len, tet.peripheral))
-        if (len(tet.neighbors), len(tet.gluings), len(tet.vertex_cusp),
-                rows) != (4, 4, 4, (16,) * 4):
+        fields = (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral)
+        if {*map(type, fields)} != {tuple} or not {
+                *map(type, (*tet.gluings, *tet.peripheral))} <= {tuple}:
+            out.append(f"tet {t}: a field, gluing or peripheral row is not a tuple")
+        elif (rows := tuple(map(len, tet.peripheral))) != (16, 16) or {
+                *map(len, fields[:3])} != {4}:
             out.append(f"tet {t}: {len(tet.neighbors)} neighbors, "
                        f"{len(tet.gluings)} gluings, {len(tet.vertex_cusp)} "
                        f"vertex cusps and peripheral rows of {rows} entries; "
-                       "expected 4, 4, 4 and 4 rows of 16")
-            misshapen.add(t)
-        elif {*map(type, (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral,
-                          *tet.gluings, *tet.peripheral))} != {tuple}:
-            out.append(f"tet {t}: a field, gluing or peripheral row is not a tuple")
-            misshapen.add(t)
+                       "expected 4, 4, 4 and 2 rows of 16")
         elif {*map(type, itertools.chain(tet.neighbors, tet.vertex_cusp,
                                          *tet.gluings, *tet.peripheral))} != {int}:
             out += [f"tet {t}: {what} {i} is {x!r}, not an int" for what, xs in (
@@ -297,10 +299,14 @@ def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies)
                 ("vertex cusp", tet.vertex_cusp),
                 ("peripheral entry", itertools.chain(*tet.peripheral)))
                 for i, x in enumerate(xs) if type(x) is not int]
-            misshapen.add(t)
+        else:
+            continue
+        misshapen.add(t)
     n = len(tets)
     for t, tet in enumerate(tets):
-        if tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
+        if type(tet.shape_hint) is not complex:
+            out.append(f"tet {t}: shape hint {tet.shape_hint!r} is not a complex")
+        elif tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
             out.append(f"tet {t}: shape hint {tet.shape_hint} is degenerate")
         if t in misshapen:
             continue
@@ -335,33 +341,29 @@ def _problems(name, solution, volume, cs_value, cusps, tets, second, topologies)
             if not 0 <= c < len(cusps):
                 out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
                            f"[0, {len(cusps)})")
-        for r in (1, 3):
-            if any(tet.peripheral[r]):
-                out.append(f"tet {t}: peripheral sheet row {r} is nonzero "
-                           "(unexpected for an oriented manifold)")
     return out or _curve_problems(tets, len(cusps))
 
 
 def _curve_problems(tets, cusp_count):
-    """Each cusp's sheet-0 meridian and longitude (peripheral rows 0, 2)
-    are closed (a cusp triangle's 4 entries sum to 0), matched and a basis:
-    meridian . longitude, half a sum over the sides, is +-1 (see README)."""
+    """Each cusp's meridian and longitude are closed (a cusp triangle's 4
+    entries sum to 0), matched and a basis: meridian . longitude, half a
+    sum over the sides, is +-1 (see README)."""
     xs = [*itertools.chain.from_iterable(
-        itertools.chain.from_iterable(t.peripheral[::2] for t in tets))]
+        itertools.chain.from_iterable(t.peripheral for t in tets))]
     if any(itertools.compress(xs, itertools.cycle(_UNUSED))) or any(
             map(sum, zip(*[iter(xs)] * 4))):
         return [f"cusp {tet.vertex_cusp[v]}: the {name} is not closed in tet {t} "
                 f"vertex {v}" for t, tet in enumerate(tets)
-                for name, x in zip(("meridian", "longitude"), tet.peripheral[::2])
+                for name, x in zip(("meridian", "longitude"), tet.peripheral)
                 for v in range(4) if x[5 * v] or sum(x[4 * v:4 * v + 4])]
     out, twice = [], [0] * cusp_count
     for t, tet in enumerate(tets):
-        mu, lam, cusp = tet.peripheral[0], tet.peripheral[2], tet.vertex_cusp
+        (mu, lam), cusp = tet.peripheral, tet.vertex_cusp
         for i, iq, f, sign in itertools.compress(_SIDES, map(operator.or_, mu, lam)):
             a, b, c = mu[i], lam[i], cusp[i // 4]
             moved, u = _MOVED[tet.gluings[f]], tets[tet.neighbors[f]]
-            j, mu2 = moved[i], u.peripheral[0]
-            if mu2[j] != -a or u.peripheral[2][j] != -b:
+            j, (mu2, lam2) = moved[i], u.peripheral
+            if mu2[j] != -a or lam2[j] != -b:
                 out.append(f"cusp {c}: the curves of tet {t} vertex {i // 4} do "
                            f"not match across face {f}")
             elif a and b:   # meridian strands (sign s) rounding p: n here, n2 glued
@@ -397,9 +399,10 @@ _SMALL = {str(i): i for i in range(-99, 100)}
 _ENTRY = {i: " %2d" % i for i in _SMALL.values()}
 _GLUING = {p: " " + s for s, p in _PERMUTATION.items()}
 # one tetrahedron as written, SnapPea's field widths, the gluings and
-# peripheral entries as cells; a space before each entry keeps wide ones apart
+# sheet-0 entries as cells, sheet 1 as zeros; a space before each entry
+# keeps wide ones apart
 _TET_FORMAT = "\n".join(["%4d " * 4, "%s" * 4, "%4d " * 4]
-                        + ["%s" * 16] * 4 + ["%16.12f %16.12f\n"])
+                        + ["%s" * 16, _ENTRY[0] * 16] * 2 + ["%16.12f %16.12f\n"])
 
 
 def serialize_triangulation(tri: Triangulation) -> str:
@@ -430,14 +433,10 @@ def combinatorial_isomorphic(a: Triangulation, b: Triangulation) -> bool:
     of b and propagates across faces; succeeds iff some anchor extends to
     a full bijection.
     """
-    if len(a.tets) != len(b.tets):
-        return False
     n = len(a.tets)
-    for t0 in range(n):
-        for sigma0 in itertools.permutations(range(4)):
-            if _extends(a, b, t0, sigma0, n):
-                return True
-    return False
+    return n == len(b.tets) and any(
+        _extends(a, b, t0, sigma0, n)
+        for t0 in range(n) for sigma0 in itertools.permutations(range(4)))
 
 
 def _extends(a, b, t0, sigma0, n):

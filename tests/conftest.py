@@ -16,11 +16,11 @@ def filled(tri, cusp, m, l):
 
 
 def sheared(tri, k):
-    """`tri` with each sheet-0 meridian moved to meridian + k longitude: as
-    wide as k, and still closed, matched and meeting the longitude once."""
+    """`tri` with each meridian moved to meridian + k longitude: as wide as
+    k, and still closed, matched and meeting the longitude once."""
     return dataclasses.replace(tri, tets=tuple(dataclasses.replace(t, peripheral=(
-        tuple(x + k * y for x, y in zip(t.peripheral[0], t.peripheral[2])),
-        *t.peripheral[1:])) for t in tri.tets))
+        tuple(x + k * y for x, y in zip(*t.peripheral)), t.peripheral[1]))
+        for t in tri.tets))
 
 
 def box_row(z, r):

@@ -401,7 +401,7 @@ def _wide_filling_b(path):
 
 
 def _wide_meridians_b(path):
-    """Fixture B with every sheet-0 meridian moved by 10^400 longitudes."""
+    """Fixture B with every meridian moved by 10^400 longitudes."""
     path.write_text(serialize_triangulation(sheared(load_fixture("B"), 10 ** 400)))
 
 
@@ -488,6 +488,22 @@ def test_degenerate_hint_is_a_parse_error(capsys, tmp_path, command, hint):
     code, out, err = run(capsys, ["tri", command, str(path)])
     assert code == 2
     assert out == "" and err.startswith("error: line ") and "degenerate" in err
+
+
+@pytest.mark.parametrize("lineno, new, message", [
+    (6, "1 1", "second header count 1 is nonzero"),
+    (7, "    Klein   1.000000000000   0.000000000000", "cusp 0: topology 'Klein'"),
+    (32, "  1" + "  0" * 15, "tet 2: peripheral sheet row 1 is nonzero"),
+], ids=["second_count", "klein_cusp", "sheet_one"])
+def test_reader_refusals_name_their_line(capsys, tmp_path, lineno, new, message):
+    # values no Triangulation holds: the reader refuses each on its line
+    lines = fixture_text("A").splitlines()
+    lines[lineno - 1] = new
+    path = tmp_path / "refused.tri"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["tri", "parse", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {lineno}: {message}")
 
 
 def _strict_json(out):

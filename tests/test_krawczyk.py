@@ -15,7 +15,7 @@ from bandforge import _ball, cli, dilog, gluing, krawczyk
 from bandforge.dilog import (EnclosureDomainError, bloch_wigner,
                              volume as point_volume)
 from bandforge.fixtures import load_fixture
-from bandforge.gluing import build_equations, newton_solve
+from bandforge.gluing import GluingSystem, build_equations, newton_solve
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, certify_hyperbolic,
                                 interval_volume, krawczyk_test)
@@ -274,13 +274,13 @@ def test_certify_rejects_invalid_triangulation(tri_a):
 
 @pytest.mark.parametrize("field, cut, counts", [
     ("gluings", lambda g: g[:3], "4 neighbors, 3 gluings, 4 vertex cusps and "
-     "peripheral rows of (16, 16, 16, 16)"),
+     "peripheral rows of (16, 16)"),
     ("vertex_cusp", lambda v: v[:3], "4 neighbors, 4 gluings, 3 vertex cusps "
-     "and peripheral rows of (16, 16, 16, 16)"),
-    ("peripheral", lambda p: p[:3], "4 neighbors, 4 gluings, 4 vertex cusps "
+     "and peripheral rows of (16, 16)"),
+    ("peripheral", lambda p: p + p[:1], "4 neighbors, 4 gluings, 4 vertex cusps "
      "and peripheral rows of (16, 16, 16)"),
     ("peripheral", lambda p: (p[0][:15],) + tuple(p[1:]), "4 neighbors, 4 "
-     "gluings, 4 vertex cusps and peripheral rows of (15, 16, 16, 16)"),
+     "gluings, 4 vertex cusps and peripheral rows of (15, 16)"),
 ], ids=["3 gluings", "3 vertex cusps", "3 peripheral rows", "15-entry row"])
 def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut, counts):
     bad_tet = dataclasses.replace(
@@ -288,7 +288,7 @@ def test_certify_rejects_misshapen_tetrahedron(tri_a, field, cut, counts):
     with pytest.raises(TriParseError) as err:
         dataclasses.replace(tri_a, tets=(bad_tet,) + tri_a.tets[1:])
     assert str(err.value) == (f"tet 0: {counts} entries; expected 4, 4, 4 and "
-                              "4 rows of 16")
+                              "2 rows of 16")
 
 
 @pytest.mark.parametrize("label, cusp, m, l, message", [
@@ -385,6 +385,20 @@ def test_inconsistent_appended_row_is_never_valid(solved, request):
     assert len(_append_row(sys_, 2).kept_rows) == sys_.tet_count + 1
     with pytest.raises(KrawczykError, match="rank"):
         krawczyk_test(_append_row(sys_, 2), result.shapes, 1e-8)
+
+
+def test_too_few_rows_are_a_rank_error(solved_a):
+    # n - 1 rows keep rank n - 1: no n rows imply the others, so the box is
+    # refused before any ball arithmetic, not returned as invalid
+    sys_, result = solved_a
+    edge = [r for r in sys_.rows if r.kind == "edge"]
+    cusp = [r for r in sys_.rows if r.kind != "edge"]
+    short = GluingSystem(sys_.name, sys_.tet_count,
+                         tuple(edge[:sys_.tet_count - len(cusp) - 1] + cusp))
+    with pytest.raises(KrawczykError) as err:
+        krawczyk_test(short, result.shapes, 1e-8)
+    assert str(err.value) == ("rows [A | B | k - c] have rank 11, not 12: no n "
+                              "rows imply the others")
 
 
 @pytest.mark.parametrize("solved", ["solved_a", "solved_b"])

@@ -105,7 +105,8 @@ def test_wide_peripheral_entries_round_trip(tri_b, k):
 
 
 # each tetrahedron as the writer formatted it before its cells came from
-# tables: % on every entry, the reference for the tables and their fallback
+# tables: % on every entry, sheet 1 as zeros, the reference for the tables
+# and their fallback
 _REFERENCE_TET = "\n".join(["%4d " * 4, " %d%d%d%d" * 4, "%4d " * 4]
                            + [" %2d" * 16] * 4 + ["%16.12f %16.12f\n"])
 
@@ -116,15 +117,20 @@ def _reference_text(tri):
     head = "\n".join(lines[:8 + len(tri.cusps)]) + "\n"
     return head + "\n".join(_REFERENCE_TET % (
         *t.neighbors, *itertools.chain(*t.gluings), *t.vertex_cusp,
-        *itertools.chain(*t.peripheral), t.shape_hint.real, t.shape_hint.imag)
+        *_with_sheet_one(t), t.shape_hint.real, t.shape_hint.imag)
         for t in tri.tets)
 
 
+def _with_sheet_one(tet):
+    """The 64 peripheral integers of `tet` in file order, sheet 1 zero."""
+    return [*itertools.chain(*(row + (0,) * 16 for row in tet.peripheral))]
+
+
 def _shear_to(tri, value):
-    """`tri` sheared until a sheet-0 meridian entry is `value`, and so its
-    glued side's -value: at the first side whose longitude entry is +-1."""
+    """`tri` sheared until a meridian entry is `value`, and so its glued
+    side's -value: at the first side whose longitude entry is +-1."""
     x, y = next((x, y) for t in tri.tets
-                for x, y in zip(t.peripheral[0], t.peripheral[2]) if y * y == 1)
+                for x, y in zip(*t.peripheral) if y * y == 1)
     return sheared(tri, (value - x) * y)
 
 
@@ -161,7 +167,7 @@ def test_reader_reads_spellings_outside_its_table(text_a, tri_a, spell):
     ints = [start + i for i in range(78) if not 4 <= i < 8 and i < 76]
     assert [int(tokens[i]) for i in ints] == [
         *tri_a.tets[2].neighbors, *tri_a.tets[2].vertex_cusp,
-        *itertools.chain(*tri_a.tets[2].peripheral)]
+        *_with_sheet_one(tri_a.tets[2])]
     spans = [m.span() for m in re.finditer(r"\S+", text_a)]
     for chosen in [[i] for i in ints[::7]] + [ints]:
         text = text_a
@@ -509,22 +515,38 @@ SECOND = ("second header count 1 is nonzero (uninterpreted; only 0 is "
 KLEIN = "cusp 0: topology 'Klein' is not supported (only torus cusps are)"
 
 
-@pytest.mark.parametrize("edits, message", [
-    ({7: "    Klein   1.000000000000   0.000000000000"}, KLEIN),
-    ({6: "1 1"}, SECOND),
-    # read once the whole text is, they keep their places among validate's
+@pytest.mark.parametrize("edits, lineno, message", [
+    ({7: "    Klein   1.000000000000   0.000000000000"}, 7, KLEIN),
+    ({6: "1 1"}, 6, SECOND),
+    # the first refusal in text order, before validate sees the volume hint
     ({2: "geometric_solution  nan", 6: "1 1",
-      7: "    Klein   1.500000000000   0.000000000000"},
-     f"volume hint nan is not finite; {SECOND}; {KLEIN}"),
+      7: "    Klein   1.500000000000   0.000000000000"}, 6, SECOND),
 ], ids=["klein_cusp", "second_count", "with_validate"])
-def test_reader_refuses_header_values(text_a, edits, message):
-    # no Triangulation holds them, so the reader refuses them itself, with
-    # no line, as when validate did
+def test_reader_refuses_header_values(text_a, edits, lineno, message):
+    # no Triangulation holds them, so the reader refuses them itself, on
+    # their line, as it does the orientability and the CS flag
     text = text_a
-    for lineno, new in edits.items():
-        text = _edit_line(text, lineno, new)
+    for n, new in edits.items():
+        text = _edit_line(text, n, new)
     err = _parse_error(text)
-    assert str(err) == message and err.line is None
+    assert str(err) == f"line {lineno}: {message}" and err.line == lineno
+
+
+# tet 2 of fixture A: its sheet-1 rows 1 and 3 are lines 32 and 34
+@pytest.mark.parametrize("row", [1, 3])
+@pytest.mark.parametrize("value", [1, -1])
+def test_nonzero_sheet_one_entry_is_refused_on_its_line(text_a, row, value):
+    # no Tetrahedron holds sheet 1, so the reader refuses each nonzero
+    # entry at its token; validate once did, with no line
+    lineno = 31 + row
+    for col in range(16):
+        tokens = text_a.splitlines()[lineno - 1].split()
+        assert tokens[col] == "0"
+        tokens[col] = str(value)
+        err = _parse_error(_edit_line(text_a, lineno, " ".join(tokens)))
+        assert err.line == lineno
+        assert str(err) == (f"line {lineno}: tet 2: peripheral sheet row {row} "
+                            "is nonzero (unexpected for an oriented manifold)")
 
 
 # tet 2 of fixture A: its peripheral row 1 is line 10 + 9 * 2 + 3 + 1
@@ -544,7 +566,7 @@ def test_corrupt_peripheral_entry_is_named(text_a, col):
 # SHA-256 of (message, line) for every variant of A with one token replaced
 # by "x", A cut after each token, and A with one trailing token (None for a
 # variant that parses): any change to the reader's errors moves it
-ERROR_DIGEST = "d09266b8d5bf1bea7c83f9a305d44b96ab09b668ad4b654206d341a0f9b02e30"
+ERROR_DIGEST = "593130f6fabf2799be3cfd7726bee2f2cc7f17d89cc04ce4d34067a176800159"
 
 
 def _error_variants(text):
@@ -624,10 +646,11 @@ SPACED = "is not one token free of whitespace"
      f"tet 0 face 0: neighbor 12 out of range; {UNPAIRED}"),
     (lambda t: _tet0(t, gluings=((0, 0, 1, 2),) + t.tets[0].gluings[1:]),
      f"tet 0 face 0: gluing (0, 0, 1, 2) is not a permutation; {UNPAIRED}"),
+    # the four rows of the file, sheet 1 included: only the reader sees sheet 1
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1,) + (0,) * 15,
-                                    *t.tets[0].peripheral[2:])),
-     "tet 0: peripheral sheet row 1 is nonzero (unexpected for an oriented "
-     "manifold)"),
+                                    t.tets[0].peripheral[1], (0,) * 16)),
+     "tet 0: 4 neighbors, 4 gluings, 4 vertex cusps and peripheral rows of "
+     "(16, 16, 16, 16) entries; expected 4, 4, 4 and 2 rows of 16"),
     (lambda t: dataclasses.replace(t, name="fixture a"),
      f"name 'fixture a' {SPACED}"),
     (lambda t: dataclasses.replace(t, name=""), f"name '' {SPACED}"),
@@ -658,8 +681,8 @@ SPACED = "is not one token free of whitespace"
      "tet 0: gluing entry 0 is 0.0, not an int"),
     (lambda t: _tet0(t, vertex_cusp=(1.0, 0, 0, 0)),
      "tet 0: vertex cusp 0 is 1.0, not an int"),
-    (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0], (1.5,) + (0,) * 15,
-                                    *t.tets[0].peripheral[2:])),
+    (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0],
+                                    (1.5,) + t.tets[0].peripheral[1][1:])),
      "tet 0: peripheral entry 16 is 1.5, not an int"),
 ], ids=["neighbor", "gluing", "sheet_row", "name_space", "name_empty",
         "solution_type", "name_non_ascii", "solution_type_non_ascii",
@@ -669,6 +692,35 @@ def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     # no such triangulation reaches certify, or the writer: building it,
     # whether by the constructor or by dataclasses.replace, raises the
     # diagnostics validate once returned, joined, with no line
+    with pytest.raises(TriParseError) as info:
+        corrupt(tri_a)
+    assert str(info.value) == message and info.value.line is None
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda t: dataclasses.replace(t, name=None), "name is None, not a str"),
+    (lambda t: dataclasses.replace(t, solution_type=b"geometric_solution"),
+     "solution type is b'geometric_solution', not a str"),
+    (lambda t: dataclasses.replace(t, volume_hint="x"),
+     "volume hint is 'x', not a float"),
+    (lambda t: dataclasses.replace(t, volume_hint=10), "volume hint is 10, not a float"),
+    (lambda t: dataclasses.replace(t, cs_value="x"), "CS value is 'x', not a float"),
+    (lambda t: dataclasses.replace(t, cusps=(CuspInfo("1", 0.0),)),
+     "cusp 0: filling ('1', 0.0) is not two floats"),
+    (lambda t: dataclasses.replace(t, cusps=(CuspInfo(1.0, None),)),
+     "cusp 0: filling (1.0, None) is not two floats"),
+    (lambda t: dataclasses.replace(t, cusps=(None,)), "cusp 0 is None, not a CuspInfo"),
+    (lambda t: dataclasses.replace(t, tets=(None,) + t.tets[1:]),
+     "tet 0 is None, not a Tetrahedron"),
+    (lambda t: _tet0(t, shape_hint="x"), "tet 0: shape hint 'x' is not a complex"),
+    (lambda t: _tet0(t, neighbors=None),
+     "tet 0: a field, gluing or peripheral row is not a tuple"),
+], ids=["name_none", "solution_type_bytes", "volume_str", "volume_int", "cs_str",
+        "filling_str", "filling_none", "cusp_none", "tet_none", "hint_str",
+        "neighbors_none"])
+def test_mistyped_fields_are_diagnostics(tri_a, corrupt, message):
+    # each once raised AttributeError or TypeError out of validate (an int
+    # volume hint passed); a field of the wrong type gets no other check
     with pytest.raises(TriParseError) as info:
         corrupt(tri_a)
     assert str(info.value) == message and info.value.line is None
@@ -765,11 +817,9 @@ def test_a_triangulation_is_validated_once(text_b, tri_b, monkeypatch):
 # ------------------------------------------------ peripheral curves
 
 def _curves(tri, meridian, longitude):
-    """`tri` with sheet-0 rows made from each tetrahedron's (mu, lam) rows."""
+    """`tri` with the curves made from each tetrahedron's (mu, lam) rows."""
     return dataclasses.replace(tri, tets=tuple(dataclasses.replace(t, peripheral=(
-        meridian(t.peripheral[0], t.peripheral[2]), t.peripheral[1],
-        longitude(t.peripheral[0], t.peripheral[2]), t.peripheral[3]))
-        for t in tri.tets))
+        meridian(*t.peripheral), longitude(*t.peripheral))) for t in tri.tets))
 
 
 def _meet(tri, value):
@@ -839,7 +889,7 @@ def test_every_single_entry_edit_is_refused(tri_a):
     # x 2 signs, each of which once passed validate and certified
     refused = 0
     for t, tet in enumerate(tri_a.tets):
-        for r, i, d in itertools.product((0, 2), range(16), (1, -1)):
+        for r, i, d in itertools.product((0, 1), range(16), (1, -1)):
             row = list(tet.peripheral[r])
             row[i] += d
             rows = list(tet.peripheral)
