@@ -25,7 +25,7 @@ _LAZY = {name: module for module, names in (
      "matignon_family normalize_lens slope_distance"),
     ("tri", "CuspInfo Tetrahedron Triangulation TriParseError validate "
      "combinatorial_isomorphic parse_triangulation serialize_triangulation"),
-    ("fixtures", "fixture_labels fixture_text load_fixture"),
+    ("fixtures", "fixture_text load_fixture"),
     ("gluing", "DivergenceError GluingRow GluingSystem HalfPlaneExitError "
      "NewtonResult SingularJacobianError build_equations edge_classes "
      "newton_solve residual"),

@@ -9,7 +9,7 @@ assertions)` as a report with a `command` echo and the parsed `inputs`;
 the exit code is 0 exactly when every assertion passes.  Hard failures
 get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
---all-fixtures` reports every fixture and exits with the largest code.
+--all-fixtures [PATH ...]` reports every entry and exits with the largest code.
 Each command loads only what it runs: the `twobridge` and `surgery` ones
 `tangle`, `surgery` and `fixtures`; `tri` once a triangulation is read; the
 numeric modules in `tri volume`, `solve` and `certify`; numpy in the last two.
@@ -25,6 +25,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
+from math import gcd
 
 from . import CertifyError, SolveError, fixtures
 from .surgery import (Slope, bhw_example_report, double_branched_cover,
@@ -105,19 +106,23 @@ def _parse_two_bridge(text):
     return normalize_two_bridge(*_parse_ratio(text, "Schubert pair"))
 
 
+def _load(path):
+    """A file's triangulation; a byte that is not UTF-8 stays an escape."""
+    from .tri import parse_triangulation
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_triangulation(fh.read())
+
+
 def _triangulation(args):
     """The triangulation read from `path`, from `--fixture`, or from stdin."""
     if args.fixture is not None and args.path is not None:
         raise ValueError("give either a path or --fixture, not both")
     if args.fixture is not None:
-        text = fixtures.fixture_text(args.fixture)
-    elif args.path is not None:
-        with open(args.path, encoding="utf-8", errors="surrogateescape") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+        return fixtures.load_fixture(args.fixture)
+    if args.path is not None:
+        return _load(args.path)
     from .tri import parse_triangulation
-    return parse_triangulation(text)
+    return parse_triangulation(sys.stdin.read())
 
 
 # ---------------------------------------------------------------- tri
@@ -192,23 +197,33 @@ def _certify(tri, tag, args):
     ]
 
 
+class _PathsOrTrue(argparse.Action):
+    """Stores the option's values, or True when it is given none."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values or True)
+
+
 @command("tri", "certify", TOL,
          arg("--radius", type=float,
              help="ladder of this one Krawczyk radius"),
-         arg("--all-fixtures", action="store_true",
-             help="certify every embedded and external fixture"))
+         arg("--all-fixtures", nargs="*", action=_PathsOrTrue, default=False,
+             metavar="PATH", help="certify A, B and each PATH as one batch"))
 def tri_certify(args):
     """Krawczyk certification"""
-    if not args.all_fixtures:
+    if args.all_fixtures is False:
         tri = _triangulation(args)
         return _certify(tri, tri.name, args)
     if args.path is not None or args.fixture is not None:
-        raise ValueError("--all-fixtures takes no path and no --fixture")
-    # a failed fixture carries its exit code; `main` exits with the largest
+        raise ValueError("--all-fixtures takes paths after it, not --fixture")
+    paths = [] if args.all_fixtures is True else args.all_fixtures
+    # a failed entry carries its exit code; `main` exits with the largest
     results, assertions = {}, []
-    for label in fixtures.fixture_labels():
+    sources = [(label, fixtures.load_fixture) for label in fixtures.EMBEDDED]
+    sources += [(path, _load) for path in paths]
+    for label, load in sources:
         try:
-            tri = fixtures.load_fixture(label)
+            tri = load(label)
             entry, checks = _certify(tri, f"{label}:{tri.name}", args)
         except ERRORS as exc:
             entry = {label: {"error": str(exc), "exit_code": exit_code(exc)}}
@@ -238,11 +253,12 @@ def twobridge_eval(args):
 @command("twobridge", "expand", arg("pair", help="fraction p/q"))
 def twobridge_expand(args):
     p, q = _parse_ratio(args.pair, "fraction")
-    cf = conway_expand(p, q)
-    back = eval_conway(cf)
+    cf, g = conway_expand(p, q), gcd(p, q)
+    tb, back = normalize_two_bridge(p // g, q // g), eval_conway(cf)
     return {"conway": list(cf)}, [
-        _assertion("reexpands", back.p * q == back.q * p,
-                   f"{list(cf)} evaluates to {back.p}/{back.q}")]
+        _assertion("reexpands", (back.p, back.q) == (tb.p, tb.q),
+                   f"{list(cf)} evaluates to {back.p}/{back.q}, the normal "
+                   f"form {tb} of {p}/{q} in lowest terms")]
 
 
 @command("twobridge", "equal", *LEFT_RIGHT)
@@ -369,8 +385,8 @@ def build_parser():
         if group == "tri":      # every tri command reads one triangulation
             p.add_argument("path", nargs="?",
                            help="triangulation file (default: stdin)")
-            p.add_argument("--fixture", choices=fixtures.fixture_labels(),
-                           help="use an embedded or external fixture")
+            p.add_argument("--fixture", choices=list(fixtures.EMBEDDED),
+                           help="use an embedded fixture")
         for flags, kwargs in argspecs:
             p.add_argument(*flags, **kwargs)
         fmt = p.add_mutually_exclusive_group()

@@ -112,8 +112,9 @@ class _TokenReader:
         self.text, self.tokens, self.pos = text, text.split(), 0
 
     def line(self, index):
-        """The 1-based line of token index, worked out only for an error."""
-        for lineno, line in enumerate(self.text.splitlines(), start=1):
+        """The 1-based line of token index, worked out only for an error;
+        a line ends at each `\\n`, as in `sed` and editors."""
+        for lineno, line in enumerate(self.text.split("\n"), start=1):
             index -= len(line.split())
             if index < 0:
                 return lineno
@@ -192,10 +193,9 @@ class _TokenReader:
 def parse_triangulation(text: str) -> Triangulation:
     """Parse and validate; raises TriParseError with line context on failure."""
     if not text.isascii():      # the format is ASCII, whatever the source
-        lineno, line = next((i, s) for i, s in enumerate(
-            text.splitlines(keepends=True), start=1) if not s.isascii())
-        char = next(c for c in line if not c.isascii())
-        raise TriParseError(f"non-ASCII character {char!r}", lineno)
+        at, char = next((i, c) for i, c in enumerate(text) if not c.isascii())
+        raise TriParseError(f"non-ASCII character {char!r}",
+                            text.count("\n", 0, at) + 1)
     rd = _TokenReader(text)
     if not rd.tokens:
         raise TriParseError("missing header")

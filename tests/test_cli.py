@@ -12,7 +12,7 @@ import pytest
 
 import bandforge
 from bandforge import cli, gluing, krawczyk
-from bandforge.fixtures import fixture_labels, fixture_text, load_fixture
+from bandforge.fixtures import fixture_text, load_fixture
 from bandforge.krawczyk import certify_hyperbolic
 from bandforge.tri import (TriParseError, parse_triangulation,
                            serialize_triangulation)
@@ -85,6 +85,22 @@ def test_twobridge_commands(capsys):
 
     code, rep, _ = run_json(capsys, ["twobridge", "fourmove", "5/1", "5/4"])
     assert code == 0 and rep["results"]["four_move_obstructed"] is True
+
+
+@pytest.mark.parametrize("pair, conway, normal", [
+    ("3/10", [3], "S(3,1)"),
+    ("-7/3", [2, -4], "S(7,4)"),
+    ("7/-3", [2, -4], "S(7,4)"),
+    ("7/10", [2, 3], "S(7,3)"),
+    ("-18/-10", [2, -5], "S(9,5)"),
+])
+def test_expand_evaluates_to_the_normal_form(capsys, pair, conway, normal):
+    # the form presents the link of p/q, not the fraction p/q itself
+    code, rep, _ = run_json(capsys, ["twobridge", "expand", pair])
+    assert code == 0 and rep["results"]["conway"] == conway
+    (check,) = rep["assertions"]
+    assert check["pass"]
+    assert f"the normal form {normal} of {pair}" in check["detail"]
 
 
 def test_eval_of_a_fraction_without_a_link(capsys):
@@ -225,23 +241,29 @@ def test_non_ascii_file_fails_alike_from_every_source(capsys, monkeypatch,
                                                        tmp_path):
     lines = fixture_text("A").splitlines(keepends=True)
     text = lines[0].rstrip("\n") + "\u03a9\n" + "".join(lines[1:])
+    path = str(tmp_path / "uni.tri")
     (tmp_path / "uni.tri").write_text(text, encoding="utf-8")
     message = "line 1: non-ASCII character '\u03a9'"
     with pytest.raises(TriParseError) as info:
         parse_triangulation(text)
     assert str(info.value) == message
-    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(tmp_path))
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    for source in ([str(tmp_path / "uni.tri")], [], ["--fixture", "uni"]):
+    for source in ([path], []):
         code, out, err = run(capsys, ["tri", "parse", *source])
         assert (code, out, err) == (2, "", f"error: {message}\n"), source
     # a byte that is not UTF-8 is named too, not reported by the codec
-    (tmp_path / "uni.tri").write_bytes(
+    (tmp_path / "byte.tri").write_bytes(
         fixture_text("A").encode().replace(b"\n", b"\xe9\n", 1))
-    for source in ([str(tmp_path / "uni.tri")], ["--fixture", "uni"]):
-        code, out, err = run(capsys, ["tri", "parse", *source])
-        assert (code, err) == (2, "error: line 1: non-ASCII character "
-                                  "'\\udce9'\n"), source
+    code, out, err = run(capsys, ["tri", "parse", str(tmp_path / "byte.tri")])
+    assert (code, err) == (2, "error: line 1: non-ASCII character "
+                              "'\\udce9'\n")
+    # a batch reads each path through the same function
+    code, rep, _ = run_json(capsys, ["tri", "certify", "--all-fixtures", path,
+                                     str(tmp_path / "byte.tri")])
+    assert code == 2
+    assert rep["results"][path] == {"error": message, "exit_code": 2}
+    assert rep["results"][str(tmp_path / "byte.tri")]["error"] == (
+        "line 1: non-ASCII character '\\udce9'")
 
 
 def test_empty_stdin_is_parse_error(capsys, monkeypatch):
@@ -322,30 +344,17 @@ def test_unknown_fixture_label(capsys):
     capsys.readouterr()
 
 
-# ------------------------------------------------ external fixture dir
-
-
-def test_external_fixture_dir(capsys, monkeypatch, tmp_path):
+def test_fixture_dir_variable_is_ignored(capsys, monkeypatch, tmp_path):
+    # a path names every other triangulation; the environment names none
+    (tmp_path / "A.tri").write_text(fixture_text("B"))
     (tmp_path / "C.tri").write_text(fixture_text("A"))
     monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(tmp_path))
-    code, rep, _ = run_json(capsys, ["tri", "volume", "--fixture", "C"])
-    assert code == 0
-    assert abs(rep["results"]["volume"] - 10.01776364) < 5e-7
-
-
-def test_external_fixture_dir_resolves_only_basenames(monkeypatch, tmp_path):
-    inside = tmp_path / "dir"
-    inside.mkdir()
-    (inside / "C.tri").write_text(fixture_text("A"))
-    outside = tmp_path / "x.tri"
-    outside.write_text(fixture_text("A"))
-    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(inside))
-    labels = fixture_labels()
-    for label in (str(outside), "../x", "../x.tri", ".."):
-        with pytest.raises(ValueError, match="unknown fixture"):
-            load_fixture(label)
-    assert load_fixture("C").name == load_fixture("A").name
-    assert fixture_labels() == labels == ["A", "B", "C"]
+    code, rep, _ = run_json(capsys, ["tri", "parse", "--fixture", "A"])
+    assert code == 0 and rep["results"]["tet_count"] == 12
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tri", "parse", "--fixture", "C"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_all_fixtures_certify(capsys):
@@ -408,20 +417,22 @@ def _wide_meridians_b(path):
 def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
     (tmp_path / "bad.tri").write_text("not a triangulation\n1 2 3\n")
     _short_b(tmp_path / "short.tri")
-    monkeypatch.setenv("BANDFORGE_FIXTURE_DIR", str(tmp_path))
-    code, rep, _ = run_json(capsys, ["tri", "certify", "--all-fixtures"])
+    monkeypatch.chdir(tmp_path)
+    code, rep, _ = run_json(capsys, ["tri", "certify", "--all-fixtures",
+                                     "bad.tri", "short.tri"])
     assert code == 3
     results = rep["results"]
-    assert results["bad"]["exit_code"] == 2
-    assert results["short"]["exit_code"] == 3
-    assert "[newton]" in results["short"]["error"]
+    assert rep["inputs"]["all_fixtures"] == ["bad.tri", "short.tri"]
+    assert results["bad.tri"]["exit_code"] == 2
+    assert results["short.tri"]["exit_code"] == 3
+    assert "[newton]" in results["short.tri"]["error"]
     for label in ("A", "B"):
         tag = f"{label}:{load_fixture(label).name}"
         assert results[tag]["valid"] is True
         assert all(a["pass"] for a in rep["assertions"]
                    if a["name"].startswith(tag))
     failed = [a["name"] for a in rep["assertions"] if not a["pass"]]
-    assert failed == ["bad:certified", "short:certified"]
+    assert failed == ["bad.tri:certified", "short.tri:certified"]
 
 
 @pytest.mark.parametrize("extra", [["PATH"], ["--fixture", "A"]])
@@ -544,12 +555,11 @@ def _readme_commands():
 
 
 def test_readme_lists_the_commands():
-    assert len(_readme_commands()) == 19
+    assert len(_readme_commands()) == 20
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
-def test_readme_command_exits_zero(capsys, monkeypatch, argv):
-    monkeypatch.delenv("BANDFORGE_FIXTURE_DIR", raising=False)
+def test_readme_command_exits_zero(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     assert err == "" and json.loads(out)["command"] == " ".join(argv[:2])
@@ -566,8 +576,8 @@ EXPORTED = """
     Triangulation TwoBridge amphicheiral_pair_distance bhw_example_report
     bloch_wigner build_equations certify_hyperbolic
     check_conway combinatorial_isomorphic conway_expand cosmetic_band_partner
-    dilog double_branched_cover edge_classes eval_conway fixture_labels
-    fixture_text fixtures four_move_signature_obstruction gluing
+    dilog double_branched_cover edge_classes eval_conway fixture_text
+    fixtures four_move_signature_obstruction gluing
     interval_volume is_unlinking_number_one krawczyk krawczyk_test
     lens_equivalent lens_mirror load_fixture matignon_family mirror_two_bridge
     newton_solve normalize_lens normalize_two_bridge parse_triangulation
@@ -580,9 +590,8 @@ EXPORTED = """
 def _fresh(code):
     """The JSON that `code` prints last, run in a new interpreter."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("BANDFORGE_FIXTURE_DIR", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -609,7 +618,7 @@ HEAVY = ("dataclasses", "inspect", "bandforge.tri", "bandforge.dilog",
 def test_integer_commands_load_neither_dataclasses_nor_tri():
     argvs = [argv for argv in _readme_commands()
              if argv[0] in ("twobridge", "surgery")]
-    assert ["surgery", "bhw"] in argvs and len(argvs) == 15
+    assert ["surgery", "bhw"] in argvs and len(argvs) == 16
     codes, loaded, bare, resources = _fresh(
         "import sys\n"
         "startup = set(sys.modules)\n"

@@ -261,8 +261,7 @@ def test_numeric_command_builds_only_the_float_table():
             "from bandforge.dilog import li2_series_coefficients as f\n"
             "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules,\n"
             "      f.cache_info().currsize, t.cache_info().currsize)\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("BANDFORGE_FIXTURE_DIR", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "False", "False", "0", "1"]

@@ -630,6 +630,22 @@ def test_non_ascii_text_names_its_first_line(text_a, lineno, edit, char):
     assert str(err) == f"line {lineno}: non-ASCII character {char!r}"
 
 
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"],
+                         ids=["VT", "FF", "FS", "GS", "RS", "CR"])
+@pytest.mark.parametrize("bad, message", [
+    ("x", "expected integer for tet 0 neighbor 0, got 'x'"),
+    ("\u00e9", "non-ASCII character '\u00e9'"),
+], ids=["token", "non_ascii"])
+def test_line_numbers_count_only_newlines(text_a, space, bad, message):
+    # str.splitlines() also breaks at these; `sed` and editors do not
+    lines = text_a.splitlines()
+    assert lines[1].split() == ["geometric_solution", "10.01776364"]
+    lines[1] = f"geometric_solution {space} 10.01776364"
+    lines[9] = lines[9].replace("9", bad, 1)
+    err = _parse_error("\n".join(lines) + "\n")
+    assert (err.line, str(err)) == (10, f"line 10: {message}")
+
+
 # ------------------------------------------------ validate, built directly
 
 def _tet0(tri, **changes):
