@@ -9,7 +9,8 @@ assertions)` as a report with a `command` echo and the parsed `inputs`;
 the exit code is 0 exactly when every assertion passes.  Hard failures
 get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
---all-fixtures [PATH ...]` reports every entry and exits with the largest code.
+--all-fixtures [PATH ...]` reports every entry and exits with the largest code;
+a PATH given twice, or named as an embedded fixture, exits 2 first.
 Each command loads only what it runs: the `twobridge` and `surgery` ones
 `tangle`, `surgery` and `fixtures`; `tri` once a triangulation is read; the
 numeric modules in `tri volume`, `solve` and `certify`; numpy in the last two.
@@ -217,6 +218,12 @@ def tri_certify(args):
     if args.path is not None or args.fixture is not None:
         raise ValueError("--all-fixtures takes paths after it, not --fixture")
     paths = [] if args.all_fixtures is True else args.all_fixtures
+    # an entry's label keys its result, so no two entries share one
+    for i, path in enumerate(paths):
+        if path in fixtures.EMBEDDED or path in paths[:i]:
+            raise ValueError(f"--all-fixtures: the path {path!r} is " + (
+                "an embedded fixture's label" if path in fixtures.EMBEDDED
+                else "given twice"))
     # a failed entry carries its exit code; `main` exits with the largest
     results, assertions = {}, []
     sources = [(label, fixtures.load_fixture) for label in fixtures.EMBEDDED]

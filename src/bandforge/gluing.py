@@ -27,12 +27,14 @@ contributions are assembled with the fixed orientation convention below
 by the requirement that both shipped fixtures have residual < 1e-8 at
 their stored shape hints, and is frozen by the test suite.
 
-The numeric stages read the system as one exact integer matrix,
-`GluingSystem.matrix` = [A | B | k - c], built once from the rows, and
-`jacobian` is the one Jacobian builder, Krawczyk's midpoint included.
-A `GluingSystem` refuses rows floats do not hold (the 2^53 rule).  Newton
-needs no square subsystem: Gauss-Newton steps on all rows.  The one row
-choice is the proof's: `GluingSystem.kept_rows`, n rows of which every
+One walk of the edge ids folds the edge rows; `edge_classes` labels it.
+A `GluingSystem` walks its rows once into one flat list [A | B | k - c],
+refuses an A or B without `tet_count` entries and an entry floats do not
+hold (the 2^53 rule), and the numeric stages read that list as one exact
+integer matrix, `GluingSystem.matrix`; `jacobian` is the one Jacobian
+builder, Krawczyk's midpoint included.  Newton needs no square
+subsystem: Gauss-Newton steps on all rows.  The one row choice is the
+proof's: `GluingSystem.kept_rows`, n rows of which every
 other row is an exact rational combination, chosen once per system from
 the cusp relations (Neumann-Zagier) by exact elimination, independent of
 the shapes.  The rows, the 2^53 rule and `residual` are plain Python;
@@ -81,9 +83,11 @@ _TURNS = tuple(tuple((a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
                      if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
                for v in range(4))
 # edge j of a tetrahedron is the j-th vertex pair in sorted order; the two
-# faces that hold it, and for each gluing the edge j goes to
+# faces that hold it, its (A, B, k) log terms, and for each gluing the edge
+# j goes to
 _PAIRS = sorted(PAIR_TYPE)
 _FACES = tuple(tuple(f for f in range(4) if f not in e) for e in _PAIRS)
+_EDGE_TERMS = tuple(_LOG_TERMS[PAIR_TYPE[e]] for e in _PAIRS)
 _EDGE_MOVE = {s: tuple(_PAIRS.index(tuple(sorted((s[a], s[b])))) for a, b in _PAIRS)
               for s in itertools.permutations(range(4))}
 
@@ -113,34 +117,47 @@ class GluingRow:
 
 @dataclass(frozen=True)
 class GluingSystem:
-    """Rows floats hold: an entry of [A | B | k - c] whose type is not int (a
-    float, a bool) or of modulus 2^53 or more raises ValueError.  Per cusp,
-    `relations` lists the edge rows with an end there, once per end; so
-    weighted, a torus cusp's edge rows sum to zero (Neumann-Zagier: each
-    cusp triangle adds A = B = 0 and k = 1, two triangles per end)."""
+    """Rows floats hold: an A or B without `tet_count` entries, or an entry
+    of [A | B | k - c] whose type is not int (a float, a bool) or of modulus
+    2^53 or more, raises ValueError.  Per cusp, `relations` lists the edge
+    rows with an end there, once per end; so weighted, a torus cusp's edge
+    rows sum to zero (Neumann-Zagier: each cusp triangle adds A = B = 0 and
+    k = 1, two triangles per end)."""
     name: str
     tet_count: int
     rows: tuple
     relations: tuple = ()
 
     def __post_init__(self):
-        # a set of the types, a set of the values; walk only to name a bad one
-        rows = [(*r.A, *r.B, r.k - r.c) for r in self.rows]
-        entries = [*itertools.chain.from_iterable(rows)]
-        if {*map(type, entries)} <= {int} and max(
-                map(abs, {*entries}), default=0) < 2 ** 53:
-            return
-        i, x = next((i, x) for i, row in enumerate(rows) for x in row
-                    if type(x) is not int or abs(x) >= 2 ** 53)
-        raise ValueError(f"{self.rows[i].kind} row {i} has " + (
-            f"the entry {x!r}, which is not an int" if type(x) is not int
-            else "an entry of modulus 2^53 or more, which floats do not hold"))
+        # one walk into the flat [A | B | k - c], then its set of types and
+        # the min and max of its values; walk again only to name a bad row
+        n, rows, flat = self.tet_count, self.rows, []
+        for r in rows:
+            flat += r.A
+            flat += r.B
+            flat.append(r.k - r.c)
+        if all(len(r.A) == n == len(r.B) for r in rows) and {
+                *map(type, flat)} <= {int}:
+            values = {*flat} or {0}
+            if -2 ** 53 < min(values) and max(values) < 2 ** 53:
+                object.__setattr__(self, "_flat", flat)
+                return
+        for i, r in enumerate(rows):
+            if len(r.A) != n or len(r.B) != n:
+                raise ValueError(f"{r.kind} row {i} has {len(r.A)} A and "
+                                 f"{len(r.B)} B entries, not {n} each")
+            for x in (*r.A, *r.B, r.k - r.c):
+                if type(x) is not int or abs(x) >= 2 ** 53:
+                    raise ValueError(f"{r.kind} row {i} has " + (
+                        f"the entry {x!r}, which is not an int"
+                        if type(x) is not int else "an entry of modulus "
+                        "2^53 or more, which floats do not hold"))
 
     @functools.cached_property
     def matrix(self):
         """[A | B | k - c] as int64, one read-only row per equation row."""
         import numpy as np
-        m = np.array([(*r.A, *r.B, r.k - r.c) for r in self.rows], dtype=np.int64)
+        m = np.fromiter(self._flat, np.int64, len(self._flat))
         m = m.reshape(len(self.rows), 2 * self.tet_count + 1)
         m.flags.writeable = False
         return m
@@ -171,33 +188,39 @@ class GluingSystem:
         return tuple(pivot_columns(M.T))
 
 
-def edge_classes(tri: Triangulation) -> list:
-    """Partition the 6T tetrahedron edges into identification classes.
-
-    Each class is the orbit of an edge under the face gluings, a sorted
-    tuple of (tet, vertex pair, parameter type).  The walk runs on the
-    edge ids 6 t + j, from every id not yet seen in increasing order, so
-    the classes come out ordered by least member and each edge is visited
-    once; crossing a face is one `_EDGE_MOVE` lookup.
-    """
-    tets = tri.tets
-    labels = [(t, e, PAIR_TYPE[e]) for t in range(len(tets)) for e in _PAIRS]
-    seen, classes = [False] * len(labels), []
-    for start in range(len(labels)):
+def _edge_walk(tets):
+    """Per edge class, in increasing order of its least member, the edge ids
+    6 t + j of its members (the least first) and its row [A | B | k], folded
+    as the walk visits each edge once, from every id not yet seen in
+    increasing order; crossing a face is one `_EDGE_MOVE` lookup."""
+    n = len(tets)
+    seen = [False] * (6 * n)
+    for start in range(6 * n):
         if seen[start]:
             continue
         seen[start] = True
-        members = [start]
+        members, row = [start], [0] * (2 * n + 1)
         for i in members:               # members grows as the walk goes
             t, j = divmod(i, 6)
+            da, db, dk = _EDGE_TERMS[j]
+            row[t] += da
+            row[n + t] += db
+            row[-1] += dk
             tet = tets[t]
             for f in _FACES[j]:
                 k = 6 * tet.neighbors[f] + _EDGE_MOVE[tet.gluings[f]][j]
                 if not seen[k]:
                     seen[k] = True
                     members.append(k)
-        classes.append(tuple(map(labels.__getitem__, sorted(members))))
-    return classes
+        yield members, row
+
+
+def edge_classes(tri: Triangulation) -> list:
+    """The orbits of the 6T tetrahedron edges under the face gluings, each a
+    sorted tuple of (tet, vertex pair, parameter type): the labelled view of
+    the walk whose rows `build_equations` keeps, ordered by least member."""
+    return [tuple((i // 6, _PAIRS[i % 6], PAIR_TYPE[_PAIRS[i % 6]])
+                  for i in sorted(members)) for members, _ in _edge_walk(tri.tets)]
 
 
 def _fold(n, terms):
@@ -219,13 +242,13 @@ def build_equations(tri: Triangulation) -> GluingSystem:
     is checked here.  A row floats cannot hold raises ValueError.
     """
     n = len(tri.tets)
-    classes = edge_classes(tri)
-    # (kind, [A | B | k], c, cusp, filling) per row
-    rows = [("edge", _fold(n, ((t, ptype, 1) for t, _e, ptype in orbit)),
-             2, None, None) for orbit in classes]
-    relations = [[] for _ in tri.cusps]
-    for i, (t, e, _) in enumerate(orbit[0] for orbit in classes):
-        for v in e:             # the ends of edge i, read at one member
+    # (kind, [A | B | k], c, cusp, filling) per row: one per edge class,
+    # and the cusps of its ends, read at its least member
+    rows, relations = [], [[] for _ in tri.cusps]
+    for i, (members, row) in enumerate(_edge_walk(tri.tets)):
+        rows.append(("edge", row, 2, None, None))
+        t, j = divmod(members[0], 6)
+        for v in _PAIRS[j]:
             relations[tri.tets[t].vertex_cusp[v]].append(i)
 
     # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)

@@ -40,6 +40,8 @@ integral coprime pair below 2^53 in modulus (the format stores a real);
 the volume hint, and the CS value when there is one, must be finite; a
 shape hint of 0, 1 or a non-finite value is degenerate, a negatively
 oriented one legal; each cusp's curves are closed, matched and a basis.
+One pass over all tetrahedra checks their containers, lengths and int
+entries; only when it fails is each walked, to name its faults.
 """
 
 from __future__ import annotations
@@ -278,9 +280,10 @@ def validate(tri: Triangulation) -> list:
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
     # a tetrahedron not of tuples, of the wrong shape, or with an entry that is
-    # not an int, gets no other check, and no face pairing is checked against it
+    # not an int, gets no other check, and no face pairing is checked against
+    # it; the loop names such faults only when one pass over all finds one
     misshapen = set()
-    for t, tet in enumerate(tets):
+    for t, tet in enumerate(() if _well_formed(tets) else tets):
         fields = (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral)
         if {*map(type, fields)} != {tuple} or not {
                 *map(type, (*tet.gluings, *tet.peripheral))} <= {tuple}:
@@ -342,6 +345,22 @@ def validate(tri: Triangulation) -> list:
                 out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
                            f"[0, {len(cusps)})")
     return out or _curve_problems(tets, len(cusps))
+
+
+def _well_formed(tets):
+    """Whether every tetrahedron's fields are tuples of the format's lengths
+    (four gluings of 4 entries, two peripheral rows of 16) holding ints
+    only, checked in one pass over all tetrahedra."""
+    n, chain = len(tets), itertools.chain
+    fields = [*chain.from_iterable(
+        (t.neighbors, t.gluings, t.vertex_cusp, t.peripheral) for t in tets)]
+    if {*map(type, fields)} != {tuple} or [*map(len, fields)] != [4, 4, 4, 2] * n:
+        return False
+    rows = [*chain.from_iterable(t.gluings + t.peripheral for t in tets)]
+    if {*map(type, rows)} != {tuple} or [*map(len, rows)] != [4, 4, 4, 4, 16, 16] * n:
+        return False
+    entries = chain(*rows, *(t.neighbors + t.vertex_cusp for t in tets))
+    return {*map(type, entries)} == {int}
 
 
 def _curve_problems(tets, cusp_count):

@@ -435,6 +435,23 @@ def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
     assert failed == ["bad.tri:certified", "short.tri:certified"]
 
 
+@pytest.mark.parametrize("paths, message", [
+    (["a.tri", "a.tri"], "the path 'a.tri' is given twice"),
+    (["a.tri", "B"], "the path 'B' is an embedded fixture's label")],
+    ids=["twice", "label"])
+def test_all_fixtures_refuses_a_label_used_twice(capsys, monkeypatch, tmp_path,
+                                                 paths, message):
+    # results are keyed by label, so two entries under one label once kept
+    # one result and both sets of assertions; refused before any certifies
+    (tmp_path / "a.tri").write_text(fixture_text("A"))
+    (tmp_path / "B").write_text(fixture_text("B"))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(krawczyk, "certify_hyperbolic",
+                        lambda *args, **kwargs: pytest.fail("certification ran"))
+    code, out, err = run(capsys, ["tri", "certify", "--all-fixtures", *paths])
+    assert (code, out, err) == (2, "", f"error: --all-fixtures: {message}\n")
+
+
 @pytest.mark.parametrize("extra", [["PATH"], ["--fixture", "A"]])
 def test_all_fixtures_rejects_a_named_input(capsys, tmp_path, extra):
     path = tmp_path / "a.tri"

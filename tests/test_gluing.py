@@ -49,13 +49,17 @@ def test_rows_match_the_pinned_digest(tri_a, tri_b):
     assert digest.hexdigest() == ROW_DIGEST
 
 
-def test_matrix_is_the_read_only_rows(tri_b):
-    sys_ = build_equations(tri_b)
-    M = sys_.matrix
-    assert M is sys_.matrix and M.dtype == np.int64 and not M.flags.writeable
-    assert M.tolist() == [[*r.A, *r.B, r.k - r.c] for r in sys_.rows]
-    with pytest.raises(ValueError):
-        M[0, 0] = 1
+def test_matrix_is_the_read_only_rows(tri_a, tri_b):
+    # built from the flat list the construction checks, on A, B and every
+    # filling of B's cusp 6, it is the rows, row for row
+    for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
+        sys_ = build_equations(tri)
+        M = sys_.matrix
+        assert M is sys_.matrix and M.dtype == np.int64 and not M.flags.writeable
+        assert M.shape == (len(sys_.rows), 2 * len(tri.tets) + 1)
+        assert M.tolist() == [[*r.A, *r.B, r.k - r.c] for r in sys_.rows]
+        with pytest.raises(ValueError):
+            M[0, 0] = 1
     # a row int64 cannot hold is refused at construction, so no other dtype
     with pytest.raises(ValueError, match="modulus 2\\^53"):
         GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
@@ -124,6 +128,7 @@ def test_kept_rows_drop_the_densest_rows(tri_a, tri_b):
 
 NOT_INT = "the entry .*, which is not an int"
 WIDE = "an entry of modulus 2\\^53 or more, which floats do not hold"
+RAGGED = "{} A and {} B entries, not 2 each"
 
 
 @pytest.mark.parametrize("field, entry, refusal", [
@@ -131,20 +136,31 @@ WIDE = "an entry of modulus 2\\^53 or more, which floats do not hold"
     ("A", 0.5, NOT_INT), ("A", True, NOT_INT), ("B", 2.0, NOT_INT),
     ("A", np.int64(1), NOT_INT), ("k", 0.5, NOT_INT),
     ("A", 2 ** 53, WIDE), ("B", -2 ** 53, WIDE), ("A", -2 ** 63, WIDE),
-    ("B", 10 ** 400, WIDE), ("k", -2 ** 53, WIDE)],
+    ("B", 10 ** 400, WIDE), ("k", -2 ** 53, WIDE),
+    # a tuple is the whole field: A or B of other than tet_count entries,
+    # which `residual` once zipped with the shapes misaligned
+    ("A", (1,), RAGGED.format(1, 2)), ("B", (0, 1, 2), RAGGED.format(2, 3)),
+    ("B", (), RAGGED.format(2, 0))],
     ids=["A_top", "B_bottom", "k_top", "half", "bool", "float", "numpy", "k_half",
-         "A_2_53", "B_minus_2_53", "minus_2_63", "10_400", "k_minus_2_53"])
+         "A_2_53", "B_minus_2_53", "minus_2_63", "10_400", "k_minus_2_53",
+         "A_short", "B_long", "B_empty"])
 def test_construction_refuses_entries_floats_do_not_hold(field, entry, refusal):
     # the entry goes into row 1 of [A | B | k - c], after a clean row 0
     clean = GluingRow("edge", (1, -1), (0, 2), 1, 2)
     bad = (dataclasses.replace(clean, k=entry, c=0) if field == "k"
-           else dataclasses.replace(clean, **{field: (0, entry)}))
+           else dataclasses.replace(clean, **{field: entry if isinstance(
+               entry, tuple) else (0, entry)}))
     if refusal is None:
         sys_ = GluingSystem("edge", 2, (clean, bad))
         assert sys_.matrix.tolist()[1] == [*bad.A, *bad.B, bad.k - bad.c]
         return
-    with pytest.raises(ValueError, match=f"^edge row 1 has {refusal}$"):
-        GluingSystem("edge", 2, (clean, bad))
+    # the first bad row is named, whatever the rule a later row breaks
+    later = (dataclasses.replace(clean, A=(0.5, 0)),
+             dataclasses.replace(clean, B=(2 ** 53, 0)),
+             dataclasses.replace(clean, A=(1,)))
+    for rows in [(clean, bad)] + [(clean, bad, row) for row in later]:
+        with pytest.raises(ValueError, match=f"^edge row 1 has {refusal}$"):
+            GluingSystem("edge", 2, rows)
 
 
 def test_row_inventory_a(tri_a):

@@ -653,6 +653,13 @@ def _tet0(tri, **changes):
     return dataclasses.replace(tri, tets=(tet,) + tri.tets[1:])
 
 
+def _last(tri, **changes):
+    """`tri` with its last tetrahedron edited: a fault there is found by the
+    one pass over every tetrahedron that `validate` makes first."""
+    tet = dataclasses.replace(tri.tets[-1], **changes)
+    return dataclasses.replace(tri, tets=tri.tets[:-1] + (tet,))
+
+
 UNPAIRED = "tet 9 face 0: face pairing with tet 0 face 0 is not involutive"
 SPACED = "is not one token free of whitespace"
 
@@ -700,10 +707,22 @@ SPACED = "is not one token free of whitespace"
     (lambda t: _tet0(t, peripheral=(t.tets[0].peripheral[0],
                                     (1.5,) + t.tets[0].peripheral[1][1:])),
      "tet 0: peripheral entry 16 is 1.5, not an int"),
+    # of the wrong length, but tuples of ints: only the gluing's own rule
+    # refuses a 3-entry gluing
+    (lambda t: _tet0(t, gluings=((1, 0, 2),) + t.tets[0].gluings[1:]),
+     f"tet 0 face 0: gluing (1, 0, 2) is not a permutation; {UNPAIRED}"),
+    (lambda t: _last(t, peripheral=(t.tets[-1].peripheral[0],
+                                    t.tets[-1].peripheral[1][:15])),
+     "tet 11: 4 neighbors, 4 gluings, 4 vertex cusps and peripheral rows of "
+     "(16, 15) entries; expected 4, 4, 4 and 2 rows of 16"),
+    (lambda t: _last(t, neighbors=t.tets[-1].neighbors[:3]),
+     "tet 11: 3 neighbors, 4 gluings, 4 vertex cusps and peripheral rows of "
+     "(16, 16) entries; expected 4, 4, 4 and 2 rows of 16"),
 ], ids=["neighbor", "gluing", "sheet_row", "name_space", "name_empty",
         "solution_type", "name_non_ascii", "solution_type_non_ascii",
         "no_tets", "volume_nan", "cs_inf", "hint_0", "hint_1", "hint_nan", "hint_inf",
-        "neighbor_float", "gluing_float", "vertex_cusp_float", "peripheral_float"])
+        "neighbor_float", "gluing_float", "vertex_cusp_float", "peripheral_float",
+        "gluing_three", "peripheral_fifteen", "neighbors_three"])
 def test_validate_diagnostic_fails_certify(tri_a, corrupt, message):
     # no such triangulation reaches certify, or the writer: building it,
     # whether by the constructor or by dataclasses.replace, raises the
@@ -791,6 +810,26 @@ def test_entries_that_are_not_ints_are_diagnostics(tri_a, kind, fields):
     assert str(info.value) == "; ".join(expected) and info.value.line is None
 
 
+def _with_last(value, x):
+    """`value`, a tuple of ints or of tuples of them, with its last int x."""
+    last = value[-1]
+    return value[:-1] + (_with_last(last, x) if type(last) is tuple else x,)
+
+
+@pytest.mark.parametrize("kind", [float, bool, str])
+@pytest.mark.parametrize("field, name, index", [
+    ("neighbors", "neighbor", 3), ("gluings", "gluing entry", 15),
+    ("vertex_cusp", "vertex cusp", 3), ("peripheral", "peripheral entry", 31)])
+def test_one_entry_that_is_not_an_int_is_named(tri_a, kind, field, name, index):
+    # the last int of a field of the last tetrahedron: the one pass over
+    # every tetrahedron finds it, and the loop over each names it as before
+    value = getattr(tri_a.tets[-1], field)
+    x = kind(value[-1][-1] if field in ("gluings", "peripheral") else value[-1])
+    with pytest.raises(TriParseError) as info:
+        _last(tri_a, **{field: _with_last(value, x)})
+    assert str(info.value) == f"tet 11: {name} {index} is {x!r}, not an int"
+
+
 NOT_A_TUPLE = "a field, gluing or peripheral row is not a tuple"
 
 
@@ -808,7 +847,10 @@ NOT_A_TUPLE = "a field, gluing or peripheral row is not a tuple"
     (lambda t: _tet0(t, peripheral=(list(t.tets[0].peripheral[0]),
                                     *t.tets[0].peripheral[1:])),
      f"tet 0: {NOT_A_TUPLE}"),
-], ids=["tets", "cusps", "list_gluings", "gluings", "neighbors", "peripheral_row"])
+    (lambda t: _last(t, vertex_cusp=list(t.tets[-1].vertex_cusp)),
+     f"tet 11: {NOT_A_TUPLE}"),
+], ids=["tets", "cusps", "list_gluings", "gluings", "neighbors", "peripheral_row",
+        "vertex_cusp_last"])
 def test_containers_must_be_tuples(tri_a, edit, message):
     # a list inside a valid triangulation could be changed after the check
     with pytest.raises(TriParseError) as info:
