@@ -10,7 +10,10 @@ the exit code is 0 exactly when every assertion passes.  Hard failures
 get distinct codes from `exit_code`: 2 for file/parse/validation trouble,
 3 for solver failures, 4 for certification failures.  `tri certify
 --all-fixtures [PATH ...]` reports every entry and exits with the largest code;
-a PATH given twice, or named as an embedded fixture, exits 2 first.
+a PATH given twice, named as an embedded fixture, or beginning with another
+entry's label and `:`, exits 2 first, so no two results share a key.  A
+reader that closes stdout early (`| head`) changes neither the exit code
+nor stderr.
 Each command loads only what it runs: the `twobridge` and `surgery` ones
 `tangle`, `surgery` and `fixtures`; `tri` once a triangulation is read; the
 numeric modules in `tri volume`, `solve` and `certify`; numpy in the last two.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -218,12 +222,16 @@ def tri_certify(args):
     if args.path is not None or args.fixture is not None:
         raise ValueError("--all-fixtures takes paths after it, not --fixture")
     paths = [] if args.all_fixtures is True else args.all_fixtures
-    # an entry's label keys its result, so no two entries share one
+    # a result is keyed `label:name`, or `label` when it failed, so no label
+    # is another's, nor another's and ':' before more
+    labels = [*fixtures.EMBEDDED, *paths]
     for i, path in enumerate(paths):
-        if path in fixtures.EMBEDDED or path in paths[:i]:
-            raise ValueError(f"--all-fixtures: the path {path!r} is " + (
-                "an embedded fixture's label" if path in fixtures.EMBEDDED
-                else "given twice"))
+        why = ("is an embedded fixture's label" if path in fixtures.EMBEDDED
+               else "is given twice" if path in paths[:i]
+               else next((f"begins with the label {label!r} and ':'"
+                          for label in labels if path.startswith(label + ":")), ""))
+        if why:
+            raise ValueError(f"--all-fixtures: the path {path!r} {why}")
     # a failed entry carries its exit code; `main` exits with the largest
     results, assertions = {}, []
     sources = [(label, fixtures.load_fixture) for label in fixtures.EMBEDDED]
@@ -418,18 +426,24 @@ def main(argv=None) -> int:
                          if k not in ("func", "format") and v is not None},
               "results": results, "assertions": assertions,
               "timestamp": datetime.now(timezone.utc).isoformat()}
-    if args.format == "text":
-        print(report["command"])
-        for key, value in results.items():
-            print(f"  {key} = {value}")
-        for a in assertions:
-            mark = "ok  " if a["pass"] else "FAIL"
-            print(f"  [{mark}] {a['name']}: {a['detail']}")
-    else:
-        print(json.dumps(report, indent=2))
     batch_codes = [entry["exit_code"] for entry in results.values()
                    if isinstance(entry, dict) and "exit_code" in entry]
     passed = all(a["pass"] for a in assertions)
+    try:
+        if args.format == "text":
+            print(report["command"])
+            for key, value in results.items():
+                print(f"  {key} = {value}")
+            for a in assertions:
+                mark = "ok  " if a["pass"] else "FAIL"
+                print(f"  [{mark}] {a['name']}: {a['detail']}")
+        else:
+            print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): stdout becomes os.devnull, so the
+        # flush at exit is quiet too, and the exit code is the report's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return max([0 if passed else EXIT_ASSERTION, *batch_codes])
 
 

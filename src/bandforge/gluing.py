@@ -28,17 +28,22 @@ by the requirement that both shipped fixtures have residual < 1e-8 at
 their stored shape hints, and is frozen by the test suite.
 
 One walk of the edge ids folds the edge rows; `edge_classes` labels it.
+The edge rows, the cusp relations and the folded peripheral curves are
+made once per triangulation, in `tri._frame`; `build_equations` folds only
+the filled cusps' rows, so a sweep over slopes walks edges and curves once.
 A `GluingSystem` walks its rows once into one flat list [A | B | k - c],
 refuses an A or B without `tet_count` entries and an entry floats do not
 hold (the 2^53 rule), and the numeric stages read that list as one exact
 integer matrix, `GluingSystem.matrix`; `jacobian` is the one Jacobian
 builder, Krawczyk's midpoint included.  Newton needs no square
 subsystem: Gauss-Newton steps on all rows.  The one row choice is the
-proof's: `GluingSystem.kept_rows`, n rows of which every
-other row is an exact rational combination, chosen once per system from
-the cusp relations (Neumann-Zagier) by exact elimination, independent of
-the shapes.  The rows, the 2^53 rule and `residual` are plain Python;
-`matrix`, `kept_rows` and `newton_solve` import numpy.
+proof's: `GluingSystem.kept_rows`, n rows of which every other row is
+an exact rational combination, chosen once per system from the cusp
+relations (Neumann-Zagier) by exact elimination, independent of the
+shapes, and memoized on the relations and the order of the rows they
+list, which a filled row cannot change.  The rows, the 2^53 rule and
+`residual` are plain Python; `matrix`, `kept_rows` and `newton_solve`
+import numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .tri import _SIGN, SolveError, Triangulation
+from .tri import _SIGN, FRAMES, SolveError, Triangulation, _frame
 
 __all__ = [
     "GluingRow", "GluingSystem", "NewtonResult",
@@ -178,14 +183,33 @@ class GluingSystem:
         M, R, rels = self.matrix, len(self.rows), self.relations
         if rels and max(map(len, rels)) < 2 ** 10 and all(
                 0 <= i < R for rel in rels for i in rel):
-            W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R)
-                          for r in rels])
+            rels = tuple(map(tuple, rels))
+            W = _weights(rels, R)
             if not (W @ M).any():
+                # a zero column of W is never a pivot, so only the order of
+                # the rows W lists counts, and no cusp row is one of them
                 dense = (-np.count_nonzero(M[:, :-1], axis=1)).tolist()
-                dropped = set(pivot_columns(W, sorted(range(R), key=dense.__getitem__)))
+                listed = W.any(axis=0).tolist()
+                dropped = _dropped(rels, R, tuple(
+                    i for i in sorted(range(R), key=dense.__getitem__) if listed[i]))
                 if R - len(dropped) == self.tet_count:
                     return tuple(i for i in range(R) if i not in dropped)
         return tuple(pivot_columns(M.T))
+
+
+@functools.lru_cache(FRAMES)
+def _weights(rels, R):
+    """W: row c counts each listed row of relation c, over R rows."""
+    import numpy as np
+    W = np.array([np.bincount(np.asarray(r, np.intp), minlength=R) for r in rels])
+    W.flags.writeable = False
+    return W
+
+
+@functools.lru_cache(FRAMES)
+def _dropped(rels, R, order):
+    """The pivot columns of W, taken in `order`."""
+    return frozenset(pivot_columns(_weights(rels, R), order))
 
 
 def _edge_walk(tets):
@@ -223,37 +247,30 @@ def edge_classes(tri: Triangulation) -> list:
                   for i in sorted(members)) for members, _ in _edge_walk(tri.tets)]
 
 
-def _fold(n, terms):
-    """[A | B | k] of the sum of mult * log(parameter ptype at tet t) over
-    the (t, ptype, mult) terms."""
-    row = [0] * (2 * n + 1)
-    for t, ptype, mult in terms:
-        a, b, k = _LOG_TERMS[ptype]
-        row[t] += mult * a
-        row[n + t] += mult * b
-        row[2 * n] += mult * k
-    return row
+def _row(kind, r, c, cusp=None, filling=None):
+    """The `GluingRow` of r = [A | B | k]."""
+    n = len(r) // 2
+    return GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[-1], c, cusp, filling)
 
 
-def build_equations(tri: Triangulation) -> GluingSystem:
-    """One row per edge class, then one row per cusp (complete or filled).
-
-    A `Triangulation` is valid by construction (`tri.validate`), so nothing
-    is checked here.  A row floats cannot hold raises ValueError.
-    """
-    n = len(tri.tets)
-    # (kind, [A | B | k], c, cusp, filling) per row: one per edge class,
-    # and the cusps of its ends, read at its least member
-    rows, relations = [], [[] for _ in tri.cusps]
-    for i, (members, row) in enumerate(_edge_walk(tri.tets)):
-        rows.append(("edge", row, 2, None, None))
+def _slope_free_rows(tets, cusp_count):
+    """What no filling changes, made once per triangulation (`tri._frame`):
+    the edge rows, the relations, and per cusp its complete row and its
+    folded meridian and longitude [A | B | k]."""
+    n = len(tets)
+    # one row per edge class, and the cusps of its ends, read at its least
+    # member
+    edges, relations = [], [[] for _ in range(cusp_count)]
+    for i, (members, row) in enumerate(_edge_walk(tets)):
+        edges.append(_row("edge", row, 2))
         t, j = divmod(members[0], 6)
         for v in _PAIRS[j]:
-            relations[tri.tets[t].vertex_cusp[v]].append(i)
+            relations[tets[t].vertex_cusp[v]].append(i)
 
-    # peripheral holonomy terms: terms[cusp][curve] as (t, ptype, mult)
-    terms = [([], []) for _ in tri.cusps]
-    for t, tet in enumerate(tri.tets):
+    # peripheral holonomy: curves[cusp][curve] folds mult * log(the
+    # parameter of type ptype at tet t) over the corners the curve wraps
+    curves = [([0] * (2 * n + 1), [0] * (2 * n + 1)) for _ in range(cusp_count)]
+    for t, tet in enumerate(tets):
         for curve, row in enumerate(tet.peripheral):
             for v, turns in enumerate(_TURNS):
                 corner = row[4 * v:4 * v + 4]
@@ -262,19 +279,33 @@ def build_equations(tri: Triangulation) -> GluingSystem:
                     mult = (min(x, -y) if x > 0 > y
                             else -min(-x, y) if y > 0 > x else 0)
                     if mult:
-                        terms[tet.vertex_cusp[v]][curve].append((t, ptype, mult))
+                        r = curves[tet.vertex_cusp[v]][curve]
+                        da, db, dk = _LOG_TERMS[ptype]
+                        r[t] += mult * da
+                        r[n + t] += mult * db
+                        r[-1] += mult * dk
+    return tuple(edges), tuple(map(tuple, relations)), tuple(
+        (_row("cusp_complete", mer, 0, cusp), tuple(mer), tuple(lon))
+        for cusp, (mer, lon) in enumerate(curves))
 
-    for cusp, info in enumerate(tri.cusps):
-        mer, lon = (_fold(n, curve) for curve in terms[cusp])
+
+def build_equations(tri: Triangulation) -> GluingSystem:
+    """One row per edge class, then one row per cusp (complete or filled):
+    only the filled cusps' rows are folded here, the rest is the frame.
+
+    A `Triangulation` is valid by construction (`tri.validate`), so nothing
+    is checked here.  A row floats cannot hold raises ValueError.
+    """
+    edges, relations, cusps = _frame(tri.tets, len(tri.cusps)).equations
+    rows = [*edges]
+    for cusp, (info, (complete, mer, lon)) in enumerate(zip(tri.cusps, cusps)):
         if info.is_complete():
-            rows.append(("cusp_complete", mer, 0, cusp, None))
+            rows.append(complete)
         else:
             m, l = info.filling_ints()
-            rows.append(("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
-                         2, cusp, (m, l)))
-    return GluingSystem(tri.name, n, tuple(
-        GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[2 * n], c, cusp, filling)
-        for kind, r, c, cusp, filling in rows), tuple(map(tuple, relations)))
+            rows.append(_row("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
+                             2, cusp, (m, l)))
+    return GluingSystem(tri.name, len(tri.tets), tuple(rows), relations)
 
 
 def _rows_at(M, u, w):

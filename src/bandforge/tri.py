@@ -42,11 +42,18 @@ shape hint of 0, 1 or a non-finite value is degenerate, a negatively
 oriented one legal; each cusp's curves are closed, matched and a basis.
 One pass over all tetrahedra checks their containers, lengths and int
 entries; only when it fails is each walked, to name its faults.
+
+The rules on the tetrahedra depend only on `tets` and the cusp count, so
+`_frame` memoizes them per `(tets, cusp_count)`, the FRAMES (8) most
+recent kept, beside `gluing`'s slope-free rows.  As `True == 1`, `1.0 ==
+1` and `0.5 == 0.5+0j` hash alike, `validate` looks a frame up only when
+every entry is an int and every shape hint a complex.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -279,10 +286,47 @@ def validate(tri: Triangulation) -> list:
                        "representable (|m| and |l| must be below 2^53)")
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
-    # a tetrahedron not of tuples, of the wrong shape, or with an entry that is
-    # not an int, gets no other check, and no face pairing is checked against
-    # it; the loop names such faults only when one pass over all finds one
-    misshapen = set()
+    # a frame is memoized only on a type-exact key (see the module docstring)
+    hints = [tet.shape_hint for tet in tets]
+    typed = _well_formed(tets) and {*map(type, hints)} <= {complex}
+    frame = (_frame if typed else _Frame)(tets, len(cusps))
+    out += frame.misshapen
+    for t, z in enumerate(hints):
+        if type(z) is not complex:
+            out.append(f"tet {t}: shape hint {z!r} is not a complex")
+        elif z in (0, 1) or not cmath.isfinite(z):
+            out.append(f"tet {t}: shape hint {z} is degenerate")
+        out += frame.problems[t]
+    return out or list(frame.curves)
+
+
+FRAMES = 8      # per-triangulation frames kept, most recently used first
+
+
+class _Frame:
+    """What `tets` and the cusp count fix, whatever the fillings: validate's
+    diagnostics of both, and gluing's slope-free rows once first read."""
+
+    def __init__(self, tets, cusp_count):
+        self.tets, self.cusp_count = tets, cusp_count
+        self.misshapen, self.problems, self.curves = _tet_problems(tets, cusp_count)
+
+    @functools.cached_property
+    def equations(self):
+        from .gluing import _slope_free_rows
+        return _slope_free_rows(self.tets, self.cusp_count)
+
+
+_frame = functools.lru_cache(FRAMES)(_Frame)
+
+
+def _tet_problems(tets, cusp_count):
+    """The diagnostics of tetrahedra not of tuples, of the wrong shape, or
+    with an entry that is not an int, which get no other check (the loop
+    runs only when one pass over all finds one); per tetrahedron, those of
+    its face pairings and vertex cusps; and, when all are clean, the
+    curves'."""
+    out, misshapen = [], set()
     for t, tet in enumerate(() if _well_formed(tets) else tets):
         fields = (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral)
         if {*map(type, fields)} != {tuple} or not {
@@ -305,46 +349,44 @@ def validate(tri: Triangulation) -> list:
         else:
             continue
         misshapen.add(t)
-    n = len(tets)
+    n, problems = len(tets), []
     for t, tet in enumerate(tets):
-        if type(tet.shape_hint) is not complex:
-            out.append(f"tet {t}: shape hint {tet.shape_hint!r} is not a complex")
-        elif tet.shape_hint in (0, 1) or not cmath.isfinite(tet.shape_hint):
-            out.append(f"tet {t}: shape hint {tet.shape_hint} is degenerate")
+        problems.append(found := [])
         if t in misshapen:
             continue
         for f, t2 in enumerate(tet.neighbors):
             if not 0 <= t2 < n:
-                out.append(f"tet {t} face {f}: neighbor {t2} out of range")
+                found.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
             sigma = tet.gluings[f]
             paired = _PAIRED.get(sigma)
             if paired is None:
-                out.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
+                found.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
                 continue
             sign, inverse, here, there = paired[f]
             # coherent orientation forces orientation-reversing face maps
             if sign != -1:
-                out.append(f"tet {t} face {f}: gluing {sigma} is an even "
-                           "permutation (orientation not coherent)")
+                found.append(f"tet {t} face {f}: gluing {sigma} is an even "
+                             "permutation (orientation not coherent)")
             back, f2 = tets[t2], sigma[f]
             if t2 in misshapen:
                 continue
             if back.neighbors[f2] != t or back.gluings[f2] != inverse:
-                out.append(f"tet {t} face {f}: face pairing with tet {t2} "
-                           f"face {f2} is not involutive")
+                found.append(f"tet {t} face {f}: face pairing with tet {t2} "
+                             f"face {f2} is not involutive")
             # glued vertices lie on one cusp, checked once per face pair
             if (t < t2 or t == t2 and f <= f2) and (
                     here(tet.vertex_cusp) != there(back.vertex_cusp)):
-                out += [f"tet {t} face {f}: vertex {v} on cusp {c} is glued to "
-                        f"tet {t2} vertex {sigma[v]} on cusp {back.vertex_cusp[sigma[v]]}"
-                        for v, c in enumerate(tet.vertex_cusp)
-                        if v != f and c != back.vertex_cusp[sigma[v]]]
+                found += [f"tet {t} face {f}: vertex {v} on cusp {c} is glued to "
+                          f"tet {t2} vertex {sigma[v]} on cusp {back.vertex_cusp[sigma[v]]}"
+                          for v, c in enumerate(tet.vertex_cusp)
+                          if v != f and c != back.vertex_cusp[sigma[v]]]
         for v, c in enumerate(tet.vertex_cusp):
-            if not 0 <= c < len(cusps):
-                out.append(f"tet {t} vertex {v}: cusp index {c} out of range "
-                           f"[0, {len(cusps)})")
-    return out or _curve_problems(tets, len(cusps))
+            if not 0 <= c < cusp_count:
+                found.append(f"tet {t} vertex {v}: cusp index {c} out of range "
+                             f"[0, {cusp_count})")
+    return tuple(out), tuple(map(tuple, problems)), () if out or any(problems) else (
+        tuple(_curve_problems(tets, cusp_count)))
 
 
 def _well_formed(tets):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from bandforge import gluing, tri as tri_module
 from bandforge.fixtures import fixture_text, load_fixture
 from bandforge.gluing import build_equations, newton_solve
 from bandforge.tri import CuspInfo
@@ -13,6 +14,13 @@ def filled(tri, cusp, m, l):
     cusps = list(tri.cusps)
     cusps[cusp] = CuspInfo(float(m), float(l))
     return dataclasses.replace(tri, cusps=tuple(cusps))
+
+
+def forget_frames():
+    """Empty the per-triangulation frames and the relation eliminations, so
+    the next system is built and its rows chosen from nothing."""
+    for memo in (tri_module._frame, gluing._weights, gluing._dropped):
+        memo.cache_clear()
 
 
 def sheared(tri, k):

@@ -314,6 +314,28 @@ def test_overflowing_hint_is_one_error_line_under_warnings_as_errors(
     assert out.stderr.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["tri", "solve", "--fixture", "A"], 0),
+    (["tri", "certify", "--fixture", "B", "--text"], 0),
+    (["tri", "volume", "DOCTORED"], 1)], ids=["solve", "certify_text", "assertion"])
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, code, tmp_path):
+    # the reader of stdout is gone before the report is written, as after
+    # `| head -1`: no traceback, and the code of the report
+    doctored = tmp_path / "doctored.tri"
+    doctored.write_text(fixture_text("A").replace("10.01776364", "10.11776364"))
+    argv = [str(doctored) if a == "DOCTORED" else a for a in argv]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-W", "error", "-m", "bandforge.cli",
+                              *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                             stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (code, "")
+
+
 def test_certify_failure_exit_code(capsys):
     code, _, err = run(capsys, ["tri", "certify", "--fixture", "A",
                                 "--radius", "0.5"])
@@ -435,16 +457,27 @@ def test_all_fixtures_reports_every_fixture(capsys, monkeypatch, tmp_path):
     assert failed == ["bad.tri:certified", "short.tri:certified"]
 
 
+A_NAME = "positive_NewExDoubleBranchedCover.tri"
+
+
 @pytest.mark.parametrize("paths, message", [
     (["a.tri", "a.tri"], "the path 'a.tri' is given twice"),
-    (["a.tri", "B"], "the path 'B' is an embedded fixture's label")],
-    ids=["twice", "label"])
+    (["a.tri", "B"], "the path 'B' is an embedded fixture's label"),
+    # A certified as `x:<its name>`, the junk file failed as the same key
+    (["x", f"x:{A_NAME}"], f"the path 'x:{A_NAME}' begins with the label 'x' and ':'"),
+    ([f"x:{A_NAME}", "x"], f"the path 'x:{A_NAME}' begins with the label 'x' and ':'"),
+    (["a.tri", "B:b.tri"], "the path 'B:b.tri' begins with the label 'B' and ':'")],
+    ids=["twice", "label", "label_colon_name", "label_colon_name_first",
+         "fixture_label_colon"])
 def test_all_fixtures_refuses_a_label_used_twice(capsys, monkeypatch, tmp_path,
                                                  paths, message):
-    # results are keyed by label, so two entries under one label once kept
-    # one result and both sets of assertions; refused before any certifies
+    # results are keyed by label, or label and name, so two entries under
+    # one key once kept one result and both sets of assertions; refused
+    # before any certifies
     (tmp_path / "a.tri").write_text(fixture_text("A"))
     (tmp_path / "B").write_text(fixture_text("B"))
+    (tmp_path / "x").write_text(fixture_text("A"))
+    (tmp_path / f"x:{A_NAME}").write_text("not a triangulation\n")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(krawczyk, "certify_hyperbolic",
                         lambda *args, **kwargs: pytest.fail("certification ran"))

@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bandforge import gluing, tri as tri_module
 from bandforge.gluing import (DivergenceError, GluingRow, GluingSystem,
                               HalfPlaneExitError, SingularJacobianError,
                               build_equations, edge_classes, newton_solve,
                               pivot_columns, residual, _rows_at)
-from conftest import filled
+from bandforge.tri import parse_triangulation, serialize_triangulation
+from conftest import filled, forget_frames
 
 # the 128 primitive slopes of B's complete cusp 6: m ascending, then l
 B_SLOPES = [(m, l) for m in range(-10, 11) for l in range(11)
@@ -63,6 +65,41 @@ def test_matrix_is_the_read_only_rows(tri_a, tri_b):
     # a row int64 cannot hold is refused at construction, so no other dtype
     with pytest.raises(ValueError, match="modulus 2\\^53"):
         GluingSystem("big", 1, (GluingRow("edge", (2 ** 64,), (0,), 1, 0),))
+
+
+def test_memoized_systems_are_built_afresh_alike(tri_a, tri_b):
+    # every system after the first of its triangulation reads the memoized
+    # frame and eliminations; built again from nothing, each has the same
+    # rows, relations and kept rows
+    tris = [tri_a, tri_b] + [filled(tri_b, 6, s * m, s * l)
+                             for m, l in B_SLOPES for s in (1, -1)]
+    build_equations(tri_a).kept_rows
+    build_equations(tri_b).kept_rows
+    memoized = [build_equations(tri) for tri in tris]
+    kept = [sys_.kept_rows for sys_ in memoized]
+    for tri, sys_, rows in zip(tris, memoized, kept):
+        forget_frames()
+        fresh = build_equations(tri)
+        assert fresh.rows == sys_.rows and fresh.relations == sys_.relations
+        assert fresh.kept_rows == rows and len(rows) == len(tri.tets)
+
+
+def test_a_second_filling_walks_nothing_again(tri_b, monkeypatch):
+    # the edge walk, the curve folding, the tetrahedron rules and the
+    # relation elimination run once per triangulation, not once per slope
+    forget_frames()
+    assert len(build_equations(filled(tri_b, 6, 1, 2)).kept_rows) == 26
+    calls = []
+    for module, name in [(gluing, "_edge_walk"), (gluing, "pivot_columns"),
+                         (tri_module, "_tet_problems"),
+                         (tri_module, "_curve_problems")]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    text = serialize_triangulation(filled(tri_b, 6, 3, 1))
+    sys_ = build_equations(parse_triangulation(text))
+    assert sys_.rows[-1].filling == (3, 1) and len(sys_.kept_rows) == 26
+    assert calls == []
 
 
 def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):

@@ -21,7 +21,7 @@ from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 interval_volume, krawczyk_test)
 from bandforge.tri import (SolveError, TriParseError, serialize_triangulation,
                            validate)
-from conftest import box_row, filled, holds, meet, sheared
+from conftest import box_row, filled, forget_frames, holds, meet, sheared
 
 # ------------------------------------------------- interval Bloch-Wigner
 
@@ -220,6 +220,7 @@ def test_volume_domain_error_is_raised_only_for_a_valid_box(solved_a, monkeypatc
 def test_certify_selects_rows_once(tri_a, monkeypatch):
     # Newton and every rung read the one exact row choice of the system
     calls = _spied(monkeypatch, gluing, "pivot_columns")
+    forget_frames()
     assert certify_hyperbolic(tri_a, radii=(1e-16, 1e-8)).valid
     assert len(calls) == 1
 
@@ -428,6 +429,7 @@ def test_certify_never_eliminates_the_full_matrix(tri_a, tri_b, monkeypatch):
     certified = 0
     for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         shapes.clear()
+        forget_frames()
         cusps = len(tri.cusps)
         try:
             certify_hyperbolic(tri)
@@ -444,6 +446,7 @@ def test_relations_are_eliminated_once_per_system(tri_b, monkeypatch):
     # the rungs 1e-16 and 1e-15 do not certify and 1e-10 does; the row
     # choice is the system's, so W is eliminated once, for Newton
     shapes = _record_ranks(monkeypatch)
+    forget_frames()
     cert = certify_hyperbolic(tri_b, radii=(1e-16, 1e-15, 1e-10))
     assert cert.valid and cert.radius_used == 1e-10
     assert shapes == [(len(tri_b.cusps), len(tri_b.tets) + len(tri_b.cusps))]

@@ -830,6 +830,32 @@ def test_one_entry_that_is_not_an_int_is_named(tri_a, kind, field, name, index):
     assert str(info.value) == f"tet 11: {name} {index} is {x!r}, not an int"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("neighbors", (8.0, 4, 24, 15), "neighbor 0 is 8.0"),
+    ("gluings", ((3, 0, True, 2), (3, 0, 1, 2), (2, 1, 0, 3), (0, 3, 2, 1)),
+     "gluing entry 2 is True"),
+    ("vertex_cusp", (6, 3, 6, 2.0), "vertex cusp 3 is 2.0"),
+    ("peripheral", ((0, True, 0, -1, *[0] * 12), (0, -2, 0, 2, *[0] * 12)),
+     "peripheral entry 1 is True"),
+], ids=["neighbor_float", "gluing_true", "vertex_cusp_float", "peripheral_true"])
+def test_an_equal_entry_of_another_type_is_refused_after_a_clean_copy(
+        tri_b, field, value, message):
+    # the copy compares and hashes equal to B, whose tetrahedron rules are
+    # memoized clean, so the memo must not answer for it
+    assert validate(tri_b) == [] and value == getattr(tri_b.tets[-1], field)
+    with pytest.raises(TriParseError) as info:
+        _last(tri_b, **{field: value})
+    assert str(info.value) == f"tet 25: {message}, not an int"
+
+
+def test_an_equal_float_hint_is_refused_after_a_clean_copy(tri_b):
+    real = _last(tri_b, shape_hint=0.5 + 0j)
+    assert validate(real) == []
+    with pytest.raises(TriParseError) as info:
+        _last(real, shape_hint=0.5)
+    assert str(info.value) == "tet 25: shape hint 0.5 is not a complex"
+
+
 NOT_A_TUPLE = "a field, gluing or peripheral row is not a tuple"
 
 
