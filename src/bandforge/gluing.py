@@ -29,11 +29,12 @@ their stored shape hints, and is frozen by the test suite.
 
 One walk of the edge ids folds the edge rows; `edge_classes` labels it.
 The edge rows, the cusp relations and the folded peripheral curves are
-made once per triangulation, in `tri._frame`; `build_equations` folds only
-the filled cusps' rows, so a sweep over slopes walks edges and curves once.
-A `GluingSystem` walks its rows once into one flat list [A | B | k - c],
-refuses an A or B without `tet_count` entries and an entry floats do not
-hold (the 2^53 rule), and the numeric stages read that list as one exact
+made once per triangulation, in `tri._frame`, and each filled cusp row
+once per slope, so a sweep over slopes walks edges and curves once.
+A `GluingRow` finds the first entry of [A | B | k - c] floats do not hold
+(the 2^53 rule) once, when built; a `GluingSystem` refuses a `tet_count`
+that is not a positive int, an A or B without `tet_count` entries and a
+row with such an entry, and the numeric stages read its rows as one exact
 integer matrix, `GluingSystem.matrix`; `jacobian` is the one Jacobian
 builder, Krawczyk's midpoint included.  Newton needs no square
 subsystem: Gauss-Newton steps on all rows.  The one row choice is the
@@ -52,7 +53,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .tri import _SIGN, FRAMES, SolveError, Triangulation, _frame
@@ -118,13 +119,29 @@ class GluingRow:
     c: int                 # RHS multiplier: RHS = c*i*pi
     cusp: Optional[int] = None
     filling: Optional[tuple] = None
+    fault: Optional[str] = field(init=False, repr=False, compare=False)  # _row_fault
+
+    def __post_init__(self):
+        object.__setattr__(self, "fault", _row_fault(self))
+
+
+def _row_fault(row):
+    """Found once, when the row is built: the words naming the first entry
+    of its [A | B | k - c] not an int (a float, a bool) or of modulus 2^53
+    or more, or None."""
+    for x in (*row.A, *row.B, row.k - row.c):
+        if type(x) is not int:
+            return f"the entry {x!r}, which is not an int"
+        if abs(x) >= 2 ** 53:
+            return "an entry of modulus 2^53 or more, which floats do not hold"
+    return None
 
 
 @dataclass(frozen=True)
 class GluingSystem:
-    """Rows floats hold: an A or B without `tet_count` entries, or an entry
-    of [A | B | k - c] whose type is not int (a float, a bool) or of modulus
-    2^53 or more, raises ValueError.  Per cusp, `relations` lists the edge
+    """Rows floats hold: a `tet_count` that is not a positive int, an A or B
+    without `tet_count` entries, or a row with a `fault`, raises ValueError,
+    naming the first bad row.  Per cusp, `relations` lists the edge
     rows with an end there, once per end; so weighted, a torus cusp's edge
     rows sum to zero (Neumann-Zagier: each cusp triangle adds A = B = 0 and
     k = 1, two triangles per end)."""
@@ -134,36 +151,24 @@ class GluingSystem:
     relations: tuple = ()
 
     def __post_init__(self):
-        # one walk into the flat [A | B | k - c], then its set of types and
-        # the min and max of its values; walk again only to name a bad row
-        n, rows, flat = self.tet_count, self.rows, []
-        for r in rows:
-            flat += r.A
-            flat += r.B
-            flat.append(r.k - r.c)
-        if all(len(r.A) == n == len(r.B) for r in rows) and {
-                *map(type, flat)} <= {int}:
-            values = {*flat} or {0}
-            if -2 ** 53 < min(values) and max(values) < 2 ** 53:
-                object.__setattr__(self, "_flat", flat)
-                return
-        for i, r in enumerate(rows):
+        n = self.tet_count
+        if type(n) is not int or n < 1:
+            raise ValueError(f"tet_count {n!r} is not a positive int")
+        for i, r in enumerate(self.rows):
             if len(r.A) != n or len(r.B) != n:
                 raise ValueError(f"{r.kind} row {i} has {len(r.A)} A and "
                                  f"{len(r.B)} B entries, not {n} each")
-            for x in (*r.A, *r.B, r.k - r.c):
-                if type(x) is not int or abs(x) >= 2 ** 53:
-                    raise ValueError(f"{r.kind} row {i} has " + (
-                        f"the entry {x!r}, which is not an int"
-                        if type(x) is not int else "an entry of modulus "
-                        "2^53 or more, which floats do not hold"))
+            if r.fault:
+                raise ValueError(f"{r.kind} row {i} has {r.fault}")
 
     @functools.cached_property
     def matrix(self):
         """[A | B | k - c] as int64, one read-only row per equation row."""
         import numpy as np
-        m = np.fromiter(self._flat, np.int64, len(self._flat))
-        m = m.reshape(len(self.rows), 2 * self.tet_count + 1)
+        width, rows = 2 * self.tet_count + 1, self.rows
+        m = np.fromiter(itertools.chain.from_iterable(
+            (*r.A, *r.B, r.k - r.c) for r in rows), np.int64, len(rows) * width)
+        m = m.reshape(len(rows), width)
         m.flags.writeable = False
         return m
 
@@ -256,7 +261,8 @@ def _row(kind, r, c, cusp=None, filling=None):
 def _slope_free_rows(tets, cusp_count):
     """What no filling changes, made once per triangulation (`tri._frame`):
     the edge rows, the relations, and per cusp its complete row and its
-    folded meridian and longitude [A | B | k]."""
+    filled row at (m, l), m meridian + l longitude, folded once per slope
+    of the FRAMES (8) most recent."""
     n = len(tets)
     # one row per edge class, and the cusps of its ends, read at its least
     # member
@@ -285,26 +291,27 @@ def _slope_free_rows(tets, cusp_count):
                         r[n + t] += mult * db
                         r[-1] += mult * dk
     return tuple(edges), tuple(map(tuple, relations)), tuple(
-        (_row("cusp_complete", mer, 0, cusp), tuple(mer), tuple(lon))
+        (_row("cusp_complete", mer, 0, cusp), _filled_rows(cusp, mer, lon))
         for cusp, (mer, lon) in enumerate(curves))
 
 
+def _filled_rows(cusp, mer, lon):
+    """(m, l) -> the cusp's filled row, memoized."""
+    return functools.lru_cache(FRAMES)(lambda m, l: _row(
+        "cusp_filled", [m * x + l * y for x, y in zip(mer, lon)], 2, cusp, (m, l)))
+
+
 def build_equations(tri: Triangulation) -> GluingSystem:
-    """One row per edge class, then one row per cusp (complete or filled):
-    only the filled cusps' rows are folded here, the rest is the frame.
+    """One row per edge class, then one row per cusp (complete or filled),
+    all read from the frame; only a slope it has not seen is folded.
 
     A `Triangulation` is valid by construction (`tri.validate`), so nothing
     is checked here.  A row floats cannot hold raises ValueError.
     """
     edges, relations, cusps = _frame(tri.tets, len(tri.cusps)).equations
     rows = [*edges]
-    for cusp, (info, (complete, mer, lon)) in enumerate(zip(tri.cusps, cusps)):
-        if info.is_complete():
-            rows.append(complete)
-        else:
-            m, l = info.filling_ints()
-            rows.append(_row("cusp_filled", [m * x + l * y for x, y in zip(mer, lon)],
-                             2, cusp, (m, l)))
+    for info, (complete, filled) in zip(tri.cusps, cusps):
+        rows.append(complete if info.is_complete() else filled(*info.filling_ints()))
     return GluingSystem(tri.name, len(tri.tets), tuple(rows), relations)
 
 

@@ -40,14 +40,13 @@ integral coprime pair below 2^53 in modulus (the format stores a real);
 the volume hint, and the CS value when there is one, must be finite; a
 shape hint of 0, 1 or a non-finite value is degenerate, a negatively
 oriented one legal; each cusp's curves are closed, matched and a basis.
-One pass over all tetrahedra checks their containers, lengths and int
-entries; only when it fails is each walked, to name its faults.
 
-The rules on the tetrahedra depend only on `tets` and the cusp count, so
-`_frame` memoizes them per `(tets, cusp_count)`, the FRAMES (8) most
-recent kept, beside `gluing`'s slope-free rows.  As `True == 1`, `1.0 ==
-1` and `0.5 == 0.5+0j` hash alike, `validate` looks a frame up only when
-every entry is an int and every shape hint a complex.
+A `Tetrahedron` finds its own faults once, when built (`_faults`: its
+containers, counts, int entries and complex hint), and copies keep them;
+any are the only tetrahedron diagnostics.  Without them every tetrahedron
+holds only ints and a complex, so `(tets, cusp_count)` is a type-exact
+key, on which `_frame` memoizes the other rules on the tetrahedra, the
+FRAMES (8) most recent kept, beside `gluing`'s slope-free rows.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import cmath
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isfinite
 
 from . import CertifyError, SolveError
@@ -98,6 +97,10 @@ class Tetrahedron:
     vertex_cusp: tuple     # 4 cusp indices
     peripheral: tuple      # sheet-0 meridian and longitude: 2 rows x 16 ints
     shape_hint: complex
+    faults: tuple = field(init=False, repr=False, compare=False)  # _faults
+
+    def __post_init__(self):
+        object.__setattr__(self, "faults", _faults(self))
 
 
 @dataclass(frozen=True)
@@ -286,15 +289,14 @@ def validate(tri: Triangulation) -> list:
                        "representable (|m| and |l| must be below 2^53)")
         elif gcd(*map(abs, cusp.filling_ints())) != 1:
             out.append(f"cusp {c}: filling {cusp.filling_ints()} is not coprime")
-    # a frame is memoized only on a type-exact key (see the module docstring)
-    hints = [tet.shape_hint for tet in tets]
-    typed = _well_formed(tets) and {*map(type, hints)} <= {complex}
-    frame = (_frame if typed else _Frame)(tets, len(cusps))
-    out += frame.misshapen
-    for t, z in enumerate(hints):
-        if type(z) is not complex:
-            out.append(f"tet {t}: shape hint {z!r} is not a complex")
-        elif z in (0, 1) or not cmath.isfinite(z):
+    # a tetrahedron's own faults are the only tetrahedron diagnostics; with
+    # none, every tetrahedron holds only ints and a complex: a type-exact key
+    if faults := [f"tet {t}: {fault}" for t, tet in enumerate(tets)
+                  for fault in tet.faults]:
+        return out + faults
+    frame = _frame(tets, len(cusps))
+    for t, tet in enumerate(tets):
+        if (z := tet.shape_hint) in (0, 1) or not cmath.isfinite(z):
             out.append(f"tet {t}: shape hint {z} is degenerate")
         out += frame.problems[t]
     return out or list(frame.curves)
@@ -309,7 +311,7 @@ class _Frame:
 
     def __init__(self, tets, cusp_count):
         self.tets, self.cusp_count = tets, cusp_count
-        self.misshapen, self.problems, self.curves = _tet_problems(tets, cusp_count)
+        self.problems, self.curves = _tet_problems(tets, cusp_count)
 
     @functools.cached_property
     def equations(self):
@@ -320,40 +322,41 @@ class _Frame:
 _frame = functools.lru_cache(FRAMES)(_Frame)
 
 
+def _faults(tet):
+    """A tetrahedron's own faults, found once, when it is built: a field,
+    gluing or peripheral row not a tuple, the wrong counts, or entries that
+    are not ints, each of which leaves no other rule on it to check; and a
+    shape hint not a complex."""
+    fields = (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral)
+    out = []
+    if {*map(type, fields)} != {tuple} or not {
+            *map(type, (*tet.gluings, *tet.peripheral))} <= {tuple}:
+        out.append("a field, gluing or peripheral row is not a tuple")
+    elif (rows := tuple(map(len, tet.peripheral))) != (16, 16) or {
+            *map(len, fields[:3])} != {4}:
+        out.append(f"{len(tet.neighbors)} neighbors, {len(tet.gluings)} gluings, "
+                   f"{len(tet.vertex_cusp)} vertex cusps and peripheral rows of "
+                   f"{rows} entries; expected 4, 4, 4 and 2 rows of 16")
+    elif {*map(type, itertools.chain(tet.neighbors, tet.vertex_cusp,
+                                     *tet.gluings, *tet.peripheral))} != {int}:
+        out += [f"{what} {i} is {x!r}, not an int" for what, xs in (
+            ("neighbor", tet.neighbors),
+            ("gluing entry", itertools.chain(*tet.gluings)),
+            ("vertex cusp", tet.vertex_cusp),
+            ("peripheral entry", itertools.chain(*tet.peripheral)))
+            for i, x in enumerate(xs) if type(x) is not int]
+    if type(tet.shape_hint) is not complex:
+        out.append(f"shape hint {tet.shape_hint!r} is not a complex")
+    return tuple(out)
+
+
 def _tet_problems(tets, cusp_count):
-    """The diagnostics of tetrahedra not of tuples, of the wrong shape, or
-    with an entry that is not an int, which get no other check (the loop
-    runs only when one pass over all finds one); per tetrahedron, those of
-    its face pairings and vertex cusps; and, when all are clean, the
-    curves'."""
-    out, misshapen = [], set()
-    for t, tet in enumerate(() if _well_formed(tets) else tets):
-        fields = (tet.neighbors, tet.gluings, tet.vertex_cusp, tet.peripheral)
-        if {*map(type, fields)} != {tuple} or not {
-                *map(type, (*tet.gluings, *tet.peripheral))} <= {tuple}:
-            out.append(f"tet {t}: a field, gluing or peripheral row is not a tuple")
-        elif (rows := tuple(map(len, tet.peripheral))) != (16, 16) or {
-                *map(len, fields[:3])} != {4}:
-            out.append(f"tet {t}: {len(tet.neighbors)} neighbors, "
-                       f"{len(tet.gluings)} gluings, {len(tet.vertex_cusp)} "
-                       f"vertex cusps and peripheral rows of {rows} entries; "
-                       "expected 4, 4, 4 and 2 rows of 16")
-        elif {*map(type, itertools.chain(tet.neighbors, tet.vertex_cusp,
-                                         *tet.gluings, *tet.peripheral))} != {int}:
-            out += [f"tet {t}: {what} {i} is {x!r}, not an int" for what, xs in (
-                ("neighbor", tet.neighbors),
-                ("gluing entry", itertools.chain(*tet.gluings)),
-                ("vertex cusp", tet.vertex_cusp),
-                ("peripheral entry", itertools.chain(*tet.peripheral)))
-                for i, x in enumerate(xs) if type(x) is not int]
-        else:
-            continue
-        misshapen.add(t)
+    """Per tetrahedron, the diagnostics of its face pairings and vertex
+    cusps, and, when all are clean, the curves'; no tetrahedron has a fault
+    of its own."""
     n, problems = len(tets), []
     for t, tet in enumerate(tets):
         problems.append(found := [])
-        if t in misshapen:
-            continue
         for f, t2 in enumerate(tet.neighbors):
             if not 0 <= t2 < n:
                 found.append(f"tet {t} face {f}: neighbor {t2} out of range")
@@ -369,8 +372,6 @@ def _tet_problems(tets, cusp_count):
                 found.append(f"tet {t} face {f}: gluing {sigma} is an even "
                              "permutation (orientation not coherent)")
             back, f2 = tets[t2], sigma[f]
-            if t2 in misshapen:
-                continue
             if back.neighbors[f2] != t or back.gluings[f2] != inverse:
                 found.append(f"tet {t} face {f}: face pairing with tet {t2} "
                              f"face {f2} is not involutive")
@@ -385,24 +386,8 @@ def _tet_problems(tets, cusp_count):
             if not 0 <= c < cusp_count:
                 found.append(f"tet {t} vertex {v}: cusp index {c} out of range "
                              f"[0, {cusp_count})")
-    return tuple(out), tuple(map(tuple, problems)), () if out or any(problems) else (
+    return tuple(map(tuple, problems)), () if any(problems) else (
         tuple(_curve_problems(tets, cusp_count)))
-
-
-def _well_formed(tets):
-    """Whether every tetrahedron's fields are tuples of the format's lengths
-    (four gluings of 4 entries, two peripheral rows of 16) holding ints
-    only, checked in one pass over all tetrahedra."""
-    n, chain = len(tets), itertools.chain
-    fields = [*chain.from_iterable(
-        (t.neighbors, t.gluings, t.vertex_cusp, t.peripheral) for t in tets)]
-    if {*map(type, fields)} != {tuple} or [*map(len, fields)] != [4, 4, 4, 2] * n:
-        return False
-    rows = [*chain.from_iterable(t.gluings + t.peripheral for t in tets)]
-    if {*map(type, rows)} != {tuple} or [*map(len, rows)] != [4, 4, 4, 4, 16, 16] * n:
-        return False
-    entries = chain(*rows, *(t.neighbors + t.vertex_cusp for t in tets))
-    return {*map(type, entries)} == {int}
 
 
 def _curve_problems(tets, cusp_count):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_rows_match_the_pinned_digest(tri_a, tri_b):
 
 
 def test_matrix_is_the_read_only_rows(tri_a, tri_b):
-    # built from the flat list the construction checks, on A, B and every
+    # built from the rows the construction checks, on A, B and every
     # filling of B's cusp 6, it is the rows, row for row
     for tri in [tri_a, tri_b] + [filled(tri_b, 6, m, l) for m, l in B_SLOPES]:
         sys_ = build_equations(tri)
@@ -100,6 +101,37 @@ def test_a_second_filling_walks_nothing_again(tri_b, monkeypatch):
     sys_ = build_equations(parse_triangulation(text))
     assert sys_.rows[-1].filling == (3, 1) and len(sys_.kept_rows) == 26
     assert calls == []
+
+
+def test_each_tetrahedron_and_row_is_checked_once_when_built(text_b, tri_b,
+                                                            monkeypatch):
+    # a tetrahedron checks itself when parsed, a filled row when folded;
+    # filling, validating and a warm frame check neither again
+    forget_frames()
+    build_equations(filled(tri_b, 6, 1, 2))
+    calls = []
+    for module, name in [(tri_module, "_faults"), (gluing, "_row_fault")]:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, fn=fn, name=name:
+                            calls.append(name) or fn(x))
+    assert parse_triangulation(text_b) == tri_b and calls == ["_faults"] * 26
+    calls.clear()
+    tri = filled(tri_b, 6, 3, 1)
+    assert calls == [] and tri_module.validate(tri) == [] and calls == []
+    assert build_equations(tri).rows[-1].filling == (3, 1)
+    assert calls == ["_row_fault"]
+
+
+@pytest.mark.parametrize("tet_count", [12.0, True, 0, -1],
+                         ids=["float", "bool", "zero", "negative"])
+def test_a_tet_count_that_is_not_a_positive_int_is_refused(tri_a, tet_count):
+    # 12.0 once built, and matrix, kept_rows and newton_solve raised a raw
+    # TypeError; an empty system of 0 tetrahedra reached numpy's reduction
+    refusal = f"^{re.escape(f'tet_count {tet_count!r} is not a positive int')}$"
+    with pytest.raises(ValueError, match=refusal):
+        dataclasses.replace(build_equations(tri_a), tet_count=tet_count)
+    with pytest.raises(ValueError, match=refusal):
+        GluingSystem("x", tet_count, ())
 
 
 def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):

@@ -1,8 +1,10 @@
 """Parsing, validation, serialization, and isomorphism of .tri files."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import re
 
@@ -654,8 +656,8 @@ def _tet0(tri, **changes):
 
 
 def _last(tri, **changes):
-    """`tri` with its last tetrahedron edited: a fault there is found by the
-    one pass over every tetrahedron that `validate` makes first."""
+    """`tri` with its last tetrahedron edited: a fault there is found when
+    that tetrahedron is built, and `validate` reports it first."""
     tet = dataclasses.replace(tri.tets[-1], **changes)
     return dataclasses.replace(tri, tets=tri.tets[:-1] + (tet,))
 
@@ -821,8 +823,8 @@ def _with_last(value, x):
     ("neighbors", "neighbor", 3), ("gluings", "gluing entry", 15),
     ("vertex_cusp", "vertex cusp", 3), ("peripheral", "peripheral entry", 31)])
 def test_one_entry_that_is_not_an_int_is_named(tri_a, kind, field, name, index):
-    # the last int of a field of the last tetrahedron: the one pass over
-    # every tetrahedron finds it, and the loop over each names it as before
+    # the last int of a field of the last tetrahedron: the tetrahedron
+    # finds it when built, and names it as before
     value = getattr(tri_a.tets[-1], field)
     x = kind(value[-1][-1] if field in ("gluings", "peripheral") else value[-1])
     with pytest.raises(TriParseError) as info:
@@ -841,7 +843,7 @@ def test_one_entry_that_is_not_an_int_is_named(tri_a, kind, field, name, index):
 def test_an_equal_entry_of_another_type_is_refused_after_a_clean_copy(
         tri_b, field, value, message):
     # the copy compares and hashes equal to B, whose tetrahedron rules are
-    # memoized clean, so the memo must not answer for it
+    # memoized clean, so its own fault must keep it from the memo
     assert validate(tri_b) == [] and value == getattr(tri_b.tets[-1], field)
     with pytest.raises(TriParseError) as info:
         _last(tri_b, **{field: value})
@@ -854,6 +856,51 @@ def test_an_equal_float_hint_is_refused_after_a_clean_copy(tri_b):
     with pytest.raises(TriParseError) as info:
         _last(real, shape_hint=0.5)
     assert str(info.value) == "tet 25: shape hint 0.5 is not a complex"
+
+
+def _edited(tri, changes):
+    """`tri` with each tetrahedron t in `changes` edited by changes[t]."""
+    return dataclasses.replace(tri, tets=tuple(
+        dataclasses.replace(tet, **changes.get(t, {})) for t, tet in enumerate(tri.tets)))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (lambda t: {0: dict(neighbors=(0.5,) + t.tets[0].neighbors[1:]),
+                3: dict(shape_hint=0j), 5: dict(shape_hint=[0.5])},
+     "tet 0: neighbor 0 is 0.5, not an int; tet 5: shape hint [0.5] is not a complex"),
+    (lambda t: {2: dict(shape_hint=0.5),
+                4: dict(neighbors=(11,) + t.tets[4].neighbors[1:])},
+     "tet 2: shape hint 0.5 is not a complex"),
+], ids=["neighbor_half_hint_list", "hint_float_neighbor_eleven"])
+def test_a_tetrahedron_fault_is_the_only_tetrahedron_diagnostic(tri_a, changes,
+                                                                 message):
+    # a degenerate hint (tet 3) and a face pairing (tet 4) are rules on
+    # tetrahedra without faults, so neither is checked beside a fault
+    with pytest.raises(TriParseError) as info:
+        _edited(tri_a, changes(tri_a))
+    assert str(info.value) == message and info.value.line is None
+
+
+def test_an_unhashable_entry_is_named_not_hashed(tri_a):
+    # the frame memo hashes the tetrahedra, and no faulty one reaches it
+    with pytest.raises(TriParseError) as info:
+        _tet0(tri_a, neighbors=([0],) + tri_a.tets[0].neighbors[1:])
+    assert str(info.value) == "tet 0: neighbor 0 is [0], not an int"
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda tet: pickle.loads(pickle.dumps(tet))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_faulty_tetrahedron_keeps_its_faults_when_copied(tri_a, clone):
+    # the faults are found once, when the tetrahedron is built, and travel
+    # with the instance, which no copy builds again
+    bad = dataclasses.replace(tri_a.tets[0], vertex_cusp=(1.0, 0, 0, 0))
+    again = clone(bad)
+    assert again == bad and again.faults == bad.faults == (
+        "vertex cusp 0 is 1.0, not an int",)
+    with pytest.raises(TriParseError) as info:
+        dataclasses.replace(tri_a, tets=(again,) + tri_a.tets[1:])
+    assert str(info.value) == "tet 0: vertex cusp 0 is 1.0, not an int"
 
 
 NOT_A_TUPLE = "a field, gluing or peripheral row is not a tuple"
