@@ -29,12 +29,12 @@ their stored shape hints, and is frozen by the test suite.
 
 One walk of the edge ids folds the edge rows; `edge_classes` labels it.
 The edge rows, the cusp relations and the folded peripheral curves are
-made once per triangulation, in `tri._frame`, and each filled cusp row
-once per slope, so a sweep over slopes walks edges and curves once.
+made once per triangulation (`_slope_free_rows`), and each filled cusp
+row once per slope, so a sweep over slopes walks edges and curves once.
 A `GluingRow` finds the first entry of [A | B | k - c] floats do not hold
 (the 2^53 rule) once, when built; a `GluingSystem` refuses a `tet_count`
-that is not a positive int, an A or B without `tet_count` entries and a
-row with such an entry, and the numeric stages read its rows as one exact
+that is not a positive int, no rows, an A or B without `tet_count`
+entries and a row with such an entry, and the numeric stages read its rows as one exact
 integer matrix, `GluingSystem.matrix`; `jacobian` is the one Jacobian
 builder, Krawczyk's midpoint included.  Newton needs no square
 subsystem: Gauss-Newton steps on all rows.  The one row choice is the
@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .tri import _SIGN, FRAMES, SolveError, Triangulation, _frame
+from .tri import _SIGN, FRAMES, SolveError, Triangulation
 
 __all__ = [
     "GluingRow", "GluingSystem", "NewtonResult",
@@ -139,12 +139,12 @@ def _row_fault(row):
 
 @dataclass(frozen=True)
 class GluingSystem:
-    """Rows floats hold: a `tet_count` that is not a positive int, an A or B
-    without `tet_count` entries, or a row with a `fault`, raises ValueError,
-    naming the first bad row.  Per cusp, `relations` lists the edge
-    rows with an end there, once per end; so weighted, a torus cusp's edge
-    rows sum to zero (Neumann-Zagier: each cusp triangle adds A = B = 0 and
-    k = 1, two triangles per end)."""
+    """Rows floats hold: a `tet_count` that is not a positive int, no rows,
+    an A or B without `tet_count` entries, or a row with a `fault`, raises
+    ValueError, naming the first bad row.  Per cusp, `relations` lists the
+    edge rows with an end there, once per end; so weighted, a torus cusp's
+    edge rows sum to zero (Neumann-Zagier: each cusp triangle adds A = B = 0
+    and k = 1, two triangles per end)."""
     name: str
     tet_count: int
     rows: tuple
@@ -154,6 +154,8 @@ class GluingSystem:
         n = self.tet_count
         if type(n) is not int or n < 1:
             raise ValueError(f"tet_count {n!r} is not a positive int")
+        if not self.rows:
+            raise ValueError(f"system {self.name!r} has no rows")
         for i, r in enumerate(self.rows):
             if len(r.A) != n or len(r.B) != n:
                 raise ValueError(f"{r.kind} row {i} has {len(r.A)} A and "
@@ -258,11 +260,13 @@ def _row(kind, r, c, cusp=None, filling=None):
     return GluingRow(kind, tuple(r[:n]), tuple(r[n:2 * n]), r[-1], c, cusp, filling)
 
 
+@functools.lru_cache(FRAMES)
 def _slope_free_rows(tets, cusp_count):
-    """What no filling changes, made once per triangulation (`tri._frame`):
-    the edge rows, the relations, and per cusp its complete row and its
-    filled row at (m, l), m meridian + l longitude, folded once per slope
-    of the FRAMES (8) most recent."""
+    """What no filling changes, made once per triangulation, the FRAMES (8)
+    most recent kept: the edge rows, the relations, and per cusp its
+    complete row and its filled row at (m, l), m meridian + l longitude,
+    folded once per slope of the FRAMES most recent.  `tets` of a valid
+    triangulation hold only ints and complexes, so the key is type-exact."""
     n = len(tets)
     # one row per edge class, and the cusps of its ends, read at its least
     # member
@@ -303,12 +307,12 @@ def _filled_rows(cusp, mer, lon):
 
 def build_equations(tri: Triangulation) -> GluingSystem:
     """One row per edge class, then one row per cusp (complete or filled),
-    all read from the frame; only a slope it has not seen is folded.
+    all read from `_slope_free_rows`; only a slope not seen is folded.
 
     A `Triangulation` is valid by construction (`tri.validate`), so nothing
     is checked here.  A row floats cannot hold raises ValueError.
     """
-    edges, relations, cusps = _frame(tri.tets, len(tri.cusps)).equations
+    edges, relations, cusps = _slope_free_rows(tri.tets, len(tri.cusps))
     rows = [*edges]
     for info, (complete, filled) in zip(tri.cusps, cusps):
         rows.append(complete if info.is_complete() else filled(*info.filling_ints()))

@@ -45,8 +45,8 @@ A `Tetrahedron` finds its own faults once, when built (`_faults`: its
 containers, counts, int entries and complex hint), and copies keep them;
 any are the only tetrahedron diagnostics.  Without them every tetrahedron
 holds only ints and a complex, so `(tets, cusp_count)` is a type-exact
-key, on which `_frame` memoizes the other rules on the tetrahedra, the
-FRAMES (8) most recent kept, beside `gluing`'s slope-free rows.
+key, on which `_verdict` memoizes every other rule on the tetrahedra,
+the degenerate shape hint among them, the FRAMES (8) most recent kept.
 """
 
 from __future__ import annotations
@@ -294,32 +294,15 @@ def validate(tri: Triangulation) -> list:
     if faults := [f"tet {t}: {fault}" for t, tet in enumerate(tets)
                   for fault in tet.faults]:
         return out + faults
-    frame = _frame(tets, len(cusps))
-    for t, tet in enumerate(tets):
-        if (z := tet.shape_hint) in (0, 1) or not cmath.isfinite(z):
-            out.append(f"tet {t}: shape hint {z} is degenerate")
-        out += frame.problems[t]
-    return out or list(frame.curves)
+    problems, curves = _verdict(tets, len(cusps))
+    return out + [*problems] or [*curves]
 
 
-FRAMES = 8      # per-triangulation frames kept, most recently used first
+FRAMES = 8      # per-triangulation results kept, most recently used first
 
-
-class _Frame:
-    """What `tets` and the cusp count fix, whatever the fillings: validate's
-    diagnostics of both, and gluing's slope-free rows once first read."""
-
-    def __init__(self, tets, cusp_count):
-        self.tets, self.cusp_count = tets, cusp_count
-        self.problems, self.curves = _tet_problems(tets, cusp_count)
-
-    @functools.cached_property
-    def equations(self):
-        from .gluing import _slope_free_rows
-        return _slope_free_rows(self.tets, self.cusp_count)
-
-
-_frame = functools.lru_cache(FRAMES)(_Frame)
+# the tetrahedron verdict of the FRAMES most recent (tets, cusp_count);
+# `_tet_problems` is looked up on each miss, so a wrapper on it sees misses only
+_verdict = functools.lru_cache(FRAMES)(lambda tets, c: _tet_problems(tets, c))
 
 
 def _faults(tet):
@@ -351,12 +334,13 @@ def _faults(tet):
 
 
 def _tet_problems(tets, cusp_count):
-    """Per tetrahedron, the diagnostics of its face pairings and vertex
-    cusps, and, when all are clean, the curves'; no tetrahedron has a fault
-    of its own."""
-    n, problems = len(tets), []
+    """The diagnostics of each tetrahedron's shape hint, face pairings and
+    vertex cusps, in order, and, when there are none, the curves'; no
+    tetrahedron has a fault of its own."""
+    n, found = len(tets), []
     for t, tet in enumerate(tets):
-        problems.append(found := [])
+        if (z := tet.shape_hint) in (0, 1) or not cmath.isfinite(z):
+            found.append(f"tet {t}: shape hint {z} is degenerate")
         for f, t2 in enumerate(tet.neighbors):
             if not 0 <= t2 < n:
                 found.append(f"tet {t} face {f}: neighbor {t2} out of range")
@@ -386,8 +370,7 @@ def _tet_problems(tets, cusp_count):
             if not 0 <= c < cusp_count:
                 found.append(f"tet {t} vertex {v}: cusp index {c} out of range "
                              f"[0, {cusp_count})")
-    return tuple(map(tuple, problems)), () if any(problems) else (
-        tuple(_curve_problems(tets, cusp_count)))
+    return tuple(found), () if found else tuple(_curve_problems(tets, cusp_count))
 
 
 def _curve_problems(tets, cusp_count):

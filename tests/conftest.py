@@ -19,7 +19,7 @@ def filled(tri, cusp, m, l):
 def forget_frames():
     """Empty the per-triangulation frames and the relation eliminations, so
     the next system is built and its rows chosen from nothing."""
-    for memo in (tri_module._frame, gluing._weights, gluing._dropped):
+    for memo in (tri_module._verdict, gluing._slope_free_rows, gluing._weights, gluing._dropped):
         memo.cache_clear()
 
 

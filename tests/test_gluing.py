@@ -134,6 +134,15 @@ def test_a_tet_count_that_is_not_a_positive_int_is_refused(tri_a, tet_count):
         GluingSystem("x", tet_count, ())
 
 
+def test_a_system_without_rows_is_refused(tri_a):
+    # such a system once built, and newton_solve then raised numpy's raw
+    # zero-size reduction error
+    with pytest.raises(ValueError, match="^system 'x' has no rows$"):
+        GluingSystem("x", 1, ())
+    with pytest.raises(ValueError, match="^system 'A' has no rows$"):
+        dataclasses.replace(build_equations(tri_a), name="A", rows=())
+
+
 def test_cusp_relations_vanish_and_bound_the_rank(tri_a, tri_b):
     # per cusp, the edge rows weighted by their ends there sum to the zero
     # row, and the cusps' relations are independent, so [A | B | k - c]

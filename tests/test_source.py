@@ -2,6 +2,7 @@
 
 import ast
 import fnmatch
+import graphlib
 import pathlib
 
 import pytest
@@ -81,6 +82,34 @@ def test_every_private_name_is_used():
     used = set().union(*map(_references, trees.values()))
     assert [f"{name}:{n}" for name, tree in trees.items()
             for n in sorted(_private_definitions(tree)) if n not in used] == []
+
+
+def _imports(tree, modules):
+    """The package modules among `modules` that a module's import
+    statements name, at any depth of its code; `from . import x` names the
+    package (`__init__`) and, when x is a module, x."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("bandforge" + (f".{node.module}" if node.module else "")
+                    if node.level else node.module)
+            dotted += [base, *(f"{base}.{alias.name}" for alias in node.names)]
+    return {d.split(".")[1] if "." in d else "__init__" for d in dotted
+            if d.partition(".")[0] == "bandforge"} & modules
+
+
+def test_module_imports_are_layered():
+    # no import cycle, counting imports inside functions, and the
+    # triangulation layer imports none of the numeric ones
+    package = pathlib.Path(bandforge.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    graph = {name: _imports(tree, set(trees)) for name, tree in trees.items()}
+    assert "__init__" in graph["tri"] and "tri" in graph["gluing"]  # seen at all
+    [*graphlib.TopologicalSorter(graph).static_order()]  # CycleError names one
+    assert not graph["tri"] & {"gluing", "dilog", "krawczyk", "_ball"}
 
 
 def test_package_data_ships_every_fixture():
