@@ -89,11 +89,9 @@ _TURNS = tuple(tuple((a, b, PAIR_TYPE[tuple(sorted((v, 6 - v - a - b)))])
                      if len({v, a, b}) == 3 and _SIGN[v, 6 - v - a - b, a, b] < 0)
                for v in range(4))
 # edge j of a tetrahedron is the j-th vertex pair in sorted order; the two
-# faces that hold it, its (A, B, k) log terms, and for each gluing the edge
-# j goes to
+# faces that hold it, and for each gluing the edge j goes to
 _PAIRS = sorted(PAIR_TYPE)
 _FACES = tuple(tuple(f for f in range(4) if f not in e) for e in _PAIRS)
-_EDGE_TERMS = tuple(_LOG_TERMS[PAIR_TYPE[e]] for e in _PAIRS)
 _EDGE_MOVE = {s: tuple(_PAIRS.index(tuple(sorted((s[a], s[b])))) for a, b in _PAIRS)
               for s in itertools.permutations(range(4))}
 
@@ -233,7 +231,7 @@ def _edge_walk(tets):
         members, row = [start], [0] * (2 * n + 1)
         for i in members:               # members grows as the walk goes
             t, j = divmod(i, 6)
-            da, db, dk = _EDGE_TERMS[j]
+            da, db, dk = _LOG_TERMS[PAIR_TYPE[_PAIRS[j]]]
             row[t] += da
             row[n + t] += db
             row[-1] += dk
@@ -283,17 +281,15 @@ def _slope_free_rows(tets, cusp_count):
     for t, tet in enumerate(tets):
         for curve, row in enumerate(tet.peripheral):
             for v, turns in enumerate(_TURNS):
-                corner = row[4 * v:4 * v + 4]
-                for a, b, ptype in turns if any(corner) else ():
+                corner, r = row[4 * v:4 * v + 4], curves[tet.vertex_cusp[v]][curve]
+                for a, b, ptype in turns:
                     x, y = corner[a], corner[b]  # net strands from a to b
                     mult = (min(x, -y) if x > 0 > y
                             else -min(-x, y) if y > 0 > x else 0)
-                    if mult:
-                        r = curves[tet.vertex_cusp[v]][curve]
-                        da, db, dk = _LOG_TERMS[ptype]
-                        r[t] += mult * da
-                        r[n + t] += mult * db
-                        r[-1] += mult * dk
+                    da, db, dk = _LOG_TERMS[ptype]
+                    r[t] += mult * da
+                    r[n + t] += mult * db
+                    r[-1] += mult * dk
     return tuple(edges), tuple(map(tuple, relations)), tuple(
         (_row("cusp_complete", mer, 0, cusp), _filled_rows(cusp, mer, lon))
         for cusp, (mer, lon) in enumerate(curves))

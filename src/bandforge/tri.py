@@ -346,22 +346,19 @@ def _tet_problems(tets, cusp_count):
                 found.append(f"tet {t} face {f}: neighbor {t2} out of range")
                 continue
             sigma = tet.gluings[f]
-            paired = _PAIRED.get(sigma)
-            if paired is None:
+            if sigma not in _SIGN:
                 found.append(f"tet {t} face {f}: gluing {sigma} is not a permutation")
                 continue
-            sign, inverse, here, there = paired[f]
             # coherent orientation forces orientation-reversing face maps
-            if sign != -1:
+            if _SIGN[sigma] != -1:
                 found.append(f"tet {t} face {f}: gluing {sigma} is an even "
                              "permutation (orientation not coherent)")
             back, f2 = tets[t2], sigma[f]
-            if back.neighbors[f2] != t or back.gluings[f2] != inverse:
+            if back.neighbors[f2] != t or back.gluings[f2] != _INVERSE[sigma]:
                 found.append(f"tet {t} face {f}: face pairing with tet {t2} "
                              f"face {f2} is not involutive")
             # glued vertices lie on one cusp, checked once per face pair
-            if (t < t2 or t == t2 and f <= f2) and (
-                    here(tet.vertex_cusp) != there(back.vertex_cusp)):
+            if t < t2 or t == t2 and f <= f2:
                 found += [f"tet {t} face {f}: vertex {v} on cusp {c} is glued to "
                           f"tet {t2} vertex {sigma[v]} on cusp {back.vertex_cusp[sigma[v]]}"
                           for v, c in enumerate(tet.vertex_cusp)
@@ -377,15 +374,12 @@ def _curve_problems(tets, cusp_count):
     """Each cusp's meridian and longitude are closed (a cusp triangle's 4
     entries sum to 0), matched and a basis: meridian . longitude, half a
     sum over the sides, is +-1 (see README)."""
-    xs = [*itertools.chain.from_iterable(
-        itertools.chain.from_iterable(t.peripheral for t in tets))]
-    if any(itertools.compress(xs, itertools.cycle(_UNUSED))) or any(
-            map(sum, zip(*[iter(xs)] * 4))):
-        return [f"cusp {tet.vertex_cusp[v]}: the {name} is not closed in tet {t} "
-                f"vertex {v}" for t, tet in enumerate(tets)
-                for name, x in zip(("meridian", "longitude"), tet.peripheral)
-                for v in range(4) if x[5 * v] or sum(x[4 * v:4 * v + 4])]
-    out, twice = [], [0] * cusp_count
+    if out := [f"cusp {tet.vertex_cusp[v]}: the {name} is not closed in tet {t} "
+               f"vertex {v}" for t, tet in enumerate(tets)
+               for name, x in zip(("meridian", "longitude"), tet.peripheral)
+               for v in range(4) if x[5 * v] or sum(x[4 * v:4 * v + 4])]:
+        return out
+    twice = [0] * cusp_count
     for t, tet in enumerate(tets):
         (mu, lam), cusp = tet.peripheral, tet.vertex_cusp
         for i, iq, f, sign in itertools.compress(_SIDES, map(operator.or_, mu, lam)):
@@ -410,17 +404,11 @@ _SIGN = {p: (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
          for p in itertools.permutations(range(4))}
 _INVERSE = {p: tuple(p.index(i) for i in range(4)) for p in _SIGN}
 _PERMUTATION = {"".join(map(str, p)): p for p in _SIGN}
-# per gluing and face f: the sign, the inverse, and the vertex cusps of face
-# f's corners read at them and at their images
-_PAIRED = {g: tuple((_SIGN[g], _INVERSE[g], operator.itemgetter(*vs),
-                     operator.itemgetter(*map(g.__getitem__, vs)))
-                    for vs in ([v for v in range(4) if v != f] for f in range(4)))
-           for g in _SIGN}
-# peripheral entry 4 v + f: its side, (4 v + f, 4 v + q, f, the sign of (v, f,
-# p, q)) for corners p < q; whether f = v, unused; where each gluing moves it
+# peripheral entry 4 v + f: its side (4 v + f, 4 v + q, f, the sign of (v, f,
+# p, q)) for corners p < q, None at f = v, which a closed curve leaves 0;
+# and where each gluing moves the entry
 _SIDES = [(4 * v + f, 4 * v + pq[1], f, _SIGN[(v, f, *pq)]) if v != f else None
           for v in range(4) for f in range(4) for pq in [sorted({0, 1, 2, 3} - {v, f})]]
-_UNUSED = [side is None for side in _SIDES]
 _MOVED = {g: [4 * g[i // 4] + g[i % 4] for i in range(16)] for g in _SIGN}
 # -99..99 by its decimal string, and as a written peripheral entry; each
 # permutation as a written gluing

@@ -15,7 +15,7 @@ from bandforge import _ball, cli, dilog, gluing, krawczyk
 from bandforge.dilog import (EnclosureDomainError, bloch_wigner,
                              volume as point_volume)
 from bandforge.fixtures import load_fixture
-from bandforge.gluing import GluingSystem, build_equations, newton_solve
+from bandforge.gluing import GluingRow, GluingSystem, build_equations, newton_solve
 from bandforge.krawczyk import (RADIUS_LADDER, Certificate, CertifyError,
                                 KrawczykError, certify_hyperbolic,
                                 interval_volume, krawczyk_test)
@@ -576,6 +576,19 @@ def test_nan_shape_raises(solved_a):
     shapes = [complex(math.nan, 1.0)] + list(result.shapes[1:])
     with pytest.raises(KrawczykError, match="finite"):
         krawczyk_test(sys_, shapes, 1e-10)
+
+
+def test_a_box_the_floats_cannot_bear_is_a_typed_refusal():
+    # one shape, one row: J = 1/z - 1/(1 - z) vanishes at 1/2
+    row = GluingRow("edge", (1,), (1,), 0, 0)
+    with pytest.raises(KrawczykError, match="^midpoint Jacobian inversion failed"):
+        krawczyk_test(GluingSystem("x", 1, (row,)), [0.5 + 0j], 1e-4)
+    # a shape of modulus 1e300 overflows the ball arithmetic
+    row = GluingRow("edge", (1,), (0,), 0, 0)
+    with pytest.raises(KrawczykError, match="^ball arithmetic overflowed"):
+        krawczyk_test(GluingSystem("x", 1, (row,)), [1e300 + 1e300j], 1e-8)
+    with pytest.raises(EnclosureDomainError, match="^ball arithmetic overflowed"):
+        interval_volume([[1e300] * 4])
 
 
 # ------------------------------------------- ball operator vs mpmath

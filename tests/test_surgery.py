@@ -99,6 +99,13 @@ def test_lens_mirror():
     assert lens_mirror(m) == LensSpace(7, 2)
 
 
+def test_the_lens_spaces_of_p_zero():
+    # L(0, +-1) is S^2 x S^1, which a mirror keeps
+    a, b = LensSpace(0, 1), LensSpace(0, -1)
+    assert lens_equivalent(a, b) and lens_equivalent(a, b, oriented=False)
+    assert lens_mirror(a) == a and lens_mirror(b) == b
+
+
 @given(st.integers(min_value=2, max_value=60))
 @settings(max_examples=60, deadline=None)
 def test_lens_mirror_is_an_involution(p):

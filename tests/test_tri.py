@@ -1070,3 +1070,71 @@ def test_curves_must_match_across_faces(tri_a, tri_b):
     with pytest.raises(TriParseError, match=f"^tet {t} face [0-3]: vertex {v} on "
                        f"cusp {cusps[v]} is glued to tet"):
         dataclasses.replace(tri_b, tets=tuple(tets))
+
+
+# SHA-256 of the TriParseError text, or "valid", of each edit `_edits` makes
+# of A and B: any change to the text or the order of `validate`'s
+# diagnostics on the tetrahedra and curves moves it
+VALIDATE_DIGEST = "9b6770f14e74b23a1eeff78744cbe4b9f01f0bdb5b2701e32774de6504d3ff2b"
+
+
+def _edits(tri, rng):
+    """`tri`'s tetrahedra with one entry of one tetrahedron edited, for every
+    tetrahedron: each neighbour moved by one and set out of range, each
+    gluing replaced by another permutation and by (0, 0, 1, 2), a vertex
+    cusp moved to another index (one past the last cusp among them), each
+    sheet-0 entry moved by +-1 (the unused f = v entries too), and the hint
+    set to 0, 1 and nan; also, per tetrahedron and curve, one strand moved
+    between two sides of a cusp triangle (closed, not matched), and per
+    cusp its meridian doubled (closed and matched, not a basis)."""
+    n, perms = tri.tet_count, [*itertools.permutations(range(4))]
+    for t, tet in enumerate(tri.tets):
+        def put(edited, t=t):
+            return (*tri.tets[:t], edited, *tri.tets[t + 1:])
+
+        def at(name, i, value, tet=tet):
+            entries = list(getattr(tet, name))
+            entries[i] = value
+            return put(dataclasses.replace(tet, **{name: tuple(entries)}))
+
+        for f, t2 in enumerate(tet.neighbors):
+            yield at("neighbors", f, t2 + rng.choice((1, -1)))
+            yield at("neighbors", f, rng.choice((-1, n)))
+            yield at("gluings", f, rng.choice([p for p in perms if p != tet.gluings[f]]))
+            yield at("gluings", f, (0, 0, 1, 2))
+        v = rng.randrange(4)
+        yield at("vertex_cusp", v, rng.choice(
+            [c for c in range(tri.cusp_count + 1) if c != tet.vertex_cusp[v]]))
+        for r, i in itertools.product((0, 1), range(16)):
+            row = list(tet.peripheral[r])
+            row[i] += rng.choice((1, -1))
+            yield at("peripheral", r, tuple(row))
+        for z in (0j, 1 + 0j, complex("nan")):
+            yield put(dataclasses.replace(tet, shape_hint=z))
+        for r in (0, 1):
+            v = rng.randrange(4)
+            f1, f2 = rng.sample([f for f in range(4) if f != v], 2)
+            row = list(tet.peripheral[r])
+            row[4 * v + f1] += 1
+            row[4 * v + f2] -= 1
+            yield at("peripheral", r, tuple(row))
+    for c in range(tri.cusp_count):
+        yield tuple(dataclasses.replace(tet, peripheral=(tuple(
+            x * (1 + (tet.vertex_cusp[i // 4] == c)) for i, x in enumerate(
+                tet.peripheral[0])), tet.peripheral[1])) for tet in tri.tets)
+
+
+def test_validate_diagnostics_match_the_pinned_digest(tri_a, tri_b):
+    digest, count = hashlib.sha256(), 0
+    rng = random.Random(34)
+    for tri in (tri_a, tri_b):
+        for tets in _edits(tri, rng):
+            try:
+                dataclasses.replace(tri, tets=tets)
+                outcome = "valid"
+            except TriParseError as err:
+                outcome = str(err)
+            digest.update(outcome.encode() + b"\n")
+            count += 1
+    assert count == 54 * (12 + 26) + 1 + 7
+    assert digest.hexdigest() == VALIDATE_DIGEST
